@@ -55,6 +55,7 @@ from .model import (
 )
 from .oracle import SingularSystem, monte_carlo_reachability, numeric_reachability
 from .polycore import (
+    ExponentOverflow,
     Polynomial,
     Rational,
     Variable,
@@ -158,6 +159,7 @@ __all__ = [
     "InsufficientRefinement",
     "DivisionByZeroFunction",
     "EvalDenominatorZero",
+    "ExponentOverflow",
     # session management
     "reset_session",
 ]

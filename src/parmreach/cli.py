@@ -11,7 +11,9 @@ Three subcommands:
 
 Exit codes: 0 on success, 1 when the model itself is at fault (syntax,
 probability sums, absorbing-target violations, …), 2 on usage errors
-(unreadable input, malformed flags, unknown parameter or target names).
+(unreadable input, malformed flags, unknown parameter or target names,
+a non-integer ``PARMREACH_SEED``).  Any other exception is a bug and is
+not reported as either.
 
 Result output is byte-deterministic for a fixed input, mode, and seed;
 the optional ``--stats`` block (wall time, peak memory) is diagnostic
@@ -84,8 +86,12 @@ def _approx(x: Fraction) -> str:
 
 def _run_engine(m: Pdtmc, args: argparse.Namespace) -> ReachabilityResult:
     if args.mode == "scc":
-        return model_check(m, parallel=getattr(args, "parallel", False))
-    seed = int(os.environ.get("PARMREACH_SEED", "0"))
+        return model_check(m)
+    raw_seed = os.environ.get("PARMREACH_SEED", "0")
+    try:
+        seed = int(raw_seed)
+    except ValueError as exc:
+        raise _UsageError(f"PARMREACH_SEED must be an integer, not {raw_seed!r}") from exc
     order = EliminationOrder(Strategy(args.order), seed)
     return eliminate_all(m, order)
 
@@ -211,11 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="stop memoizing factorizations after N pooled polynomials",
         )
-        p.add_argument(
-            "--parallel",
-            action="store_true",
-            help="solve sibling components in worker threads (--mode scc)",
-        )
 
     check = sub.add_parser("check", help="compute reachability functions")
     engine_flags(check)
@@ -278,9 +279,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParmreachError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

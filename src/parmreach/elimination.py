@@ -109,7 +109,7 @@ def _predecessor_map(rows: _Rows) -> dict[str, set[str]]:
 
 
 def _audit_rows(rows: _Rows, touched: set[str], context: str) -> None:
-    for u in touched:
+    for u in sorted(touched):
         if rf_sum(rows[u].values()) != rf_one():
             raise ConservationBroken(
                 f"outgoing probabilities of {u!r} no longer sum to 1 ({context})"

@@ -27,7 +27,6 @@ most one constant base (which absorbs sign and content).
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -96,15 +95,13 @@ class _Entry:
 class PolyPool:
     """Process-wide interning table for factor bases.
 
-    Interning is atomic and idempotent, so the pool may be read from
-    several threads once set up.  An optional capacity bounds how many
+    Interning is idempotent.  An optional capacity bounds how many
     refinement memos are stored: past the cap, polynomials are still
     interned but newly discovered factorizations are dropped, so lookups
     fall back to the flat single-factor form.
     """
 
     def __init__(self, capacity: int | None = None):
-        self._lock = threading.Lock()
         self._entries: list[_Entry] = []
         self._index: dict[Polynomial, int] = {}
         self.capacity = capacity
@@ -114,15 +111,11 @@ class PolyPool:
 
     def intern(self, p: Polynomial) -> int:
         h = self._index.get(p)
-        if h is not None:
-            return h
-        with self._lock:
-            h = self._index.get(p)
-            if h is None:
-                h = len(self._entries)
-                self._entries.append(_Entry(p))
-                self._index[p] = h
-            return h
+        if h is None:
+            h = len(self._entries)
+            self._entries.append(_Entry(p))
+            self._index[p] = h
+        return h
 
     def poly(self, handle: int) -> Polynomial:
         return self._entries[handle].poly

@@ -1,12 +1,14 @@
 """Exact multivariate polynomial arithmetic over integer coefficients.
 
 This module is the arithmetic bedrock of the package: interned variables,
-normalized sparse monomials/polynomials, exact division, and a recursive
+normalized sparse polynomials, exact division, and a recursive
 primitive-PRS multivariate GCD.  Everything is deterministic: variables
-carry session-unique indices, monomials are compared reverse
-lexicographically on their exponent vectors (higher variable index is
-more significant, the constant monomial is least), and polynomial terms
-are stored leading-first under that order.
+carry session-unique indices, and a monomial is one int key holding the
+exponent of variable index i in bits 32i..32i+31 (exponents below
+2**31).  Integer order on keys compares exponent vectors reverse
+lexicographically (higher variable index is more significant, the
+constant monomial 0 is least), and polynomial terms are stored
+leading-first under that order.  No other module reads key fields.
 
 Coefficients are plain Python ints; scalar results are
 :class:`fractions.Fraction`.  Decimal inputs are expected to have been
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -34,8 +35,10 @@ __all__ = [
     "variables",
     "reset_variables",
     "session_variables",
-    "Monomial",
+    "monomial",
+    "monomial_exponents",
     "Polynomial",
+    "ExponentOverflow",
     "Irreducibility",
     "MissingAssignment",
     "NotDivisible",
@@ -54,6 +57,10 @@ class MissingAssignment(ParmreachError):
 
 class NotDivisible(ParmreachError):
     """Exact polynomial division was requested but leaves a remainder."""
+
+
+class ExponentOverflow(ParmreachError):
+    """A product has an exponent of 2**31 or more, beyond the key format."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +101,6 @@ class Variable:
         return self.id < other.id
 
 
-_var_lock = threading.Lock()
 _var_by_name: dict[str, Variable] = {}
 _var_list: list[Variable] = []
 
@@ -102,19 +108,15 @@ _var_list: list[Variable] = []
 def variable(name: str) -> Variable:
     """Return the session variable called *name*, interning it on first use.
 
-    Interning is atomic and idempotent; the index order of variables is
-    their order of first appearance in the session.
+    Interning is idempotent; the index order of variables is their
+    order of first appearance in the session.
     """
     v = _var_by_name.get(name)
-    if v is not None:
-        return v
-    with _var_lock:
-        v = _var_by_name.get(name)
-        if v is None:
-            v = Variable(len(_var_list), name)
-            _var_list.append(v)
-            _var_by_name[name] = v
-        return v
+    if v is None:
+        v = Variable(len(_var_list), name)
+        _var_list.append(v)
+        _var_by_name[name] = v
+    return v
 
 
 def variables(*names: str) -> tuple[Variable, ...]:
@@ -133,178 +135,88 @@ def reset_variables() -> None:
     Polynomials created before the reset must not be mixed with ones
     created after it; this exists for test isolation and fresh sessions.
     """
-    with _var_lock:
-        _var_by_name.clear()
-        _var_list.clear()
+    _var_by_name.clear()
+    _var_list.clear()
 
 
 # ---------------------------------------------------------------------------
-# Monomials
+# Keys: monomials packed into ints
 # ---------------------------------------------------------------------------
+#
+# A monomial is a single int, its key: the exponent of the variable with
+# id i sits in bits 32i..32i+31.  Keys add like monomials multiply, and
+# integer order on keys is the package's monomial order.  Exponents stay
+# below 2**31, so adding two keys never carries from one field into the
+# next, and the top bit of a field in a sum flags an exponent that
+# reached 2**31 (see _check_exponents).  Only this module reads fields.
+
+_FIELD_MASK = 0xFFFFFFFF
+_EXPONENT_LIMIT = 1 << 31
 
 
-class Monomial:
-    """A sparse power product ``prod v_i^e_i`` with positive exponents.
+def monomial(exps: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) -> int:
+    """The key of ``prod v**e`` over distinct variables v.
 
-    Stored as a tuple of ``(variable_id, exponent)`` pairs sorted by
-    variable id.  The total order used throughout the package is reverse
-    lexicographic on exponent vectors: the highest variable id at which
-    two monomials differ decides, larger exponent there wins.  The
-    constant monomial is the minimum, so the order is compatible with
-    multiplication and exact division terminates.
+    Raises :class:`ValueError` for an exponent outside [0, 2**31).
     """
-
-    __slots__ = ("exps", "_hash")
-
-    def __init__(self, exps: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "_hash", hash(exps))
-
-    def __setattr__(self, key, value):  # pragma: no cover - guard only
-        raise AttributeError("Monomial is immutable")
-
-    @classmethod
-    def of(cls, items: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) -> "Monomial":
-        if isinstance(items, Mapping):
-            items = items.items()
-        pairs = tuple(sorted((v.id, e) for v, e in items if e != 0))
-        for _, e in pairs:
-            if e < 0:
-                raise ValueError("monomial exponents must be non-negative")
-        return cls(pairs)
-
-    @classmethod
-    def of_variable(cls, v: Variable, exp: int = 1) -> "Monomial":
-        if exp < 0:
-            raise ValueError("monomial exponents must be non-negative")
-        return cls(()) if exp == 0 else cls(((v.id, exp),))
-
-    @property
-    def is_one(self) -> bool:
-        return not self.exps
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def degree_in(self, v: Variable) -> int:
-        for vid, e in self.exps:
-            if vid == v.id:
-                return e
-        return 0
-
-    def variable_ids(self) -> tuple[int, ...]:
-        return tuple(vid for vid, _ in self.exps)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(_merge_exps(self.exps, other.exps, 1))
-
-    def divides(self, other: "Monomial") -> bool:
-        """True if every exponent of self is <= the matching one in other."""
-        it = dict(other.exps)
-        return all(it.get(vid, 0) >= e for vid, e in self.exps)
-
-    def div(self, other: "Monomial") -> "Monomial | None":
-        """Exact quotient self / other, or None when not divisible."""
-        out = _merge_exps(self.exps, other.exps, -1)
-        if any(e < 0 for _, e in out):
-            return None
-        return Monomial(out)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        mine = dict(self.exps)
-        pairs = tuple(
-            (vid, min(e, mine[vid])) for vid, e in other.exps if vid in mine and min(e, mine[vid]) > 0
-        )
-        return Monomial(pairs)
-
-    def without(self, v: Variable) -> "Monomial":
-        return Monomial(tuple((vid, e) for vid, e in self.exps if vid != v.id))
-
-    def eval(self, assignment: Mapping[Variable, Fraction]) -> Fraction:
-        by_id = {var.id: val for var, val in assignment.items()}
-        out = Fraction(1)
-        for vid, e in self.exps:
-            if vid not in by_id:
-                raise MissingAssignment(f"no value for variable id {vid}")
-            out *= by_id[vid] ** e
-        return out
-
-    def compare(self, other: "Monomial") -> int:
-        """Reverse-lexicographic comparison; -1, 0 or 1."""
-        a, b = self.exps, other.exps
-        i, j = len(a) - 1, len(b) - 1
-        while i >= 0 or j >= 0:
-            va, ea = a[i] if i >= 0 else (-1, 0)
-            vb, eb = b[j] if j >= 0 else (-1, 0)
-            if va != vb:
-                return 1 if va > vb else -1
-            if ea != eb:
-                return 1 if ea > eb else -1
-            i -= 1
-            j -= 1
-        return 0
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return self.mul(other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.compare(other) < 0
-
-    def __le__(self, other: "Monomial") -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: "Monomial") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "Monomial") -> bool:
-        return self.compare(other) >= 0
-
-    def __str__(self) -> str:
-        if not self.exps:
-            return "1"
-        names = {v.id: v.name for v in _var_list}
-        parts = []
-        for vid, e in self.exps:
-            name = names.get(vid, f"_v{vid}")
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self})"
+    if isinstance(exps, Mapping):
+        exps = exps.items()
+    key = 0
+    for v, e in exps:
+        if not 0 <= e < _EXPONENT_LIMIT:
+            raise ValueError(f"monomial exponent {e} is outside [0, 2**31)")
+        key += e << (v.id << 5)
+    return key
 
 
-MONOMIAL_ONE = Monomial(())
+def monomial_exponents(key: int) -> tuple[tuple[int, int], ...]:
+    """The ``(variable id, exponent)`` pairs of a key, by increasing id."""
+    pairs = []
+    vid = 0
+    while key:
+        e = key & _FIELD_MASK
+        if e:
+            pairs.append((vid, e))
+        key >>= 32
+        vid += 1
+    return tuple(pairs)
 
 
-def _merge_exps(
-    a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...], sign: int
-) -> tuple[tuple[int, int], ...]:
-    """Merge two sparse exponent tuples, adding sign * b's exponents."""
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na or j < nb:
-        va = a[i][0] if i < na else None
-        vb = b[j][0] if j < nb else None
-        if vb is None or (va is not None and va < vb):
-            out.append(a[i])
-            i += 1
-        elif va is None or vb < va:
-            out.append((b[j][0], sign * b[j][1]))
-            j += 1
-        else:
-            e = a[i][1] + sign * b[j][1]
-            if e != 0:
-                out.append((va, e))
-            i += 1
-            j += 1
-    return tuple(out)
+def _key_degree(key: int) -> int:
+    d = 0
+    while key:
+        d += key & _FIELD_MASK
+        key >>= 32
+    return d
+
+
+def _key_gcd(a: int, b: int) -> int:
+    """Fieldwise minimum: the largest monomial dividing both."""
+    g = 0
+    shift = 0
+    while a and b:
+        g |= min(a & _FIELD_MASK, b & _FIELD_MASK) << shift
+        a >>= 32
+        b >>= 32
+        shift += 32
+    return g
+
+
+def _key_str(key: int) -> str:
+    parts = []
+    for vid, e in monomial_exponents(key):
+        name = _var_list[vid].name if vid < len(_var_list) else f"_v{vid}"
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts)
+
+
+def _check_exponents(bits: int) -> None:
+    """Raise :class:`ExponentOverflow` when *bits*, the OR of new keys,
+    has the top bit of any field set."""
+    fields = (bits.bit_length() + 31) >> 5
+    top_bits = ((1 << (fields << 5)) - 1) // _FIELD_MASK << 31
+    if bits & top_bits:
+        raise ExponentOverflow("a polynomial exponent reached 2**31 (the limit is 2**31 - 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +227,9 @@ def _merge_exps(
 class Polynomial:
     """A normalized sparse polynomial with integer coefficients.
 
-    Terms are stored as a tuple of ``(Monomial, coefficient)`` pairs in
-    strictly descending monomial order with no zero coefficients, so
+    Terms are stored as a tuple of ``(key, coefficient)`` pairs, where
+    the key is the monomial packed into one int (see :func:`monomial`),
+    in strictly descending key order with no zero coefficients, so
     structural equality coincides with mathematical equality.
 
     Examples
@@ -329,7 +242,7 @@ class Polynomial:
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: tuple[tuple[Monomial, int], ...]):
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
 
@@ -350,24 +263,18 @@ class Polynomial:
     def const(cls, c: int) -> "Polynomial":
         if c == 0:
             return _ZERO
-        return cls(((MONOMIAL_ONE, c),))
+        return cls(((0, c),))
 
     @classmethod
     def of_variable(cls, v: Variable) -> "Polynomial":
-        return cls(((Monomial.of_variable(v), 1),))
+        return cls(((1 << (v.id << 5), 1),))
 
     @classmethod
-    def from_dict(cls, d: Mapping[Monomial, int]) -> "Polynomial":
-        terms = [(m, c) for m, c in d.items() if c != 0]
-        terms.sort(key=_SortKey, reverse=True)
+    def from_dict(cls, d: Mapping[int, int]) -> "Polynomial":
+        """The polynomial with coefficient ``d[key]`` at each monomial key."""
+        terms = [(k, c) for k, c in d.items() if c != 0]
+        terms.sort(reverse=True)
         return cls(tuple(terms))
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[Monomial, int]]) -> "Polynomial":
-        acc: dict[Monomial, int] = {}
-        for m, c in terms:
-            acc[m] = acc.get(m, 0) + c
-        return cls.from_dict(acc)
 
     # -- inspection ----------------------------------------------------
 
@@ -377,11 +284,11 @@ class Polynomial:
 
     @property
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0][1] == 1 and self.terms[0][0].is_one
+        return self.terms == ((0, 1),)
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_one)
+        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
 
     def constant_value(self) -> int:
         if not self.terms:
@@ -391,7 +298,7 @@ class Polynomial:
         return self.terms[0][1]
 
     @property
-    def leading_monomial(self) -> Monomial:
+    def leading_monomial(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][0]
@@ -405,18 +312,17 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self.terms:
             return 0
-        return max(m.degree() for m, _ in self.terms)
+        return max(_key_degree(k) for k, _ in self.terms)
 
     def degree_in(self, v: Variable) -> int:
-        if not self.terms:
-            return 0
-        return max(m.degree_in(v) for m, _ in self.terms)
+        shift = v.id << 5
+        return max(((k >> shift) & _FIELD_MASK for k, _ in self.terms), default=0)
 
     def variable_ids(self) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for m, _ in self.terms:
-            seen.update(m.variable_ids())
-        return tuple(sorted(seen))
+        bits = 0
+        for k, _ in self.terms:
+            bits |= k
+        return tuple(vid for vid, _ in monomial_exponents(bits))
 
     def integer_content(self) -> int:
         """gcd of all coefficients, as a positive integer (0 for the zero polynomial)."""
@@ -437,7 +343,7 @@ class Polynomial:
         g = self.integer_content()
         if g == 1:
             return 1, self
-        return g, Polynomial(tuple((m, c // g) for m, c in self.terms))
+        return g, Polynomial(tuple((k, c // g) for k, c in self.terms))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -448,7 +354,7 @@ class Polynomial:
         return poly_add(self, other.__neg__())
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple((m, -c) for m, c in self.terms))
+        return Polynomial(tuple((k, -c) for k, c in self.terms))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return poly_mul(self, other)
@@ -470,15 +376,20 @@ class Polynomial:
             return _ZERO
         if c == 1:
             return self
-        return Polynomial(tuple((m, coef * c) for m, coef in self.terms))
+        return Polynomial(tuple((k, coef * c) for k, coef in self.terms))
 
-    def mul_term(self, mono: Monomial, coeff: int) -> "Polynomial":
-        """Multiply by a single term; preserves term order."""
+    def mul_term(self, key: int, coeff: int) -> "Polynomial":
+        """Multiply by the term ``coeff`` times monomial *key*; preserves term order."""
         if coeff == 0:
             return _ZERO
-        if mono.is_one:
+        if not key:
             return self.scale(coeff)
-        return Polynomial(tuple((m.mul(mono), c * coeff) for m, c in self.terms))
+        terms = tuple((k + key, c * coeff) for k, c in self.terms)
+        bits = 0
+        for k, _ in terms:
+            bits |= k
+        _check_exponents(bits)
+        return Polynomial(terms)
 
     # -- protocol ------------------------------------------------------
 
@@ -499,14 +410,14 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for i, (m, c) in enumerate(self.terms):
+        for i, (k, c) in enumerate(self.terms):
             mag = abs(c)
-            if m.is_one:
+            if not k:
                 body = str(mag)
             elif mag == 1:
-                body = str(m)
+                body = _key_str(k)
             else:
-                body = f"{mag}*{m}"
+                body = f"{mag}*{_key_str(k)}"
             if i == 0:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -517,20 +428,8 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-class _SortKey:
-    """functools.cmp_to_key without the per-sort closure allocation."""
-
-    __slots__ = ("term",)
-
-    def __init__(self, term: tuple[Monomial, int]):
-        self.term = term
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return self.term[0].compare(other.term[0]) < 0
-
-
 _ZERO = Polynomial(())
-_ONE = Polynomial(((MONOMIAL_ONE, 1),))
+_ONE = Polynomial(((0, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +444,15 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     if b.is_zero:
         return a
     ta, tb = a.terms, b.terms
-    out: list[tuple[Monomial, int]] = []
+    out: list[tuple[int, int]] = []
     i = j = 0
     na, nb = len(ta), len(tb)
     while i < na and j < nb:
-        cmp = ta[i][0].compare(tb[j][0])
-        if cmp > 0:
+        ka, kb = ta[i][0], tb[j][0]
+        if ka > kb:
             out.append(ta[i])
             i += 1
-        elif cmp < 0:
+        elif ka < kb:
             out.append(tb[j])
             j += 1
         else:
@@ -567,35 +466,6 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-_PACK_MASK = 0xFFFFFFFF
-
-
-def _pack(m: Monomial) -> int:
-    """Exponent vector as one integer, 32 bits per variable id.
-
-    Packed keys add like monomials multiply, and integer comparison
-    reproduces the monomial order (higher variable ids sit in more
-    significant fields).  Degrees stay far below 2**32, so fields never
-    carry into each other.
-    """
-    k = 0
-    for vid, e in m.exps:
-        k += e << (vid << 5)
-    return k
-
-
-def _unpack(k: int) -> Monomial:
-    exps = []
-    vid = 0
-    while k:
-        e = k & _PACK_MASK
-        if e:
-            exps.append((vid, e))
-        k >>= 32
-        vid += 1
-    return Monomial(tuple(exps))
-
-
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Product of two normalized polynomials."""
     if a.is_zero or b.is_zero:
@@ -607,19 +477,22 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(a.terms) > len(b.terms):
         a, b = b, a
     if len(a.terms) == 1:
-        m, c = a.terms[0]
-        return b.mul_term(m, c)
-    pa = [(_pack(m), c) for m, c in a.terms]
-    pb = [(_pack(m), c) for m, c in b.terms]
+        k, c = a.terms[0]
+        return b.mul_term(k, c)
     acc: dict[int, int] = {}
     get = acc.get
-    for ka, ca in pa:
-        for kb, cb in pb:
+    tb = b.terms
+    for ka, ca in a.terms:
+        for kb, cb in tb:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
+    bits = 0
+    for k in acc:
+        bits |= k
+    _check_exponents(bits)
     items = [(k, c) for k, c in acc.items() if c]
     items.sort(reverse=True)
-    return Polynomial(tuple((_unpack(k), c) for k, c in items))
+    return Polynomial(tuple(items))
 
 
 def poly_eval(p: Polynomial, assignment: Mapping[Variable, Fraction]) -> Fraction:
@@ -628,9 +501,15 @@ def poly_eval(p: Polynomial, assignment: Mapping[Variable, Fraction]) -> Fractio
     Raises :class:`MissingAssignment` if a variable occurring in *p*
     has no value.
     """
+    by_id = {v.id: val for v, val in assignment.items()}
     total = Fraction(0)
-    for m, c in p.terms:
-        total += c * m.eval(assignment)
+    for k, c in p.terms:
+        value = Fraction(1)
+        for vid, e in monomial_exponents(k):
+            if vid not in by_id:
+                raise MissingAssignment(f"no value for variable id {vid}")
+            value *= by_id[vid] ** e
+        total += c * value
     return total
 
 
@@ -645,20 +524,19 @@ def poly_divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
     if b.is_constant:
         c = b.constant_value()
         terms = []
-        for m, coef in a.terms:
+        for k, coef in a.terms:
             q, r = divmod(coef, c)
             if r != 0:
                 raise NotDivisible(f"({a}) is not divisible by ({b})")
-            terms.append((m, q))
+            terms.append((k, q))
         return Polynomial(tuple(terms))
-    lead_m, lead_c = b.terms[0]
-    k_lead = _pack(lead_m)
-    lead_fields = lead_m.exps
-    tail = [(_pack(bm), bc) for bm, bc in b.terms[1:]]
-    # sparse long division on a dict remainder keyed by packed exponent
-    # vectors; the negated-int heap hands out candidate leading monomials
-    # largest-first with lazy deletion
-    rem = {_pack(m): c for m, c in a.terms}
+    k_lead, lead_c = b.terms[0]
+    lead_fields = [(vid << 5, e) for vid, e in monomial_exponents(k_lead)]
+    tail = b.terms[1:]
+    # sparse long division on a dict remainder keyed by monomial key; the
+    # negated-int heap hands out candidate leading monomials largest-first
+    # with lazy deletion
+    rem = dict(a.terms)
     heap = [-k for k in rem]
     heapq.heapify(heap)
     q_terms: list[tuple[int, int]] = []
@@ -667,8 +545,8 @@ def poly_divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
         c = rem.pop(k, 0)
         if c == 0:
             continue
-        for vid, e in lead_fields:
-            if ((k >> (vid << 5)) & _PACK_MASK) < e:
+        for shift, e in lead_fields:
+            if ((k >> shift) & _FIELD_MASK) < e:
                 raise NotDivisible(f"({a}) is not divisible by ({b})")
         qk = k - k_lead
         qc, srem = divmod(c, lead_c)
@@ -688,7 +566,7 @@ def poly_divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
                 else:
                     del rem[nk]
     # quotient monomials were produced in strictly descending order
-    return Polynomial(tuple((_unpack(k), qc) for k, qc in q_terms))
+    return Polynomial(tuple(q_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -707,20 +585,13 @@ def _main_variable(a: Polynomial, b: Polynomial) -> Variable:
 
 def _univariate(p: Polynomial, v: Variable) -> dict[int, Polynomial]:
     """View p as a univariate polynomial in v with polynomial coefficients."""
-    coeffs: dict[int, dict[Monomial, int]] = {}
-    for m, c in p.terms:
-        e = m.degree_in(v)
-        rest = m.without(v) if e else m
-        bucket = coeffs.setdefault(e, {})
-        bucket[rest] = bucket.get(rest, 0) + c
-    return {e: Polynomial.from_dict(d) for e, d in coeffs.items()}
-
-
-def _recompose(coeffs: Mapping[int, Polynomial], v: Variable) -> Polynomial:
-    out = _ZERO
-    for e, p in coeffs.items():
-        out = poly_add(out, p.mul_term(Monomial.of_variable(v, e), 1))
-    return out
+    shift = v.id << 5
+    coeffs: dict[int, list[tuple[int, int]]] = {}
+    for k, c in p.terms:
+        e = (k >> shift) & _FIELD_MASK
+        # removing the same v-power from every key keeps each list descending
+        coeffs.setdefault(e, []).append((k - (e << shift), c))
+    return {e: Polynomial(tuple(terms)) for e, terms in coeffs.items()}
 
 
 def _coeff_gcd(polys: Iterable[Polynomial]) -> Polynomial:
@@ -745,7 +616,7 @@ def _prem(f: Polynomial, g: Polynomial, v: Variable) -> Polynomial:
         if dr < dg:
             break
         lr = ru[dr]
-        shifted = poly_mul(lr, g).mul_term(Monomial.of_variable(v, dr - dg), 1)
+        shifted = poly_mul(lr, g).mul_term((dr - dg) << (v.id << 5), 1)
         r = poly_add(poly_mul(lg, r), -shifted)
     return r
 
@@ -772,26 +643,25 @@ def _filter_point(vid: int, attempt: int) -> int:
 
 
 def _power_tables(
-    assign: dict[int, int], polys: tuple[Polynomial, ...], skip_vid: int
-) -> dict[int, list[int]]:
-    """Per-variable tables of assign[vid]**k mod the filter prime."""
-    degs = {vid: 0 for vid in assign}
-    for p in polys:
-        for m, _ in p.terms:
-            for vid, e in m.exps:
-                if vid != skip_vid and e > degs[vid]:
-                    degs[vid] = e
-    tables: dict[int, list[int]] = {}
+    assign: dict[int, int], polys: tuple[Polynomial, ...]
+) -> list[tuple[int, list[int]]]:
+    """Per-variable tables of assign[vid]**k mod the filter prime, as
+    ``(field shift, table)`` pairs."""
+    tables = []
     for vid, a in assign.items():
-        t = [1] * (degs[vid] + 1)
-        for k in range(1, degs[vid] + 1):
+        shift = vid << 5
+        deg = max(
+            ((k >> shift) & _FIELD_MASK for p in polys for k, _ in p.terms), default=0
+        )
+        t = [1] * (deg + 1)
+        for k in range(1, deg + 1):
             t[k] = t[k - 1] * a % _FILTER_PRIME
-        tables[vid] = t
+        tables.append((shift, t))
     return tables
 
 
 def _image_mod_prime(
-    p: Polynomial, v: Variable, tables: dict[int, list[int]]
+    p: Polynomial, v: Variable, tables: list[tuple[int, list[int]]]
 ) -> dict[int, int]:
     """Evaluate every variable except v via the power tables, mod a prime.
 
@@ -799,15 +669,14 @@ def _image_mod_prime(
     degree -> coefficient map with zero coefficients dropped.
     """
     img: dict[int, int] = {}
-    vid0 = v.id
-    for m, c in p.terms:
-        e = 0
+    shift0 = v.id << 5
+    for k, c in p.terms:
         val = c % _FILTER_PRIME
-        for vid, exp in m.exps:
-            if vid == vid0:
-                e = exp
-            else:
-                val = val * tables[vid][exp] % _FILTER_PRIME
+        for shift, t in tables:
+            exp = (k >> shift) & _FIELD_MASK
+            if exp:
+                val = val * t[exp] % _FILTER_PRIME
+        e = (k >> shift0) & _FIELD_MASK
         img[e] = (img.get(e, 0) + val) % _FILTER_PRIME
     return {e: c for e, c in img.items() if c}
 
@@ -861,7 +730,7 @@ def _image_gcd_vdegree(fa: Polynomial, fb: Polynomial, v: Variable) -> int | Non
     others = sorted((set(fa.variable_ids()) | set(fb.variable_ids())) - {v.id})
     for attempt in range(3):
         assign = {vid: _filter_point(vid, attempt) for vid in others}
-        tables = _power_tables(assign, (fa, fb), v.id)
+        tables = _power_tables(assign, (fa, fb))
         fimg = _image_mod_prime(fa, v, tables)
         if fimg.get(da, 0) == 0:
             if not others:
@@ -876,15 +745,17 @@ def _image_gcd_vdegree(fa: Polynomial, fb: Polynomial, v: Variable) -> int | Non
     return None
 
 
-def _line_image(p: Polynomial, tables: dict[int, list[int]]) -> dict[int, int]:
+def _line_image(p: Polynomial, tables: list[tuple[int, list[int]]]) -> dict[int, int]:
     """Image of p under x_i -> a_i * t, as a sparse map in powers of t."""
     img: dict[int, int] = {}
-    for m, c in p.terms:
+    for k, c in p.terms:
         td = 0
         val = c % _FILTER_PRIME
-        for vid, e in m.exps:
-            td += e
-            val = val * tables[vid][e] % _FILTER_PRIME
+        for shift, t in tables:
+            e = (k >> shift) & _FIELD_MASK
+            if e:
+                td += e
+                val = val * t[e] % _FILTER_PRIME
         img[td] = (img.get(td, 0) + val) % _FILTER_PRIME
     return {e: c for e, c in img.items() if c}
 
@@ -901,11 +772,11 @@ def _certified_coprime(pa: Polynomial, pb: Polynomial) -> bool:
     never "not coprime".
     """
     vids = sorted(set(pa.variable_ids()) | set(pb.variable_ids()))
-    tda = max(sum(e for _, e in m.exps) for m, _ in pa.terms)
-    tdb = max(sum(e for _, e in m.exps) for m, _ in pb.terms)
+    tda = pa.total_degree()
+    tdb = pb.total_degree()
     for attempt in range(3):
         assign = {vid: _filter_point(vid, attempt) for vid in vids}
-        tables = _power_tables(assign, (pa, pb), -1)
+        tables = _power_tables(assign, (pa, pb))
         fimg = _line_image(pa, tables)
         gimg = _line_image(pb, tables)
         if not fimg or not gimg:
@@ -933,11 +804,11 @@ def _eval_var_big(p: Polynomial, v: Variable, xi: int) -> Polynomial:
     pows = [1] * (dmax + 1)
     for k in range(1, dmax + 1):
         pows[k] = pows[k - 1] * xi
-    acc: dict[Monomial, int] = {}
-    vid0 = v.id
-    for m, c in p.terms:
-        e = m.degree_in(v)
-        rest = m.without(v) if e else m
+    acc: dict[int, int] = {}
+    shift = v.id << 5
+    for k, c in p.terms:
+        e = (k >> shift) & _FIELD_MASK
+        rest = k - (e << shift)
         acc[rest] = acc.get(rest, 0) + c * pows[e]
     return Polynomial.from_dict(acc)
 
@@ -950,23 +821,24 @@ def _interpolate_digits(
     max_degree + 1 digits appear, which no valid candidate can produce.
     """
     half = xi // 2
-    out: dict[Monomial, int] = {}
+    shift = v.id << 5
+    out: dict[int, int] = {}
     cur = h
     i = 0
     while not cur.is_zero:
         if i > max_degree:
             return None
-        nxt: dict[Monomial, int] = {}
-        vm = Monomial.of_variable(v, i) if i else None
-        for m, c in cur.terms:
+        nxt: dict[int, int] = {}
+        vk = i << shift
+        for k, c in cur.terms:
             r = c % xi
             if r > half:
                 r -= xi
             q = (c - r) // xi
             if r:
-                out[m.mul(vm) if vm is not None else m] = r
+                out[k + vk] = r
             if q:
-                nxt[m] = q
+                nxt[k] = q
         cur = Polynomial.from_dict(nxt)
         i += 1
     return Polynomial.from_dict(out)
@@ -1086,23 +958,24 @@ def _gcd_nonzero(a: Polynomial, b: Polynomial) -> Polynomial:
     return g
 
 
-def _monomial_content(p: Polynomial) -> Monomial:
+def _monomial_content(p: Polynomial) -> int:
     """Termwise monomial gcd: the largest monomial dividing every term."""
     terms = p.terms
     # terms are sorted descending, so a constant term sits at the end
     # and immediately forces a trivial content
-    if not terms[-1][0].exps:
-        return MONOMIAL_ONE
+    if not terms[-1][0]:
+        return 0
     acc = terms[0][0]
-    for m, _ in terms[1:]:
-        if not acc.exps:
+    for k, _ in terms[1:]:
+        if not acc:
             break
-        acc = acc.gcd(m)
+        acc = _key_gcd(acc, k)
     return acc
 
 
-def _strip_monomial(p: Polynomial, m: Monomial) -> Polynomial:
-    return Polynomial.from_dict({t.div(m): c for t, c in p.terms})
+def _strip_monomial(p: Polynomial, m: int) -> Polynomial:
+    # dividing every term by the same monomial keeps the terms descending
+    return Polynomial(tuple((k - m, c) for k, c in p.terms))
 
 
 def _gcd_nonzero_impl(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -1114,15 +987,15 @@ def _gcd_nonzero_impl(a: Polynomial, b: Polynomial) -> Polynomial:
     # independently of the rest of the gcd
     ma = _monomial_content(pa)
     mb = _monomial_content(pb)
-    mg = ma.gcd(mb)
-    if ma.exps:
+    mg = _key_gcd(ma, mb)
+    if ma:
         pa = _strip_monomial(pa, ma)
-    if mb.exps:
+    if mb:
         pb = _strip_monomial(pb, mb)
 
     def finish(g0: Polynomial) -> Polynomial:
         out = g0.scale(c)
-        if mg.exps:
+        if mg:
             out = out.mul_term(mg, 1)
         return _make_positive(out)
 
@@ -1212,8 +1085,8 @@ def is_irreducible_heuristic(g: Polynomial) -> Irreducibility:
     if g.is_constant:
         return Irreducibility.IRREDUCIBLE
     if len(g.terms) == 1:
-        m, c = g.terms[0]
-        if abs(c) == 1 and m.degree() == 1:
+        k, c = g.terms[0]
+        if abs(c) == 1 and _key_degree(k) == 1:
             return Irreducibility.IRREDUCIBLE
         return Irreducibility.UNKNOWN
     if g.total_degree() == 1 and g.integer_content() == 1:

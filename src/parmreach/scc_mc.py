@@ -25,9 +25,7 @@ audited, so tests can assert the checks actually ran.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ParmreachError
 from .factorizations import pool_stats
 from .model import Pdtmc, inp, out, tarjan_sccs
-from .polycore import Polynomial
+from .polycore import Polynomial, monomial_exponents
 from .ratfun import (
     RationalFunction,
     rf_add,
@@ -130,7 +128,6 @@ class ReachabilityResult:
 
 
 _sites_checked = 0
-_sites_lock = threading.Lock()
 
 
 def abstraction_sites_checked() -> int:
@@ -140,8 +137,7 @@ def abstraction_sites_checked() -> int:
 
 def reset_abstraction_site_counter() -> None:
     global _sites_checked
-    with _sites_lock:
-        _sites_checked = 0
+    _sites_checked = 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +258,7 @@ def _audit_site(
         raise AbstractionInvariantBroken(
             f"at {site}: abstracted probabilities sum to {total}, expected 1"
         )
-    with _sites_lock:
-        _sites_checked += 1
+    _sites_checked += 1
 
 
 def solve_single_input(m: Pdtmc) -> AbstractionResult:
@@ -423,7 +418,7 @@ def substitute(m: Pdtmc, K: Iterable[str], result: AbstractionResult) -> Pdtmc:
 # ---------------------------------------------------------------------------
 
 
-def _abstract(m: Pdtmc, parallel: bool = False) -> tuple[Pdtmc, list[Constraint]]:
+def _abstract(m: Pdtmc) -> tuple[Pdtmc, list[Constraint]]:
     constraints: list[Constraint] = []
     current = m
     input_set = set(m.initial_states)
@@ -435,25 +430,8 @@ def _abstract(m: Pdtmc, parallel: bool = False) -> tuple[Pdtmc, list[Constraint]
         and out(m, scc)  # and is not a bottom component
     ]
 
-    # Sibling components are disjoint and each one's induced submodel is
-    # unaffected by substituting the others (edges from outside a
-    # component always land on one of its kept input states, and output
-    # rows are ignored because outputs become absorbing), so they can be
-    # solved independently and substituted afterwards in order.
-    solved_siblings: list[tuple[Pdtmc, list[Constraint]]] | None = None
-    if parallel and len(sccs) > 1:
-        with ThreadPoolExecutor() as workers:
-            futures = [
-                workers.submit(_abstract, induced(current, scc), True)
-                for scc in sccs
-            ]
-            solved_siblings = [f.result() for f in futures]
-
-    for position, scc in enumerate(sccs):
-        if solved_siblings is None:
-            solved, cs = _abstract(induced(current, scc), parallel)
-        else:
-            solved, cs = solved_siblings[position]
+    for scc in sccs:
+        solved, cs = _abstract(induced(current, scc))
         constraints.extend(cs)
         inner_inputs = solved.initial_states
         inner_outputs = set(solved.targets)
@@ -481,31 +459,26 @@ def _abstract(m: Pdtmc, parallel: bool = False) -> tuple[Pdtmc, list[Constraint]
     return current, constraints
 
 
-def abstract(m: Pdtmc, parallel: bool = False) -> Pdtmc:
+def abstract(m: Pdtmc) -> Pdtmc:
     """Fully abstract a preprocessed model: the result keeps only the
     initial and absorbing states, with direct reachability edges.
-
-    ``parallel`` solves sibling components in worker threads; results
-    are identical to the sequential reference mode.
     """
-    result, _ = _abstract(m, parallel)
+    result, _ = _abstract(m)
     return result
 
 
-def model_check(m: Pdtmc, parallel: bool = False) -> ReachabilityResult:
+def model_check(m: Pdtmc) -> ReachabilityResult:
     """Exact reachability functions for every (initial, target) pair.
 
     The model must be preprocessed (absorbing targets, no multi-state
     bottom components).  ``total`` weights each initial state's target
-    mass by its initial probability.  ``parallel`` solves sibling
-    components in worker threads; the functions are identical to the
-    sequential reference mode.
+    mass by its initial probability.
     """
     if not m.targets:
         raise NoTargets("model has no target states")
     started = time.perf_counter()
     sites_before = abstraction_sites_checked()
-    abstracted, constraints = _abstract(m, parallel)
+    abstracted, constraints = _abstract(m)
 
     for s, row in m.trans.items():
         for t, f in row.items():
@@ -541,9 +514,9 @@ def _smt_int(n: int) -> str:
     return str(n) if n >= 0 else f"(- {-n})"
 
 
-def _smt_monomial(m_exps: tuple[tuple[int, int], ...], names: Mapping[int, str]) -> list[str]:
+def _smt_monomial(key: int, names: Mapping[int, str]) -> list[str]:
     parts: list[str] = []
-    for vid, e in m_exps:
+    for vid, e in monomial_exponents(key):
         parts.extend([names[vid]] * e)
     return parts
 
@@ -552,8 +525,8 @@ def _smt_poly(p: Polynomial, names: Mapping[int, str]) -> str:
     if p.is_zero:
         return "0"
     terms = []
-    for mono, coeff in p.terms:
-        factors = _smt_monomial(mono.exps, names)
+    for key, coeff in p.terms:
+        factors = _smt_monomial(key, names)
         if not factors:
             terms.append(_smt_int(coeff))
         elif coeff == 1 and len(factors) == 1:

@@ -80,6 +80,67 @@ def test_check_output_matches_golden(name, mode, tmp_path, capsys):
     assert check_smtlib(outputs[f"{name}.{mode}.smt2"]) == []
 
 
+# ---------------------------------------------------------------------------
+# exit codes: 0 success, 1 model fault, 2 usage fault, bugs propagate
+# ---------------------------------------------------------------------------
+
+FIG2 = str(DATA / "fig2.pdtmc")
+
+
+def _write(tmp_path: pathlib.Path, text: str) -> str:
+    path = tmp_path / "model.pdtmc"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_exit_0_on_success(capsys):
+    code, out, err = _run(["check", FIG2], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("f(s1, s5) = ")
+
+
+def test_exit_1_on_a_model_fault(tmp_path, capsys):
+    model = _write(tmp_path, "@params p\n@state a\n@state a\n@init a : 1\n@target a\n")
+    code, _, err = _run(["check", model], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "duplicate state" in err
+
+
+def test_exit_1_on_an_exponent_beyond_the_key_fields(tmp_path, capsys):
+    model = _write(
+        tmp_path,
+        "@params p\n@state a\n@state b\n@state c\n@init a : 1\n"
+        "@trans a -> b : p^2147483648\n@trans a -> c : 1 - p^2147483648\n"
+        "@trans b -> b : 1\n@trans c -> c : 1\n@target b\n",
+    )
+    code, out, err = _run(["check", model], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "2**31" in err
+
+
+def test_exit_2_on_an_unknown_eval_parameter(capsys):
+    code, out, err = _run(["check", FIG2, "--eval", "p=1/2,z=1/3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and "'z'" in err
+
+
+def test_exit_2_on_a_non_integer_seed(monkeypatch, capsys):
+    monkeypatch.setenv("PARMREACH_SEED", "abc")
+    code, out, err = _run(["check", FIG2, "--mode", "elim", "--order", "random"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: PARMREACH_SEED")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(m):
+        raise ValueError("empty state set")
+
+    monkeypatch.setattr(cli, "model_check", broken)
+    with pytest.raises(ValueError, match="empty state set"):
+        cli.main(["check", FIG2])
+    assert "usage error" not in capsys.readouterr().err
+
+
 if __name__ == "__main__":
     import contextlib
     import io

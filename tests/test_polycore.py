@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmreach.polycore import (
+    ExponentOverflow,
     Irreducibility,
     MissingAssignment,
-    Monomial,
     NotDivisible,
     Polynomial,
     is_irreducible_heuristic,
+    monomial,
     poly_add,
     poly_divide_exact,
     poly_eval,
@@ -47,7 +48,7 @@ def test_terms_are_descending_and_nonzero():
     X, Y, _ = _xyz()
     p = (X + Y) * (X + Polynomial.const(3))
     monomials = [m for m, _ in p.terms]
-    assert all(a.compare(b) > 0 for a, b in zip(monomials, monomials[1:]))
+    assert all(a > b for a, b in zip(monomials, monomials[1:]))
     assert all(c != 0 for _, c in p.terms)
 
 
@@ -109,6 +110,41 @@ def test_pow_matches_repeated_mul():
     assert g**3 == g * g * g
     with pytest.raises(ValueError):
         g ** (-1)
+
+
+# ---------------------------------------------------------------------------
+# exponent limit
+# ---------------------------------------------------------------------------
+
+
+def test_monomial_rejects_exponents_outside_the_key_fields():
+    x, y = variables("x", "y")
+    assert monomial({x: 2, y: 1}) == monomial([(y, 1), (x, 2)])
+    assert monomial({x: 2**31 - 1}) > monomial({x: 2**31 - 2})
+    for bad in (-1, 2**31):
+        with pytest.raises(ValueError):
+            monomial({x: bad})
+
+
+def test_power_overflows_at_two_to_the_31():
+    x = variable("x")
+    X = Polynomial.of_variable(x)
+    assert str(X ** (2**31 - 1)) == "x^2147483647"
+    with pytest.raises(ExponentOverflow):
+        X ** (2**31)
+
+
+def test_products_check_every_exponent_field():
+    x, y = variables("x", "y")
+    one = Polynomial.one()
+    high_y = Polynomial.from_dict({monomial({x: 1, y: 2**30}): 1}) + one
+    with pytest.raises(ExponentOverflow):
+        poly_mul(high_y, high_y)
+    with pytest.raises(ExponentOverflow):
+        high_y.mul_term(monomial({y: 2**30}), 3)
+    top_x = Polynomial.from_dict({monomial({x: 2**31 - 2}): 1}) + one
+    product = poly_mul(top_x, Polynomial.of_variable(x) + Polynomial.of_variable(y))
+    assert dict(product.terms)[monomial({x: 2**31 - 1})] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +274,7 @@ def polys(draw, max_terms=5, max_exp=3, coeff=8):
             e = draw(st.integers(0, max_exp))
             if e:
                 exps[v] = e
-        acc[Monomial.of(exps)] = draw(
+        acc[monomial(exps)] = draw(
             st.integers(-coeff, coeff).filter(lambda c: c != 0)
         )
     return Polynomial.from_dict(acc)
@@ -309,5 +345,5 @@ def test_monomial_order_compatible_with_multiplication(a, b, c):
     if a.is_zero or b.is_zero or c.is_zero:
         return
     la, lb, lc = a.leading_monomial, b.leading_monomial, c.leading_monomial
-    if la.compare(lb) < 0:
-        assert la.mul(lc).compare(lb.mul(lc)) < 0
+    if la < lb:
+        assert la + lc < lb + lc
