@@ -29,19 +29,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
+from . import reset_session
 from .benchgen import BenchSpec, Family, generate
 from .elimination import EliminationOrder, Strategy, eliminate_all
 from .errors import ParmreachError
-from .factorizations import pool_stats, reset_pool
+from .factorizations import pool_stats
 from .model import Pdtmc, parse_model, preprocess
-from .polycore import reset_variables
 from .ratfun import RationalFunction, rf_eval
-from .scc_mc import (
-    ReachabilityResult,
-    collect_constraints,
-    model_check,
-    reset_abstraction_site_counter,
-)
+from .scc_mc import ReachabilityResult, collect_constraints, model_check
 
 __all__ = ["main"]
 
@@ -97,16 +92,12 @@ def _run_engine(m: Pdtmc, args: argparse.Namespace) -> ReachabilityResult:
 
 
 def _load(args: argparse.Namespace) -> Pdtmc:
-    reset_variables()
-    reset_pool(getattr(args, "pool_cap", None))
-    reset_abstraction_site_counter()
+    reset_session()
     return preprocess(parse_model(_read_file(args.model)))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     m = _load(args)
-    result = _run_engine(m, args)
-
     wanted = args.target or list(m.targets)
     for t in wanted:
         if t not in m.targets:
@@ -121,6 +112,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if point is not None
         else ""
     )
+    result = _run_engine(m, args)
 
     def render(f: RationalFunction) -> str:
         return f.factored_str() if args.factored else str(f)
@@ -209,13 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=Strategy.FEWEST_TRANSITIONS_FIRST.value,
             help="state-removal strategy for --mode elim "
             "(random uses PARMREACH_SEED)",
-        )
-        p.add_argument(
-            "--pool-cap",
-            type=int,
-            default=None,
-            metavar="N",
-            help="stop memoizing factorizations after N pooled polynomials",
         )
 
     check = sub.add_parser("check", help="compute reachability functions")

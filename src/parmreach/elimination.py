@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParmreachError
-from .factorizations import pool_stats
 from .model import Pdtmc
 from .ratfun import (
     RationalFunction,
@@ -36,11 +35,11 @@ from .ratfun import (
     rf_zero,
 )
 from .scc_mc import (
-    CheckStats,
     Constraint,
     ConstraintKind,
     NoTargets,
     ReachabilityResult,
+    assemble_result,
 )
 
 __all__ = [
@@ -253,32 +252,12 @@ def eliminate_all(
     for s in _removal_sequence(m, rows, preds, candidates, order):
         _remove_state(rows, preds, s, constraints)
 
-    per_pair: dict[tuple[str, str], RationalFunction] = {}
-    total = rf_zero()
-    for source in m.initial_states:
+    def reach(source: str) -> dict[str, RationalFunction]:
         if source in absorbing:
-            reach = {t: rf_one() if t == source else rf_zero() for t in m.targets}
-        else:
-            reach = _solve_initial(m, rows, preds, absorbing, source, constraints)
-        mass = rf_zero()
-        for t in m.targets:
-            per_pair[(source, t)] = reach[t]
-            mass = rf_add(mass, reach[t])
-        total = rf_add(total, rf_mul(m.init[source], mass))
+            return {t: rf_one() if t == source else rf_zero() for t in m.targets}
+        return _solve_initial(m, rows, preds, absorbing, source, constraints)
 
-    for s, row in m.trans.items():
-        for t, f in row.items():
-            constraints.append(
-                Constraint(ConstraintKind.EDGE_POSITIVE, f, f"edge {s!r} -> {t!r}")
-            )
-
-    stats = CheckStats(
-        stored_polynomials=pool_stats().stored_polynomials,
-        gcd_kernel_calls=pool_stats().gcd_kernel_calls,
-        abstraction_sites=0,
-        elapsed_seconds=time.perf_counter() - started,
-    )
-    return ReachabilityResult(per_pair, total, tuple(constraints), stats)
+    return assemble_result(m, reach, constraints, started, 0)
 
 
 def _solve_initial(

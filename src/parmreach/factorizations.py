@@ -93,18 +93,11 @@ class _Entry:
 
 
 class PolyPool:
-    """Process-wide interning table for factor bases.
+    """Process-wide interning table for factor bases; interning is idempotent."""
 
-    Interning is idempotent.  An optional capacity bounds how many
-    refinement memos are stored: past the cap, polynomials are still
-    interned but newly discovered factorizations are dropped, so lookups
-    fall back to the flat single-factor form.
-    """
-
-    def __init__(self, capacity: int | None = None):
+    def __init__(self):
         self._entries: list[_Entry] = []
         self._index: dict[Polynomial, int] = {}
-        self.capacity = capacity
         self.gcd_kernel_calls = 0
         # handle 0 is always the constant 1
         self.intern(Polynomial.one())
@@ -132,8 +125,6 @@ class PolyPool:
     def store_memo(self, handle: int, factors: tuple[tuple[int, int], ...]) -> None:
         if factors == ((handle, 1),):
             return  # trivial self-factorization, nothing learned
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            return
         self._entries[handle].memo = factors
 
     def memo(self, handle: int) -> tuple[tuple[int, int], ...] | None:
@@ -156,11 +147,11 @@ def pool() -> PolyPool:
     return _pool
 
 
-def reset_pool(capacity: int | None = None) -> None:
+def reset_pool() -> None:
     """Replace the session pool; factorizations made before the reset
     must not be used afterwards."""
     global _pool
-    _pool = PolyPool(capacity)
+    _pool = PolyPool()
     _EXPAND_CACHE.clear()
 
 

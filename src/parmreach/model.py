@@ -672,36 +672,46 @@ class SccTree:
     roots: tuple[SccNode, ...]
 
     def __iter__(self):
-        def walk(nodes):
-            for n in nodes:
-                yield n
-                yield from walk(n.children)
+        """Every node, each before the components nested in it."""
+        stack = list(reversed(self.roots))
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
-        return walk(self.roots)
 
+def build_scc_tree(m: Pdtmc, restriction: Iterable[str] | None = None) -> SccTree:
+    """Hierarchical decomposition of the subgraph induced by *restriction*
+    (default: all states).
 
-def build_scc_tree(m: Pdtmc) -> SccTree:
-    """Hierarchical decomposition: each node's children are the looping
-    components of the node's states minus its input states."""
+    The roots are the looping components of the subgraph in the order of
+    :func:`tarjan_sccs`; each node's children are the looping components
+    of the node's states minus its input states.  Acyclic pieces and
+    bottom components have nothing to abstract and are left out.  Built
+    with an explicit stack, so nesting depth is bounded by memory rather
+    than by the recursion limit.
+    """
 
-    def decompose(region: tuple[str, ...]) -> tuple[SccNode, ...]:
-        nodes = []
-        for scc in tarjan_sccs(m, region):
-            if not _nontrivial(m, scc) or not out(m, scc):
-                continue  # acyclic pieces and bottom components: nothing to abstract
+    def looping(region: Iterable[str]) -> list[tuple[str, ...]]:
+        found = [scc for scc in tarjan_sccs(m, region) if _nontrivial(m, scc) and out(m, scc)]
+        return found[::-1]  # popped from the end, so the first comes first
+
+    roots: list[SccNode] = []
+    # one frame per open component: (components still to decompose,
+    # nodes finished at this level, the open component and its inputs)
+    stack = [(looping(m.states if restriction is None else restriction), roots, None)]
+    while stack:
+        pending, done, owner = stack[-1]
+        if pending:
+            scc = pending.pop()
             inputs = inp(m, scc)
-            remainder = tuple(s for s in scc if s not in set(inputs))
-            nodes.append(
-                SccNode(
-                    states=scc,
-                    inputs=inputs,
-                    outputs=out(m, scc),
-                    children=decompose(remainder) if remainder else (),
-                )
-            )
-        return tuple(nodes)
-
-    return SccTree(decompose(m.states))
+            stack.append((looping(set(scc).difference(inputs)), [], (scc, inputs)))
+            continue
+        stack.pop()
+        if owner is not None:
+            scc, inputs = owner
+            stack[-1][1].append(SccNode(scc, inputs, out(m, scc), tuple(done)))
+    return SccTree(tuple(roots))
 
 
 # ---------------------------------------------------------------------------

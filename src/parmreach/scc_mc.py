@@ -29,11 +29,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ParmreachError
 from .factorizations import pool_stats
-from .model import Pdtmc, inp, out, tarjan_sccs
+from .model import Pdtmc, build_scc_tree, inp, out, tarjan_sccs
 from .polycore import Polynomial, monomial_exponents
 from .ratfun import (
     RationalFunction,
@@ -62,6 +62,7 @@ __all__ = [
     "substitute",
     "abstract",
     "model_check",
+    "assemble_result",
     "collect_constraints",
     "abstraction_sites_checked",
     "reset_abstraction_site_counter",
@@ -414,48 +415,51 @@ def substitute(m: Pdtmc, K: Iterable[str], result: AbstractionResult) -> Pdtmc:
 
 
 # ---------------------------------------------------------------------------
-# The recursive engine
+# The engine: innermost components first, then the rest of the model
 # ---------------------------------------------------------------------------
 
 
-def _abstract(m: Pdtmc) -> tuple[Pdtmc, list[Constraint]]:
-    constraints: list[Constraint] = []
-    current = m
-    input_set = set(m.initial_states)
-    region = [s for s in m.states if s not in input_set]
-    sccs = [
-        scc
-        for scc in tarjan_sccs(m, region)
-        if (len(scc) > 1 or scc[0] in m.trans.get(scc[0], {}))  # has a loop
-        and out(m, scc)  # and is not a bottom component
-    ]
-
-    for scc in sccs:
-        solved, cs = _abstract(induced(current, scc))
-        constraints.extend(cs)
-        inner_inputs = solved.initial_states
-        inner_outputs = set(solved.targets)
-        probs = {
-            (i, t): f
-            for i in inner_inputs
-            for t, f in solved.trans.get(i, {}).items()
-            if t in inner_outputs
-        }
-        current = substitute(
-            current, scc, AbstractionResult(probs, {}, ())
-        )
-
-    live = [s for s in current.states if not current.is_absorbing(s)]
-    if not live:
-        return current, constraints
-    final = induced(current, live)
+def _solve(m: Pdtmc, K: Sequence[str], constraints: list[Constraint]) -> Pdtmc:
+    """Replace component K of m, whose interior is loop-free by now, by
+    direct edges from its inputs to its outputs."""
+    final = induced(m, K)
     result = (
         solve_single_input(final)
         if len(final.initial_states) == 1
         else solve_multi_input(final)
     )
     constraints.extend(result.constraints)
-    current = substitute(current, live, result)
+    return substitute(m, K, result)
+
+
+def _abstract(m: Pdtmc) -> tuple[Pdtmc, list[Constraint]]:
+    """Abstract every looping component of ``m`` (initial states
+    excluded), each after the components nested in it, then the rest.
+
+    The hierarchy is walked with an explicit stack, so nesting depth is
+    bounded by memory rather than by the recursion limit.  When a
+    component's turn comes, its nested components have already been
+    replaced by direct edges, which leaves its interior loop-free.
+    """
+    constraints: list[Constraint] = []
+    current = m
+    initials = set(m.initial_states)
+    tree = build_scc_tree(m, [s for s in m.states if s not in initials])
+    stack = [(node, False) for node in reversed(tree.roots)]
+    while stack:
+        node, nested_done = stack.pop()
+        if not nested_done:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
+        # nested components left only their input states behind
+        current = _solve(
+            current, [s for s in node.states if current.has_state(s)], constraints
+        )
+
+    live = [s for s in current.states if not current.is_absorbing(s)]
+    if live:
+        current = _solve(current, live, constraints)
     return current, constraints
 
 
@@ -465,6 +469,47 @@ def abstract(m: Pdtmc) -> Pdtmc:
     """
     result, _ = _abstract(m)
     return result
+
+
+def assemble_result(
+    m: Pdtmc,
+    reach: Callable[[str], Mapping[str, RationalFunction]],
+    constraints: list[Constraint],
+    started: float,
+    abstraction_sites: int,
+) -> ReachabilityResult:
+    """The result both engines return, once the model is reduced.
+
+    ``reach(s)`` maps every target to its reachability function from the
+    initial state ``s``; it is called once per initial state, in order,
+    and may append to ``constraints``.  The edge-positivity constraints
+    of ``m`` follow, and ``total`` weights each initial state's target
+    mass by its initial probability.  ``started`` is the
+    :func:`time.perf_counter` reading the elapsed time counts from.
+    """
+    per_pair: dict[tuple[str, str], RationalFunction] = {}
+    total = rf_zero()
+    for s in m.initial_states:
+        row = reach(s)
+        mass = rf_zero()
+        for t in m.targets:
+            per_pair[(s, t)] = row[t]
+            mass = rf_add(mass, row[t])
+        total = rf_add(total, rf_mul(m.init[s], mass))
+
+    for s, row in m.trans.items():
+        for t, f in row.items():
+            constraints.append(
+                Constraint(ConstraintKind.EDGE_POSITIVE, f, f"edge {s!r} -> {t!r}")
+            )
+
+    stats = CheckStats(
+        stored_polynomials=pool_stats().stored_polynomials,
+        gcd_kernel_calls=pool_stats().gcd_kernel_calls,
+        abstraction_sites=abstraction_sites,
+        elapsed_seconds=time.perf_counter() - started,
+    )
+    return ReachabilityResult(per_pair, total, tuple(constraints), stats)
 
 
 def model_check(m: Pdtmc) -> ReachabilityResult:
@@ -479,30 +524,13 @@ def model_check(m: Pdtmc) -> ReachabilityResult:
     started = time.perf_counter()
     sites_before = abstraction_sites_checked()
     abstracted, constraints = _abstract(m)
-
-    for s, row in m.trans.items():
-        for t, f in row.items():
-            constraints.append(
-                Constraint(ConstraintKind.EDGE_POSITIVE, f, f"edge {s!r} -> {t!r}")
-            )
-
-    per_pair: dict[tuple[str, str], RationalFunction] = {}
-    total = rf_zero()
-    for s in m.initial_states:
-        mass = rf_zero()
-        for t in m.targets:
-            f = rf_one() if s == t else abstracted.prob(s, t)
-            per_pair[(s, t)] = f
-            mass = rf_add(mass, f)
-        total = rf_add(total, rf_mul(m.init[s], mass))
-
-    stats = CheckStats(
-        stored_polynomials=pool_stats().stored_polynomials,
-        gcd_kernel_calls=pool_stats().gcd_kernel_calls,
-        abstraction_sites=abstraction_sites_checked() - sites_before,
-        elapsed_seconds=time.perf_counter() - started,
+    return assemble_result(
+        m,
+        lambda s: {t: rf_one() if s == t else abstracted.prob(s, t) for t in m.targets},
+        constraints,
+        started,
+        abstraction_sites_checked() - sites_before,
     )
-    return ReachabilityResult(per_pair, total, tuple(constraints), stats)
 
 
 # ---------------------------------------------------------------------------

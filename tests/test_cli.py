@@ -124,6 +124,19 @@ def test_exit_2_on_an_unknown_eval_parameter(capsys):
     assert err.startswith("usage error: ") and "'z'" in err
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("flag", [["--target", "nosuch"], ["--eval", "zz=1"]])
+def test_exit_2_on_a_bad_flag_before_the_engine_runs(flag, mode, monkeypatch, capsys):
+    def engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(cli, "model_check", engine)
+    monkeypatch.setattr(cli, "eliminate_all", engine)
+    code, out, err = _run(["check", FIG2, "--mode", mode, *flag], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
 def test_exit_2_on_a_non_integer_seed(monkeypatch, capsys):
     monkeypatch.setenv("PARMREACH_SEED", "abc")
     code, out, err = _run(["check", FIG2, "--mode", "elim", "--order", "random"], capsys)

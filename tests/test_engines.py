@@ -1,0 +1,98 @@
+"""Both engines against each other, the exact oracle and closed forms."""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from fuzzgen import graph_preserving_point, random_preprocessed
+from parmreach import (
+    eliminate_all,
+    evaluate,
+    model_check,
+    numeric_reachability,
+    parse_model,
+    preprocess,
+    rf_eval,
+)
+from parmreach.benchgen import zeroconf
+from parmreach.model import build_scc_tree, parse_expression
+from parmreach.ratfun import rf_const
+
+ENGINES = {"scc": model_check, "elim": eliminate_all}
+
+
+def ruin(n: int, up: str = "p") -> str:
+    """Gambler's ruin on 0..n from state 1: up with probability *up*,
+    down otherwise; 0 and n absorb and the target is n.  The scc engine
+    nests one component per level, n - 2 deep."""
+    lines = ["@params p", *(f"@state s{i}" for i in range(n + 1))]
+    lines += ["@init s1 : 1", "@trans s0 -> s0 : 1"]
+    for i in range(1, n):
+        lines.append(f"@trans s{i} -> s{i + 1} : {up}")
+        lines.append(f"@trans s{i} -> s{i - 1} : 1 - ({up})")
+    lines += [f"@trans s{n} -> s{n} : 1", f"@target s{n}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_engines_agree_with_each_other_and_the_oracle(seed):
+    rng = random.Random(seed)
+    m = random_preprocessed(rng, max_states=12)
+    scc, elim = model_check(m), eliminate_all(m)
+    assert scc.per_pair == elim.per_pair
+    assert scc.total == elim.total
+
+    point = graph_preserving_point(rng, m)
+    d = evaluate(m, point)
+    exact = numeric_reachability(d, m.initial_states, m.targets)
+    for pair, f in scc.per_pair.items():
+        assert rf_eval(f, point) == exact[pair], pair
+    expected_total = sum(
+        (d.init.get(s, 0) * exact[(s, t)] for s in m.initial_states for t in m.targets),
+        Fraction(0),
+    )
+    assert rf_eval(scc.total, point) == expected_total
+
+
+def _closed_form(text: str, formula: str):
+    m = preprocess(parse_model(text))
+    return m, parse_expression(formula, {str(v): v for v in m.params})
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_zeroconf_closed_form(n, engine):
+    m, expected = _closed_form(zeroconf(n), f"(1 - q) / (1 - q * (1 - p^{n}))")
+    assert ENGINES[engine](m).total == expected
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_gamblers_ruin_closed_form(n, engine):
+    m, expected = _closed_form(ruin(n), f"p^{n - 1} * (2*p - 1) / (p^{n} - (1 - p)^{n})")
+    assert ENGINES[engine](m).total == expected
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
+    m = preprocess(parse_model(ruin(300, "1/2")))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        result = model_check(m)
+        nodes = list(build_scc_tree(m))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.total == rf_const(Fraction(1, 300))
+    # s1..s299, then s2..s299, ..., down to s298, s299
+    assert [node.states[0] for node in nodes] == [f"s{i}" for i in range(1, 299)]

@@ -20,7 +20,6 @@ from parmreach.factorizations import (
     pool,
     pool_stats,
     reduce_factorization,
-    reset_pool,
 )
 from parmreach.polycore import (
     Polynomial,
@@ -247,15 +246,6 @@ def test_refinement_monotone_no_second_kernel_call():
     before = pool_stats().gcd_kernel_calls
     gcd_factored(F(X * X - one), F(X + one))
     assert pool_stats().gcd_kernel_calls == before
-
-
-def test_pool_capacity_drops_refinement_memos():
-    reset_pool(capacity=1)
-    X, Y, Z = _xyz()
-    gcd_factored(F(X * Y * Z), fmul(F(X), F(Y)))
-    # the split itself is still correct, but nothing was memoized:
-    # re-building the factorization yields the flat single-factor form
-    assert len(F(X * Y * Z).factors) == 1
 
 
 def test_termination_rank_assertions_pass(monkeypatch):
