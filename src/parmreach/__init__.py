@@ -166,7 +166,7 @@ __all__ = [
 
 
 def reset_session() -> None:
-    """Forget all interned variables, pooled polynomials, and counters.
+    """Forget all interned variables, pooled polynomials, caches and counters.
 
     Call between independent analyses in one process when models use
     unrelated parameter sets; each CLI invocation does this implicitly.

@@ -33,7 +33,6 @@ from . import reset_session
 from .benchgen import BenchSpec, Family, generate
 from .elimination import EliminationOrder, Strategy, eliminate_all
 from .errors import ParmreachError
-from .factorizations import pool_stats
 from .model import Pdtmc, parse_model, preprocess
 from .ratfun import RationalFunction, rf_eval
 from .scc_mc import ReachabilityResult, collect_constraints, model_check
@@ -139,8 +138,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"  engine: {args.mode}")
         print(f"  states after preprocessing: {len(m.states)}")
         print(f"  time: {stats.elapsed_seconds:.4f} s")
-        print(f"  stored polynomials: {pool_stats().stored_polynomials}")
-        print(f"  gcd kernel calls: {pool_stats().gcd_kernel_calls}")
+        print(f"  stored polynomials: {stats.stored_polynomials}")
+        print(f"  gcd kernel calls: {stats.gcd_kernel_calls}")
         print(f"  abstraction sites checked: {stats.abstraction_sites}")
         print(f"  peak memory: {_peak_memory_mb()}")
     return 0

@@ -654,14 +654,24 @@ def _nontrivial(m: Pdtmc, scc: tuple[str, ...]) -> bool:
     return len(scc) > 1 or scc[0] in m.trans.get(scc[0], {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SccNode:
-    """One component in the hierarchical decomposition."""
+    """One component in the hierarchical decomposition.
+
+    Nodes compare and hash by identity, and ``repr`` only counts the
+    children, so none of them walks the hierarchy, however deep.
+    """
 
     states: tuple[str, ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     children: tuple["SccNode", ...]
+
+    def __repr__(self) -> str:
+        return (
+            f"SccNode(states={self.states}, inputs={self.inputs}, "
+            f"outputs={self.outputs}, children=<{len(self.children)} nodes>)"
+        )
 
 
 @dataclass(frozen=True)

@@ -130,13 +130,14 @@ def session_variables() -> tuple[Variable, ...]:
 
 
 def reset_variables() -> None:
-    """Forget every interned variable.
+    """Forget every interned variable and the GCD memo keyed on them.
 
     Polynomials created before the reset must not be mixed with ones
     created after it; this exists for test isolation and fresh sessions.
     """
     _var_by_name.clear()
     _var_list.clear()
+    _GCD_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,17 @@ to its output states, labeled with the exact probabilities of
 eventually crossing from input to output.  Loops are handled innermost
 first, so by the time a component is solved, everything strictly inside
 it is already loop-free and a single backward pass over the DAG
-suffices.  For a component with one input state the first-return
-probability is divided out in one normalization step; with several
-input states their mutual-visit equations are solved by symbolic
-variable elimination, separately per input.
+suffices.
+
+The components come from :func:`~parmreach.model.build_scc_tree`, and
+all of them are solved in place on one working copy of the transition
+rows: a component's inputs are those of its tree node, its outputs and
+its interior order are read off the working rows, and
+:func:`substitute` deletes the non-input states and rewrites each
+input's row.  One solver, :func:`solve_multi_input`, serves every
+component: the inputs' mutual-visit equations are solved by symbolic
+variable elimination, separately per input, and with a single input
+this reduces to dividing out the first-return probability.
 
 Every division performed along the way is recorded as a
 :class:`Constraint`, so the final result can be exported as an SMT
@@ -28,17 +35,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ParmreachError
 from .factorizations import pool_stats
-from .model import Pdtmc, build_scc_tree, inp, out, tarjan_sccs
+from .model import Pdtmc, build_scc_tree
 from .polycore import Polynomial, monomial_exponents
 from .ratfun import (
     RationalFunction,
     rf_add,
-    rf_const,
     rf_div,
     rf_mul,
     rf_one,
@@ -97,16 +102,10 @@ class Constraint:
 
 @dataclass(frozen=True)
 class AbstractionResult:
-    """Abstraction of one component.
-
-    ``abs_probs`` maps (input, output) to the normalized crossing
-    probability; ``raw_pabs`` additionally holds the unnormalized
-    crossing functions and, under key (input, input), the first-return
-    probability that was divided out.
-    """
+    """Abstraction of one component: ``abs_probs`` maps (input, output)
+    to the normalized crossing probability."""
 
     abs_probs: Mapping[tuple[str, str], RationalFunction]
-    raw_pabs: Mapping[tuple[str, str], RationalFunction]
     constraints: tuple[Constraint, ...]
 
 
@@ -142,99 +141,86 @@ def reset_abstraction_site_counter() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Component models
+# Components, solved on the working row table
 # ---------------------------------------------------------------------------
 
+# The engine's working transition rows: a mutable copy of ``m.trans``
+# whose rows keep declaration order and in which every solved component
+# has been replaced by direct edges from its inputs to its outputs.
+_Rows = dict[str, dict[str, RationalFunction]]
 
-def induced(m: Pdtmc, K: Iterable[str]) -> Pdtmc:
-    """The sub-model on ``K`` with its output states made absorbing.
 
-    The initial distribution is uniform over the input states of K,
-    which is all downstream steps need (they only read *which* states
-    are inputs).  The outputs double as the target set.
-    """
-    ks = m.sort_states(K)
-    if not ks:
+def induced(
+    m: Pdtmc, rows: _Rows, K: Sequence[str], inputs: Sequence[str]
+) -> tuple[tuple[str, ...], list[str]]:
+    """The outputs of component ``K`` (states outside K fed by its rows,
+    in declaration order) and its interior (K minus ``inputs``)."""
+    if not K:
         raise ValueError("empty state set")
-    outputs = out(m, ks)
+    ks = set(K)
+    outputs = m.sort_states({t for s in K for t in rows[s] if t not in ks})
     if not outputs:
-        raise AbsorbingSubset(f"state set {list(ks)} has no output states")
-    inputs = inp(m, ks)
+        raise AbsorbingSubset(f"state set {list(K)} has no output states")
     if not inputs:
-        raise ValueError(f"state set {list(ks)} has no input states; it is unreachable")
-    states = m.sort_states(set(ks) | set(outputs))
-    one = rf_one()
-    trans: dict[str, dict[str, RationalFunction]] = {}
-    for s in ks:
-        row = m.trans.get(s, {})
-        if row:
-            trans[s] = dict(row)
-    for o in outputs:
-        trans[o] = {o: one}
-    weight = rf_const(Fraction(1, len(inputs)))
-    init = {s: weight for s in inputs}
-    return Pdtmc(states, m.params, init, trans, outputs)
+        raise ValueError(f"state set {list(K)} has no input states; it is unreachable")
+    entries = set(inputs)
+    return outputs, [s for s in K if s not in entries]
 
 
-def _reverse_topological(m: Pdtmc, region: Sequence[str]) -> list[str]:
-    """The region's states, successors before predecessors.
+def _reverse_topological(rows: _Rows, region: Sequence[str]) -> list[str]:
+    """The region's states, successors before predecessors: a depth-first
+    post-order over the rows, limited to the region, with roots in the
+    region's order.
 
     The caller guarantees the region is loop-free; a loop here means the
     innermost-first processing order was violated.
     """
+    inside = set(region)
+    finished: dict[str, bool] = {}  # False while a state is on the path
     order: list[str] = []
-    for scc in tarjan_sccs(m, region):
-        if len(scc) > 1 or scc[0] in m.trans.get(scc[0], {}):
-            raise AbstractionInvariantBroken(
-                f"interior {list(region)} still contains the loop {list(scc)}"
-            )
-        order.append(scc[0])
+    for root in region:
+        if root in finished:
+            continue
+        finished[root] = False
+        path = [(root, iter(rows[root]))]
+        while path:
+            s, successors = path[-1]
+            for t in successors:
+                if t not in inside:
+                    continue
+                if t not in finished:
+                    finished[t] = False
+                    path.append((t, iter(rows[t])))
+                    break
+                if not finished[t]:
+                    raise AbstractionInvariantBroken(
+                        f"interior {list(region)} still contains a loop through {t!r}"
+                    )
+            else:
+                path.pop()
+                finished[s] = True
+                order.append(s)
     return order
 
 
-def _crossing_functions(
-    m: Pdtmc, interior: Sequence[str], terminals: Sequence[str]
-) -> dict[str, dict[str, RationalFunction]]:
-    """Path probabilities from each interior state to each terminal,
-    moving through interior states only (one backward DAG pass)."""
-    tset = set(terminals)
-    iset = set(interior)
-    w: dict[str, dict[str, RationalFunction]] = {}
-    for s in _reverse_topological(m, interior):
-        row = m.trans.get(s, {})
-        acc: dict[str, RationalFunction] = {}
-        for t, prob in row.items():
-            if t in tset:
-                acc[t] = rf_add(acc.get(t, rf_zero()), prob)
-            elif t in iset:
-                for tau, val in w[t].items():
-                    acc[tau] = rf_add(acc.get(tau, rf_zero()), rf_mul(prob, val))
-            else:
-                raise AbstractionInvariantBroken(
-                    f"edge {s!r} -> {t!r} escapes the component being solved"
-                )
-        w[s] = acc
-    return w
-
-
-def _first_hit_from(
-    m: Pdtmc,
-    source: str,
-    interior_w: Mapping[str, Mapping[str, RationalFunction]],
-    interior: set[str],
+def _first_hits(
+    rows: _Rows,
+    s: str,
+    w: Mapping[str, Mapping[str, RationalFunction]],
     terminals: set[str],
 ) -> dict[str, RationalFunction]:
-    """One more step of the same recursion, starting at a source state."""
+    """Probabilities of reaching each terminal from ``s`` through the
+    interior states already in ``w``."""
     acc: dict[str, RationalFunction] = {}
-    for t, prob in m.trans.get(source, {}).items():
+    for t, prob in rows[s].items():
         if t in terminals:
             acc[t] = rf_add(acc.get(t, rf_zero()), prob)
-        elif t in interior:
-            for tau, val in interior_w[t].items():
+        elif t in w:
+            for tau, val in w[t].items():
                 acc[tau] = rf_add(acc.get(tau, rf_zero()), rf_mul(prob, val))
         else:
             raise AbstractionInvariantBroken(
-                f"edge {source!r} -> {t!r} escapes the component being solved"
+                f"edge {s!r} -> {t!r} escapes the component being solved"
             )
     return acc
 
@@ -262,61 +248,28 @@ def _audit_site(
     _sites_checked += 1
 
 
-def solve_single_input(m: Pdtmc) -> AbstractionResult:
-    """Abstraction of a component model with exactly one input state.
-
-    The interior is loop-free, so one backward pass yields the
-    unnormalized crossing functions and the first-return probability;
-    dividing by their sum (recorded as a nonzero side condition) gives
-    the abstraction.  With a single output no computation is needed at
-    all: the crossing probability is 1.
-    """
-    (source,) = m.initial_states
-    outputs = tuple(t for t in m.states if m.is_absorbing(t))
-    if len(outputs) == 1:
-        abs_probs = {(source, outputs[0]): rf_one()}
-        _audit_site(f"{source} (single output)", {outputs[0]: rf_one()})
-        return AbstractionResult(abs_probs, {}, ())
-
-    interior = [s for s in m.states if not m.is_absorbing(s) and s != source]
-    terminals = outputs + (source,)
-    w = _crossing_functions(m, interior, terminals)
-    hit = _first_hit_from(m, source, w, set(interior), set(terminals))
-
-    raw: dict[tuple[str, str], RationalFunction] = {}
-    raw_row: dict[str, RationalFunction] = {}
-    for t in outputs:
-        val = hit.get(t, rf_zero())
-        raw[(source, t)] = val
-        if not val.is_zero:
-            raw_row[t] = val
-    self_loop = hit.get(source, rf_zero())
-    raw[(source, source)] = self_loop
-
-    escape = rf_sum(raw_row.values())
-    constraints = (
-        Constraint(
-            ConstraintKind.DENOMINATOR_NONZERO,
-            escape,
-            f"normalization at input {source!r}",
-        ),
-    )
-    row = {t: rf_div(val, escape) for t, val in raw_row.items()}
-    _audit_site(f"input {source!r}", row, raw_row, self_loop)
-    return AbstractionResult({(source, t): f for t, f in row.items()}, raw, constraints)
+def solve_single_input(
+    rows: _Rows, inputs: Sequence[str], outputs: Sequence[str], interior: Sequence[str]
+) -> AbstractionResult:
+    """:func:`solve_multi_input`, which also covers a single input."""
+    return solve_multi_input(rows, inputs, outputs, interior)
 
 
-def solve_multi_input(m: Pdtmc) -> AbstractionResult:
-    """Abstraction of a component model with several input states.
+def solve_multi_input(
+    rows: _Rows, inputs: Sequence[str], outputs: Sequence[str], interior: Sequence[str]
+) -> AbstractionResult:
+    """Abstraction of a component whose interior is loop-free.
 
-    After the single backward pass, the inputs' mutual-visit equations
-    ``v_i = b_i + sum_j A_ij v_j`` remain.  They are solved once per
+    One backward pass over the interior gives each input's first hits
+    on the outputs and on the inputs.  The inputs' mutual-visit
+    equations ``v_i = b_i + sum_j A_ij v_j`` are then solved once per
     input: for input i, every other input variable is eliminated from a
     working copy, leaving the unnormalized crossing functions (the
-    constant terms) and the first-return coefficient ``A'_ii``.
+    constant terms) and the first-return coefficient ``A'_ii``, which
+    is divided out (recorded as a nonzero side condition).  With one
+    input nothing is eliminated; with one output no computation is
+    needed at all: the crossing probability is 1.
     """
-    inputs = m.initial_states
-    outputs = tuple(t for t in m.states if m.is_absorbing(t))
     constraints: list[Constraint] = []
 
     if len(outputs) == 1:
@@ -324,17 +277,15 @@ def solve_multi_input(m: Pdtmc) -> AbstractionResult:
         for s in inputs:
             _audit_site(f"{s} (single output)", {outputs[0]: rf_one()})
             abs_probs[(s, outputs[0])] = rf_one()
-        return AbstractionResult(abs_probs, {}, ())
+        return AbstractionResult(abs_probs, ())
 
-    interior = [s for s in m.states if not m.is_absorbing(s) and s not in set(inputs)]
-    terminals = outputs + inputs
-    w = _crossing_functions(m, interior, terminals)
-    ivals = {
-        s: _first_hit_from(m, s, w, set(interior), set(terminals)) for s in inputs
-    }
+    terminals = set(outputs) | set(inputs)
+    w: dict[str, dict[str, RationalFunction]] = {}
+    for s in _reverse_topological(rows, interior):
+        w[s] = _first_hits(rows, s, w, terminals)
+    ivals = {s: _first_hits(rows, s, w, terminals) for s in inputs}
 
     abs_probs = {}
-    raw: dict[tuple[str, str], RationalFunction] = {}
     for target_input in inputs:
         # working copy of the input-to-input system
         A = {
@@ -374,9 +325,6 @@ def solve_multi_input(m: Pdtmc) -> AbstractionResult:
 
         raw_row = {t: v for t, v in b[target_input].items() if not v.is_zero}
         self_loop = A[target_input][target_input]
-        for t in outputs:
-            raw[(target_input, t)] = raw_row.get(t, rf_zero())
-        raw[(target_input, target_input)] = self_loop
 
         escape = rf_sum(raw_row.values())
         constraints.append(
@@ -391,27 +339,24 @@ def solve_multi_input(m: Pdtmc) -> AbstractionResult:
         for t, v in row.items():
             abs_probs[(target_input, t)] = v
 
-    return AbstractionResult(abs_probs, raw, tuple(constraints))
+    return AbstractionResult(abs_probs, tuple(constraints))
 
 
-def substitute(m: Pdtmc, K: Iterable[str], result: AbstractionResult) -> Pdtmc:
-    """Replace component K by direct input-to-output edges."""
-    ks = set(K)
-    inputs = set(inp(m, ks))
-    drop = ks - inputs
-    states = [s for s in m.states if s not in drop]
-    trans: dict[str, dict[str, RationalFunction]] = {}
-    for s in states:
-        if s in inputs:
-            row = {
-                t: f
-                for (i, t), f in result.abs_probs.items()
-                if i == s and not f.is_zero
-            }
-            trans[s] = dict(sorted(row.items(), key=lambda kv: m.index(kv[0])))
-        elif s in m.trans:
-            trans[s] = dict(m.trans[s])
-    return Pdtmc(states, m.params, m.init, trans, [t for t in m.targets if t not in drop])
+def substitute(
+    m: Pdtmc, rows: _Rows, K: Sequence[str], inputs: Sequence[str], result: AbstractionResult
+) -> None:
+    """Replace component K in ``rows`` by direct input-to-output edges:
+    the non-input states go, each input's row becomes its abstracted row
+    in declaration order."""
+    entries = set(inputs)
+    for s in K:
+        if s not in entries:
+            del rows[s]
+    for s in inputs:
+        rows[s] = {}
+    for (s, t), f in sorted(result.abs_probs.items(), key=lambda kv: m.index(kv[0][1])):
+        if not f.is_zero:
+            rows[s][t] = f
 
 
 # ---------------------------------------------------------------------------
@@ -419,30 +364,35 @@ def substitute(m: Pdtmc, K: Iterable[str], result: AbstractionResult) -> Pdtmc:
 # ---------------------------------------------------------------------------
 
 
-def _solve(m: Pdtmc, K: Sequence[str], constraints: list[Constraint]) -> Pdtmc:
-    """Replace component K of m, whose interior is loop-free by now, by
+def _solve(
+    m: Pdtmc,
+    rows: _Rows,
+    K: Sequence[str],
+    inputs: Sequence[str],
+    constraints: list[Constraint],
+) -> None:
+    """Replace component K, whose interior is loop-free by now, by
     direct edges from its inputs to its outputs."""
-    final = induced(m, K)
-    result = (
-        solve_single_input(final)
-        if len(final.initial_states) == 1
-        else solve_multi_input(final)
-    )
+    outputs, interior = induced(m, rows, K, inputs)
+    result = solve_multi_input(rows, inputs, outputs, interior)
     constraints.extend(result.constraints)
-    return substitute(m, K, result)
+    substitute(m, rows, K, inputs, result)
 
 
-def _abstract(m: Pdtmc) -> tuple[Pdtmc, list[Constraint]]:
+def _abstract(m: Pdtmc) -> tuple[_Rows, list[Constraint]]:
     """Abstract every looping component of ``m`` (initial states
     excluded), each after the components nested in it, then the rest.
 
-    The hierarchy is walked with an explicit stack, so nesting depth is
+    All components are solved on one working copy of the rows.  The
+    hierarchy is walked with an explicit stack, so nesting depth is
     bounded by memory rather than by the recursion limit.  When a
     component's turn comes, its nested components have already been
     replaced by direct edges, which leaves its interior loop-free.
+    The rest is the live (non-absorbing) states; its inputs are the
+    live initial states.
     """
+    rows: _Rows = {s: dict(m.row(s)) for s in m.states}
     constraints: list[Constraint] = []
-    current = m
     initials = set(m.initial_states)
     tree = build_scc_tree(m, [s for s in m.states if s not in initials])
     stack = [(node, False) for node in reversed(tree.roots)]
@@ -453,22 +403,23 @@ def _abstract(m: Pdtmc) -> tuple[Pdtmc, list[Constraint]]:
             stack.extend((child, False) for child in reversed(node.children))
             continue
         # nested components left only their input states behind
-        current = _solve(
-            current, [s for s in node.states if current.has_state(s)], constraints
-        )
+        K = [s for s in node.states if s in rows]
+        _solve(m, rows, K, node.inputs, constraints)
 
-    live = [s for s in current.states if not current.is_absorbing(s)]
+    # solving never makes a state absorbing or changes an absorbing row
+    live = [s for s in m.states if s in rows and not m.is_absorbing(s)]
     if live:
-        current = _solve(current, live, constraints)
-    return current, constraints
+        entries = [s for s in m.initial_states if not m.is_absorbing(s)]
+        _solve(m, rows, live, entries, constraints)
+    return rows, constraints
 
 
 def abstract(m: Pdtmc) -> Pdtmc:
     """Fully abstract a preprocessed model: the result keeps only the
     initial and absorbing states, with direct reachability edges.
     """
-    result, _ = _abstract(m)
-    return result
+    rows, _ = _abstract(m)
+    return Pdtmc([s for s in m.states if s in rows], m.params, m.init, rows, m.targets)
 
 
 def assemble_result(
@@ -523,10 +474,10 @@ def model_check(m: Pdtmc) -> ReachabilityResult:
         raise NoTargets("model has no target states")
     started = time.perf_counter()
     sites_before = abstraction_sites_checked()
-    abstracted, constraints = _abstract(m)
+    rows, constraints = _abstract(m)
     return assemble_result(
         m,
-        lambda s: {t: rf_one() if s == t else abstracted.prob(s, t) for t in m.targets},
+        lambda s: {t: rf_one() if s == t else rows[s].get(t, rf_zero()) for t in m.targets},
         constraints,
         started,
         abstraction_sites_checked() - sites_before,

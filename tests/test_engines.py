@@ -17,10 +17,12 @@ from parmreach import (
     parse_model,
     preprocess,
     rf_eval,
+    scc_mc,
 )
 from parmreach.benchgen import zeroconf
-from parmreach.model import build_scc_tree, parse_expression
-from parmreach.ratfun import rf_const
+from parmreach.model import SccTree, build_scc_tree, parse_expression
+from parmreach.ratfun import rf_add, rf_const, rf_div
+from parmreach.scc_mc import AbstractionInvariantBroken
 
 ENGINES = {"scc": model_check, "elim": eliminate_all}
 
@@ -91,8 +93,44 @@ def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
     try:
         result = model_check(m)
         nodes = list(build_scc_tree(m))
+        root, twin = nodes[0], build_scc_tree(m).roots[0]
+        shown, hashed, same, equal_twins = repr(root), hash(root), root == root, root == twin
     finally:
         sys.setrecursionlimit(limit)
     assert result.total == rf_const(Fraction(1, 300))
     # s1..s299, then s2..s299, ..., down to s298, s299
     assert [node.states[0] for node in nodes] == [f"s{i}" for i in range(1, 299)]
+    assert shown.endswith("children=<1 nodes>)")
+    assert hashed == hash(root)
+    assert same and not equal_twins  # nodes compare by identity
+
+
+def test_a_planted_arithmetic_bug_breaks_the_abstraction_audit(monkeypatch, fig2_text):
+    m = preprocess(parse_model(fig2_text))
+    monkeypatch.setattr(scc_mc, "rf_div", lambda a, b: rf_div(a, rf_add(b, b)))
+    with pytest.raises(AbstractionInvariantBroken, match="expected 1"):
+        model_check(m)
+
+
+def test_a_loop_left_in_the_interior_is_caught(monkeypatch, fig2_text):
+    m = preprocess(parse_model(fig2_text))
+    # without the hierarchy, the loops of fig2 stay in the final pass
+    monkeypatch.setattr(scc_mc, "build_scc_tree", lambda m, restriction: SccTree(()))
+    with pytest.raises(AbstractionInvariantBroken, match="still contains a loop"):
+        model_check(m)
+
+
+def test_an_edge_escaping_the_component_is_caught():
+    half = rf_const(Fraction(1, 2))
+    rows = {"i": {"a": half, "o1": half}, "a": {"o2": half, "x": half}}
+    with pytest.raises(AbstractionInvariantBroken, match="'a' -> 'x' escapes"):
+        scc_mc.solve_multi_input(rows, ["i"], ["o1", "o2"], ["a"])
+
+
+def test_every_input_of_every_solved_component_is_audited(fig2_text):
+    m = preprocess(parse_model(fig2_text))
+    tree = build_scc_tree(m, [s for s in m.states if s not in m.initial_states])
+    final_pass = [s for s in m.initial_states if not m.is_absorbing(s)]
+    expected = sum(len(node.inputs) for node in tree) + len(final_pass)
+    assert expected == 5  # s6, s7, s2 and s3, then s1
+    assert model_check(m).stats.abstraction_sites == expected

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parmreach import polycore, reset_session
 from parmreach.polycore import (
     ExponentOverflow,
     Irreducibility,
@@ -233,6 +234,15 @@ def test_gcd_with_zero():
     (X, _, _) = _xyz()
     assert poly_gcd(Polynomial.zero(), X) == X
     assert poly_gcd(X, Polynomial.zero()) == X
+
+
+def test_reset_session_empties_the_gcd_memo():
+    (X, _, _) = _xyz()
+    one = Polynomial.one()
+    poly_gcd(X * X - one, X * X + X.scale(2) + one)
+    assert polycore._GCD_MEMO
+    reset_session()
+    assert not polycore._GCD_MEMO
 
 
 # ---------------------------------------------------------------------------
