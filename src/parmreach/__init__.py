@@ -22,13 +22,7 @@ Typical use::
 """
 
 from .benchgen import BenchSpec, Family, SizeCapExceeded, generate
-from .elimination import (
-    EliminationOrder,
-    SelfLoopProbabilityOne,
-    Strategy,
-    eliminate_all,
-    eliminate_state,
-)
+from .elimination import SelfLoopProbabilityOne, eliminate_all
 from .errors import ParmreachError
 from .factorizations import (
     Factorization,
@@ -53,7 +47,7 @@ from .model import (
     parse_model,
     preprocess,
 )
-from .oracle import SingularSystem, monte_carlo_reachability, numeric_reachability
+from .oracle import SingularSystem, numeric_reachability
 from .polycore import (
     ExponentOverflow,
     Polynomial,
@@ -85,10 +79,8 @@ from .scc_mc import (
     ConstraintKind,
     NoTargets,
     ReachabilityResult,
-    abstract,
     collect_constraints,
     model_check,
-    reset_abstraction_site_counter,
 )
 
 __version__ = "0.1.0"
@@ -105,11 +97,7 @@ __all__ = [
     "is_graph_preserving",
     # engines
     "model_check",
-    "abstract",
     "eliminate_all",
-    "eliminate_state",
-    "EliminationOrder",
-    "Strategy",
     "ReachabilityResult",
     "CheckStats",
     "Constraint",
@@ -117,7 +105,6 @@ __all__ = [
     "collect_constraints",
     # numeric ground truth
     "numeric_reachability",
-    "monte_carlo_reachability",
     # symbolic layer
     "Polynomial",
     "Variable",
@@ -173,4 +160,3 @@ def reset_session() -> None:
     """
     reset_variables()
     reset_pool()
-    reset_abstraction_site_counter()

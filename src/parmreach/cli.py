@@ -1,21 +1,19 @@
 """Command-line front end.
 
-Three subcommands:
+Two subcommands:
 
 * ``check`` — parse a model file, compute the reachability function for
   every (initial state, target) pair with the chosen engine, optionally
-  evaluate at a parameter point, export the validity constraints, and
-  print statistics.
-* ``constraints`` — just the SMT-LIB 2 validity constraints.
+  evaluate at a parameter point, export the SMT-LIB 2 validity
+  constraints, and print statistics.
 * ``gen`` — emit a benchmark model file.
 
 Exit codes: 0 on success, 1 when the model itself is at fault (syntax,
 probability sums, absorbing-target violations, …), 2 on usage errors
-(unreadable input, malformed flags, unknown parameter or target names,
-a non-integer ``PARMREACH_SEED``).  Any other exception is a bug and is
-not reported as either.
+(unreadable input, malformed flags, unknown parameter or target names).
+Any other exception is a bug and is not reported as either.
 
-Result output is byte-deterministic for a fixed input, mode, and seed;
+Result output is byte-deterministic for a fixed input and mode;
 the optional ``--stats`` block (wall time, peak memory) is diagnostic
 and exempt.
 """
@@ -23,7 +21,6 @@ and exempt.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,11 +28,11 @@ from typing import Sequence
 
 from . import reset_session
 from .benchgen import BenchSpec, Family, generate
-from .elimination import EliminationOrder, Strategy, eliminate_all
+from .elimination import eliminate_all
 from .errors import ParmreachError
 from .model import Pdtmc, parse_model, preprocess
 from .ratfun import RationalFunction, rf_eval
-from .scc_mc import ReachabilityResult, collect_constraints, model_check
+from .scc_mc import collect_constraints, model_check
 
 __all__ = ["main"]
 
@@ -78,25 +75,9 @@ def _approx(x: Fraction) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
-def _run_engine(m: Pdtmc, args: argparse.Namespace) -> ReachabilityResult:
-    if args.mode == "scc":
-        return model_check(m)
-    raw_seed = os.environ.get("PARMREACH_SEED", "0")
-    try:
-        seed = int(raw_seed)
-    except ValueError as exc:
-        raise _UsageError(f"PARMREACH_SEED must be an integer, not {raw_seed!r}") from exc
-    order = EliminationOrder(Strategy(args.order), seed)
-    return eliminate_all(m, order)
-
-
-def _load(args: argparse.Namespace) -> Pdtmc:
-    reset_session()
-    return preprocess(parse_model(_read_file(args.model)))
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    m = _load(args)
+    reset_session()
+    m = preprocess(parse_model(_read_file(args.model)))
     wanted = args.target or list(m.targets)
     for t in wanted:
         if t not in m.targets:
@@ -111,7 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if point is not None
         else ""
     )
-    result = _run_engine(m, args)
+    result = model_check(m) if args.mode == "scc" else eliminate_all(m)
 
     def render(f: RationalFunction) -> str:
         return f.factored_str() if args.factored else str(f)
@@ -155,18 +136,6 @@ def _peak_memory_mb() -> str:
         return "unavailable"
 
 
-def _cmd_constraints(args: argparse.Namespace) -> int:
-    m = _load(args)
-    result = _run_engine(m, args)
-    text = collect_constraints(result, m) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     family = Family(args.family)
     depth = args.max if family is Family.BRP else args.rounds
@@ -186,24 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def engine_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("model", help="model file to analyze")
-        p.add_argument(
-            "--mode",
-            choices=["scc", "elim"],
-            default="scc",
-            help="engine: hierarchical component abstraction or state elimination",
-        )
-        p.add_argument(
-            "--order",
-            choices=[s.value for s in Strategy],
-            default=Strategy.FEWEST_TRANSITIONS_FIRST.value,
-            help="state-removal strategy for --mode elim "
-            "(random uses PARMREACH_SEED)",
-        )
-
     check = sub.add_parser("check", help="compute reachability functions")
-    engine_flags(check)
+    check.add_argument("model", help="model file to analyze")
+    check.add_argument(
+        "--mode",
+        choices=["scc", "elim"],
+        default="scc",
+        help="engine: hierarchical component abstraction or state elimination",
+    )
     check.add_argument(
         "--eval",
         metavar="ASSIGN",
@@ -227,11 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--stats", action="store_true", help="print a statistics block")
     check.set_defaults(func=_cmd_check)
-
-    cons = sub.add_parser("constraints", help="emit SMT-LIB validity constraints")
-    engine_flags(cons)
-    cons.add_argument("-o", "--output", metavar="PATH", help="write to PATH (default stdout)")
-    cons.set_defaults(func=_cmd_constraints)
 
     gen = sub.add_parser("gen", help="generate a benchmark model file")
     gen.add_argument(

@@ -9,18 +9,15 @@ per-initial reachability function falls out of one final self-loop
 fold.
 
 The result contract matches :func:`parmreach.scc_mc.model_check`
-exactly, so the two engines can be cross-checked symbolically.  The
-order in which states are removed does not change the final (canceled)
-functions, only the amount of intermediate work; three interchangeable
-strategies are provided.
+exactly, so the two engines can be cross-checked symbolically.  States
+are removed greedily, fewest new transitions first; the order does not
+change the final (canceled) functions, only the amount of intermediate
+work.
 """
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ParmreachError
 from .model import Pdtmc
@@ -45,9 +42,6 @@ from .scc_mc import (
 __all__ = [
     "SelfLoopProbabilityOne",
     "ConservationBroken",
-    "Strategy",
-    "EliminationOrder",
-    "eliminate_state",
     "eliminate_all",
 ]
 
@@ -63,30 +57,6 @@ class SelfLoopProbabilityOne(ParmreachError):
 
 class ConservationBroken(ParmreachError):
     """A row stopped summing to 1 after an elimination step."""
-
-
-class Strategy(Enum):
-    """How the next state to remove is chosen."""
-
-    DECLARATION_ORDER = "declaration"
-    FEWEST_TRANSITIONS_FIRST = "fewest-transitions"
-    RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class EliminationOrder:
-    """A deterministic state-removal policy.
-
-    ``DECLARATION_ORDER`` removes eligible states in the order they
-    were declared.  ``FEWEST_TRANSITIONS_FIRST`` (the default) greedily
-    removes the state whose removal creates the fewest direct edges,
-    scored by the product of its current in- and out-degree with
-    declaration order breaking ties.  ``RANDOM`` shuffles the eligible
-    states once using ``seed``.
-    """
-
-    strategy: Strategy = Strategy.FEWEST_TRANSITIONS_FIRST
-    seed: int = 0
 
 
 _Rows = dict[str, dict[str, RationalFunction]]
@@ -165,75 +135,37 @@ def _is_absorbing_row(s: str, row: dict[str, RationalFunction]) -> bool:
     return set(row) == {s} and row[s].is_one
 
 
-def eliminate_state(m: Pdtmc, s: str) -> Pdtmc:
-    """Return ``m`` with the non-initial, non-target state ``s`` removed.
-
-    Direct predecessor-to-successor edges replace the removed state; a
-    self-loop is summed out first as a geometric series.  Raises
-    :class:`SelfLoopProbabilityOne` if that self-loop cancels to 1.
-    """
-    if not m.has_state(s):
-        raise ValueError(f"unknown state {s!r}")
-    if s in m.initial_states:
-        raise ValueError(f"cannot remove initial state {s!r}")
-    if s in m.targets:
-        raise ValueError(f"cannot remove target state {s!r}")
-
-    rows = {u: dict(m.row(u)) for u in m.states}
-    constraints: list[Constraint] = []
-    _remove_state(rows, _predecessor_map(rows), s, constraints)
-    states = tuple(u for u in m.states if u != s)
-    return Pdtmc(
-        states=states,
-        params=m.params,
-        init=dict(m.init),
-        trans={u: rows[u] for u in states if rows[u]},
-        targets=m.targets,
-    )
-
-
 def _removal_sequence(
     m: Pdtmc,
     rows: _Rows,
     preds: dict[str, set[str]],
     candidates: list[str],
-    order: EliminationOrder,
 ):
-    """Yield the states to remove, honoring the chosen strategy.
+    """Yield the states to remove: greedily, the state whose removal
+    creates the fewest direct edges (the product of its current in- and
+    out-degree), declaration order breaking ties.
 
-    The greedy strategy re-scores after every removal, so it is driven
-    by the live ``rows``/``preds`` structures.
+    The score is recomputed after every removal, so the sequence is
+    driven by the live ``rows``/``preds`` structures.
     """
-    if order.strategy is Strategy.DECLARATION_ORDER:
-        yield from candidates
-    elif order.strategy is Strategy.RANDOM:
-        shuffled = list(candidates)
-        random.Random(order.seed).shuffle(shuffled)
-        yield from shuffled
-    else:
-        remaining = set(candidates)
-        while remaining:
-            best = min(
-                remaining,
-                key=lambda s: (len(preds[s]) * len(rows[s]), m.index(s)),
-            )
-            remaining.discard(best)
-            yield best
+    remaining = set(candidates)
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda s: (len(preds[s]) * len(rows[s]), m.index(s)),
+        )
+        remaining.discard(best)
+        yield best
 
 
-def eliminate_all(
-    m: Pdtmc, order: EliminationOrder | None = None
-) -> ReachabilityResult:
+def eliminate_all(m: Pdtmc) -> ReachabilityResult:
     """Exact reachability functions for every (initial, target) pair.
 
     The model must be preprocessed (absorbing targets, no multi-state
-    bottom components).  All removal strategies produce the same
-    canceled functions; ``order`` only affects intermediate work.
+    bottom components).
     """
     if not m.targets:
         raise NoTargets("model has no target states")
-    if order is None:
-        order = EliminationOrder()
     started = time.perf_counter()
 
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
@@ -243,7 +175,7 @@ def eliminate_all(
     candidates = [s for s in m.states if s not in initials and s not in absorbing]
 
     constraints: list[Constraint] = []
-    for s in _removal_sequence(m, rows, preds, candidates, order):
+    for s in _removal_sequence(m, rows, preds, candidates):
         _remove_state(rows, preds, s, constraints)
 
     def reach(source: str) -> dict[str, RationalFunction]:

@@ -296,12 +296,6 @@ class Factorization:
             out *= poly_eval(_pool.poly(h), assignment) ** e
         return out
 
-    def exponent_of(self, handle: int) -> int:
-        for h, e in self.factors:
-            if h == handle:
-                return e
-        return 0
-
     def __str__(self) -> str:
         if not self.factors:
             return "0"

@@ -179,17 +179,11 @@ class Pdtmc:
     def index(self, s: str) -> int:
         return self._index[s]
 
-    def has_state(self, s: str) -> bool:
-        return s in self._index
-
     def row(self, s: str) -> Mapping[str, RationalFunction]:
         return self.trans.get(s, {})
 
     def prob(self, s: str, t: str) -> RationalFunction:
         return self.trans.get(s, {}).get(t, rf_zero())
-
-    def successors(self, s: str) -> tuple[str, ...]:
-        return tuple(self.trans.get(s, {}))
 
     def predecessors(self, s: str) -> tuple[str, ...]:
         preds = self._preds
@@ -209,10 +203,6 @@ class Pdtmc:
     def is_absorbing(self, s: str) -> bool:
         row = self.trans.get(s, {})
         return len(row) == 1 and s in row and row[s].is_one
-
-    @property
-    def absorbing_states(self) -> tuple[str, ...]:
-        return tuple(s for s in self.states if self.is_absorbing(s))
 
     def sort_states(self, it: Iterable[str]) -> tuple[str, ...]:
         """Deterministic order: by declaration index."""

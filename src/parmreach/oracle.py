@@ -2,21 +2,19 @@
 
 Everything here works on concrete :class:`~parmreach.model.Dtmc` values
 and deliberately shares no machinery with the symbolic engines: exact
-Fraction arithmetic, a sparse Gauss-Jordan linear solve, and a Monte
-Carlo estimator.  Tests compare both symbolic pipelines against these
-routines at sampled parameter points.
+Fraction arithmetic and a sparse Gauss-Jordan linear solve.  Tests
+compare both symbolic pipelines against it at sampled parameter points.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParmreachError
 from .model import Dtmc
 
-__all__ = ["SingularSystem", "numeric_reachability", "monte_carlo_reachability"]
+__all__ = ["SingularSystem", "numeric_reachability"]
 
 
 class SingularSystem(ParmreachError):
@@ -44,7 +42,6 @@ def numeric_reachability(
     d: Dtmc,
     sources: Iterable[str] | None = None,
     targets: Sequence[str] | None = None,
-    use_floats: bool = False,
 ) -> dict[tuple[str, str], Fraction]:
     """Exact reachability probabilities ``(source, target) -> Fraction``.
 
@@ -53,10 +50,6 @@ def numeric_reachability(
     target, by sparse Gauss-Jordan elimination with a fill-reducing
     pivot order.  Targets are treated as absorbing regardless of their
     outgoing edges.
-
-    ``use_floats`` runs the same elimination in double precision and
-    returns floats — a speed escape hatch for models beyond a couple of
-    thousand states, where exact rationals get expensive.
     """
     target_list = tuple(d.targets if targets is None else targets)
     source_list = tuple(d.init if sources is None else sources)
@@ -65,8 +58,8 @@ def numeric_reachability(
             raise ValueError(f"unknown target {t!r}")
     tset = set(target_list)
     live = _can_reach(d, tset)
-    one = 1.0 if use_floats else Fraction(1)
-    zero = 0.0 if use_floats else Fraction(0)
+    one = Fraction(1)
+    zero = Fraction(0)
 
     # unknowns: non-target states that can reach some target
     unknowns = [s for s in d.states if s in live and s not in tset]
@@ -80,8 +73,6 @@ def numeric_reachability(
         a_row: dict[str, Fraction] = {s: one}
         b_row: dict[str, Fraction] = {}
         for t, prob in row.items():
-            if use_floats:
-                prob = float(prob)
             if t in tset:
                 b_row[t] = b_row.get(t, zero) + prob
             elif t in live:
@@ -152,54 +143,3 @@ def numeric_reachability(
             else:
                 out[(s, t)] = zero
     return out
-
-
-def monte_carlo_reachability(
-    d: Dtmc,
-    samples: int = 10_000,
-    seed: int = 0,
-    max_steps: int = 10_000,
-    sources: Iterable[str] | None = None,
-    targets: Sequence[str] | None = None,
-) -> dict[tuple[str, str], float]:
-    """Estimate reachability by simulation; a coarse sanity check only.
-
-    Walks are truncated at *max_steps*, so estimates are biased low on
-    models with long mixing times; use generous tolerances.
-    """
-    target_list = tuple(d.targets if targets is None else targets)
-    source_list = tuple(d.init if sources is None else sources)
-    tset = set(target_list)
-    rng = random.Random(seed)
-
-    # cumulative distributions per state, in fixed order
-    cdfs: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {}
-    for s, row in d.trans.items():
-        succs = tuple(row)
-        acc, cum = 0.0, []
-        for t in succs:
-            acc += float(row[t])
-            cum.append(acc)
-        cdfs[s] = (succs, tuple(cum))
-
-    result: dict[tuple[str, str], float] = {}
-    for src in source_list:
-        hits = {t: 0 for t in target_list}
-        for _ in range(samples):
-            s = src
-            for _ in range(max_steps):
-                if s in tset:
-                    hits[s] += 1
-                    break
-                entry = cdfs.get(s)
-                if entry is None:
-                    break  # dead end
-                succs, cum = entry
-                r = rng.random() * cum[-1]
-                k = 0
-                while r > cum[k] and k < len(succs) - 1:
-                    k += 1
-                s = succs[k]
-        for t in target_list:
-            result[(src, t)] = hits[t] / samples
-    return result

@@ -22,7 +22,7 @@ import heapq
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ParmreachError
 
@@ -34,7 +34,6 @@ __all__ = [
     "variable",
     "variables",
     "reset_variables",
-    "session_variables",
     "monomial",
     "monomial_exponents",
     "Polynomial",
@@ -122,11 +121,6 @@ def variable(name: str) -> Variable:
 def variables(*names: str) -> tuple[Variable, ...]:
     """Intern several variables at once, in the given order."""
     return tuple(variable(n) for n in names)
-
-
-def session_variables() -> tuple[Variable, ...]:
-    """All variables interned so far, in index order."""
-    return tuple(_var_list)
 
 
 def reset_variables() -> None:

@@ -124,12 +124,6 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.numerator_poly().is_constant and self.denominator_poly().is_constant
 
-    def as_fraction(self) -> Fraction:
-        """The constant value; raises ValueError when not constant."""
-        if not self.is_constant:
-            raise ValueError(f"{self} is not constant")
-        return Fraction(self.numerator_poly().constant_value(), self.denominator_poly().constant_value())
-
     def numerator_poly(self) -> Polynomial:
         p = self._num_poly
         if p is None:

@@ -26,8 +26,10 @@ valid (:func:`collect_constraints`).
 Internal invariants are checked unconditionally: at every abstraction
 site the outgoing abstracted probabilities must sum to exactly 1, and
 the first-return probability must complement the crossing
-probabilities.  A module-level counter tracks how many sites were
-audited, so tests can assert the checks actually ran.
+probabilities.  Every solved component reports how many sites it
+audited, and the result carries their sum
+(``CheckStats.abstraction_sites``), so tests can assert the checks
+actually ran.
 """
 
 from __future__ import annotations
@@ -65,12 +67,9 @@ __all__ = [
     "solve_single_input",
     "solve_multi_input",
     "substitute",
-    "abstract",
     "model_check",
     "assemble_result",
     "collect_constraints",
-    "abstraction_sites_checked",
-    "reset_abstraction_site_counter",
 ]
 
 
@@ -103,10 +102,12 @@ class Constraint:
 @dataclass(frozen=True)
 class AbstractionResult:
     """Abstraction of one component: ``abs_probs`` maps (input, output)
-    to the normalized crossing probability."""
+    to the normalized crossing probability; ``sites`` counts the
+    abstraction sites audited on the way (one per input)."""
 
     abs_probs: Mapping[tuple[str, str], RationalFunction]
     constraints: tuple[Constraint, ...]
+    sites: int
 
 
 @dataclass(frozen=True)
@@ -125,19 +126,6 @@ class ReachabilityResult:
     total: RationalFunction
     constraints: tuple[Constraint, ...]
     stats: CheckStats
-
-
-_sites_checked = 0
-
-
-def abstraction_sites_checked() -> int:
-    """How many abstraction sites have had their sum-to-1 identity audited."""
-    return _sites_checked
-
-
-def reset_abstraction_site_counter() -> None:
-    global _sites_checked
-    _sites_checked = 0
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +221,6 @@ def _audit_site(
 ) -> None:
     """Always-on identities: normalized sum 1, and (when a computation
     happened) conservation of raw crossing + first-return mass."""
-    global _sites_checked
     if raw_row is not None and self_loop is not None:
         mass = rf_add(rf_sum(raw_row.values()), self_loop)
         if not mass.is_one:
@@ -245,7 +232,6 @@ def _audit_site(
         raise AbstractionInvariantBroken(
             f"at {site}: abstracted probabilities sum to {total}, expected 1"
         )
-    _sites_checked += 1
 
 
 def solve_single_input(
@@ -277,7 +263,7 @@ def solve_multi_input(
         for s in inputs:
             _audit_site(f"{s} (single output)", {outputs[0]: rf_one()})
             abs_probs[(s, outputs[0])] = rf_one()
-        return AbstractionResult(abs_probs, ())
+        return AbstractionResult(abs_probs, (), len(inputs))
 
     terminals = set(outputs) | set(inputs)
     w: dict[str, dict[str, RationalFunction]] = {}
@@ -339,7 +325,7 @@ def solve_multi_input(
         for t, v in row.items():
             abs_probs[(target_input, t)] = v
 
-    return AbstractionResult(abs_probs, tuple(constraints))
+    return AbstractionResult(abs_probs, tuple(constraints), len(inputs))
 
 
 def substitute(
@@ -370,16 +356,18 @@ def _solve(
     K: Sequence[str],
     inputs: Sequence[str],
     constraints: list[Constraint],
-) -> None:
+) -> int:
     """Replace component K, whose interior is loop-free by now, by
-    direct edges from its inputs to its outputs."""
+    direct edges from its inputs to its outputs; return the number of
+    abstraction sites audited."""
     outputs, interior = induced(m, rows, K, inputs)
     result = solve_multi_input(rows, inputs, outputs, interior)
     constraints.extend(result.constraints)
     substitute(m, rows, K, inputs, result)
+    return result.sites
 
 
-def _abstract(m: Pdtmc) -> tuple[_Rows, list[Constraint]]:
+def _abstract(m: Pdtmc) -> tuple[_Rows, list[Constraint], int]:
     """Abstract every looping component of ``m`` (initial states
     excluded), each after the components nested in it, then the rest.
 
@@ -389,10 +377,12 @@ def _abstract(m: Pdtmc) -> tuple[_Rows, list[Constraint]]:
     component's turn comes, its nested components have already been
     replaced by direct edges, which leaves its interior loop-free.
     The rest is the live (non-absorbing) states; its inputs are the
-    live initial states.
+    live initial states.  Returns the rows, the constraints and the
+    number of abstraction sites audited.
     """
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
     constraints: list[Constraint] = []
+    sites = 0
     initials = set(m.initial_states)
     tree = build_scc_tree(m, [s for s in m.states if s not in initials])
     stack = [(node, False) for node in reversed(tree.roots)]
@@ -404,22 +394,14 @@ def _abstract(m: Pdtmc) -> tuple[_Rows, list[Constraint]]:
             continue
         # nested components left only their input states behind
         K = [s for s in node.states if s in rows]
-        _solve(m, rows, K, node.inputs, constraints)
+        sites += _solve(m, rows, K, node.inputs, constraints)
 
     # solving never makes a state absorbing or changes an absorbing row
     live = [s for s in m.states if s in rows and not m.is_absorbing(s)]
     if live:
         entries = [s for s in m.initial_states if not m.is_absorbing(s)]
-        _solve(m, rows, live, entries, constraints)
-    return rows, constraints
-
-
-def abstract(m: Pdtmc) -> Pdtmc:
-    """Fully abstract a preprocessed model: the result keeps only the
-    initial and absorbing states, with direct reachability edges.
-    """
-    rows, _ = _abstract(m)
-    return Pdtmc([s for s in m.states if s in rows], m.params, m.init, rows, m.targets)
+        sites += _solve(m, rows, live, entries, constraints)
+    return rows, constraints, sites
 
 
 def assemble_result(
@@ -473,14 +455,13 @@ def model_check(m: Pdtmc) -> ReachabilityResult:
     if not m.targets:
         raise NoTargets("model has no target states")
     started = time.perf_counter()
-    sites_before = abstraction_sites_checked()
-    rows, constraints = _abstract(m)
+    rows, constraints, sites = _abstract(m)
     return assemble_result(
         m,
         lambda s: {t: rf_one() if s == t else rows[s].get(t, rf_zero()) for t in m.targets},
         constraints,
         started,
-        abstraction_sites_checked() - sites_before,
+        sites,
     )
 
 

@@ -9,8 +9,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.fixture(autouse=True)
 def fresh_session():
-    """Isolate every test: no interned variables, empty polynomial pool,
-    zeroed audit counters."""
+    """Isolate every test: no interned variables, empty polynomial pool
+    and caches."""
     reset_session()
     yield
     reset_session()

@@ -137,13 +137,6 @@ def test_exit_2_on_a_bad_flag_before_the_engine_runs(flag, mode, monkeypatch, ca
     assert err.startswith("usage error: ")
 
 
-def test_exit_2_on_a_non_integer_seed(monkeypatch, capsys):
-    monkeypatch.setenv("PARMREACH_SEED", "abc")
-    code, out, err = _run(["check", FIG2, "--mode", "elim", "--order", "random"], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("usage error: PARMREACH_SEED")
-
-
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     def broken(m):
         raise ValueError("empty state set")

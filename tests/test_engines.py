@@ -10,6 +10,7 @@ import pytest
 
 from fuzzgen import graph_preserving_point, random_preprocessed
 from parmreach import (
+    elimination,
     eliminate_all,
     evaluate,
     model_check,
@@ -20,8 +21,9 @@ from parmreach import (
     scc_mc,
 )
 from parmreach.benchgen import zeroconf
-from parmreach.model import SccTree, build_scc_tree, parse_expression
-from parmreach.ratfun import rf_add, rf_const, rf_div
+from parmreach.elimination import ConservationBroken, SelfLoopProbabilityOne
+from parmreach.model import Pdtmc, SccTree, build_scc_tree, parse_expression
+from parmreach.ratfun import rf_add, rf_const, rf_div, rf_mul, rf_one
 from parmreach.scc_mc import AbstractionInvariantBroken
 
 ENGINES = {"scc": model_check, "elim": eliminate_all}
@@ -134,3 +136,28 @@ def test_every_input_of_every_solved_component_is_audited(fig2_text):
     expected = sum(len(node.inputs) for node in tree) + len(final_pass)
     assert expected == 5  # s6, s7, s2 and s3, then s1
     assert model_check(m).stats.abstraction_sites == expected
+
+
+def test_a_planted_arithmetic_bug_breaks_the_elimination_audit(monkeypatch, fig2_text):
+    m = preprocess(parse_model(fig2_text))
+    monkeypatch.setattr(elimination, "rf_mul", lambda a, b: rf_mul(a, rf_add(b, b)))
+    with pytest.raises(ConservationBroken, match="no longer sum to 1"):
+        eliminate_all(m)
+
+
+@pytest.mark.parametrize(
+    "succ, message",
+    [
+        # removing b leaves the initial state a returning to itself surely
+        ({"a": "b", "b": "a"}, "initial state 'a' returns to itself"),
+        # removing c first leaves b a self-loop of probability 1
+        ({"a": "b", "b": "c", "c": "b"}, "state 'b' has self-loop probability 1"),
+    ],
+)
+def test_a_loop_of_probability_one_cannot_be_eliminated(succ, message):
+    # built by hand: preprocessing would not leave a closed loop in the model
+    trans = {s: {t: rf_one()} for s, t in succ.items()}
+    trans["t"] = {"t": rf_one()}
+    m = Pdtmc([*succ, "t"], [], {"a": rf_one()}, trans, ["t"])
+    with pytest.raises(SelfLoopProbabilityOne, match=message):
+        eliminate_all(m)
