@@ -297,13 +297,14 @@ class Factorization:
         return out
 
     def __str__(self) -> str:
+        """Factors sorted by their printed base, the constant last, so the
+        text does not depend on the order the pool interned them in."""
         if not self.factors:
             return "0"
-        parts = []
-        for h, e in self.factors:
-            base = f"({_pool.poly(h)})"
-            parts.append(base if e == 1 else f"{base}^{e}")
-        return "*".join(parts)
+        bases = sorted(
+            (_pool.poly(h).is_constant, f"({_pool.poly(h)})", e) for h, e in self.factors
+        )
+        return "*".join(base if e == 1 else f"{base}^{e}" for _, base, e in bases)
 
     def __repr__(self) -> str:
         return f"Factorization[{self}]"
