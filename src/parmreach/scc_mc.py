@@ -5,7 +5,7 @@ model by its *abstraction*: direct edges from the input states of ``K``
 to its output states, labeled with the exact probabilities of
 eventually crossing from input to output.  Loops are handled innermost
 first, so by the time a component is solved, everything strictly inside
-it is already loop-free and a single backward pass over the DAG
+it is already loop-free and one forward pass over the DAG per input
 suffices.
 
 The components come from :func:`~parmreach.model.build_scc_tree`, and
@@ -191,28 +191,6 @@ def _reverse_topological(rows: _Rows, region: Sequence[str]) -> list[str]:
     return order
 
 
-def _first_hits(
-    rows: _Rows,
-    s: str,
-    w: Mapping[str, Mapping[str, RationalFunction]],
-    terminals: set[str],
-) -> dict[str, RationalFunction]:
-    """Probabilities of reaching each terminal from ``s`` through the
-    interior states already in ``w``."""
-    acc: dict[str, RationalFunction] = {}
-    for t, prob in rows[s].items():
-        if t in terminals:
-            acc[t] = rf_add(acc.get(t, rf_zero()), prob)
-        elif t in w:
-            for tau, val in w[t].items():
-                acc[tau] = rf_add(acc.get(tau, rf_zero()), rf_mul(prob, val))
-        else:
-            raise AbstractionInvariantBroken(
-                f"edge {s!r} -> {t!r} escapes the component being solved"
-            )
-    return acc
-
-
 def _audit_site(
     site: str,
     abs_row: Mapping[str, RationalFunction],
@@ -246,8 +224,14 @@ def solve_multi_input(
 ) -> AbstractionResult:
     """Abstraction of a component whose interior is loop-free.
 
-    One backward pass over the interior gives each input's first hits
-    on the outputs and on the inputs.  The inputs' mutual-visit
+    One forward pass per input, over the interior in topological order,
+    pushes the probability of reaching each interior state along its
+    edges and collects the input's first hits on the outputs and on the
+    inputs.  The reach probabilities from one input share their prefix
+    as a common factor, which addition keeps factored out
+    (:func:`~parmreach.factorizations.fadd`).  Every
+    interior and input row is first checked for edges that escape the
+    component, reached or not.  The inputs' mutual-visit
     equations ``v_i = b_i + sum_j A_ij v_j`` are then solved once per
     input: for input i, every other input variable is eliminated from a
     working copy, leaving the unnormalized crossing functions (the
@@ -265,11 +249,27 @@ def solve_multi_input(
             abs_probs[(s, outputs[0])] = rf_one()
         return AbstractionResult(abs_probs, (), len(inputs))
 
+    inside = set(interior)
     terminals = set(outputs) | set(inputs)
-    w: dict[str, dict[str, RationalFunction]] = {}
-    for s in _reverse_topological(rows, interior):
-        w[s] = _first_hits(rows, s, w, terminals)
-    ivals = {s: _first_hits(rows, s, w, terminals) for s in inputs}
+    for s in (*interior, *inputs):
+        for t in rows[s]:
+            if t not in inside and t not in terminals:
+                raise AbstractionInvariantBroken(
+                    f"edge {s!r} -> {t!r} escapes the component being solved"
+                )
+    order = _reverse_topological(rows, interior)[::-1]
+    ivals: dict[str, dict[str, RationalFunction]] = {}
+    for i in inputs:
+        reach: dict[str, RationalFunction] = {}
+        hits: dict[str, RationalFunction] = {}
+        for u in (i, *order):
+            weight = rf_one() if u == i else reach.get(u)
+            if weight is None:
+                continue  # i does not reach u
+            for t, prob in rows[u].items():
+                acc = reach if t in inside else hits
+                acc[t] = rf_add(acc.get(t, rf_zero()), rf_mul(weight, prob))
+        ivals[i] = hits
 
     abs_probs = {}
     for target_input in inputs:
@@ -436,9 +436,10 @@ def assemble_result(
                 Constraint(ConstraintKind.EDGE_POSITIVE, f, f"edge {s!r} -> {t!r}")
             )
 
+    pool = pool_stats()
     stats = CheckStats(
-        stored_polynomials=pool_stats().stored_polynomials,
-        gcd_kernel_calls=pool_stats().gcd_kernel_calls,
+        stored_polynomials=pool.stored_polynomials,
+        gcd_kernel_calls=pool.gcd_kernel_calls,
         abstraction_sites=abstraction_sites,
         elapsed_seconds=time.perf_counter() - started,
     )

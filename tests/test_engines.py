@@ -17,10 +17,11 @@ from parmreach import (
     numeric_reachability,
     parse_model,
     preprocess,
+    reset_session,
     rf_eval,
     scc_mc,
 )
-from parmreach.benchgen import zeroconf
+from parmreach.benchgen import brp, zeroconf
 from parmreach.elimination import ConservationBroken, SelfLoopProbabilityOne
 from parmreach.model import Pdtmc, SccTree, build_scc_tree, parse_expression
 from parmreach.ratfun import rf_add, rf_const, rf_div, rf_mul, rf_one
@@ -127,6 +128,73 @@ def test_an_edge_escaping_the_component_is_caught():
     rows = {"i": {"a": half, "o1": half}, "a": {"o2": half, "x": half}}
     with pytest.raises(AbstractionInvariantBroken, match="'a' -> 'x' escapes"):
         scc_mc.solve_multi_input(rows, ["i"], ["o1", "o2"], ["a"])
+
+
+def test_an_escaping_edge_is_caught_on_a_state_no_input_reaches():
+    half = rf_const(Fraction(1, 2))
+    rows = {
+        "i": {"a": half, "o1": half},
+        "a": {"o1": half, "o2": half},
+        "b": {"o2": half, "x": half},  # no input reaches b
+    }
+    with pytest.raises(AbstractionInvariantBroken, match="'b' -> 'x' escapes"):
+        scc_mc.solve_multi_input(rows, ["i"], ["o1", "o2"], ["a", "b"])
+
+
+TWO_INPUTS = """\
+@params p q
+@state i
+@state j
+@state a
+@state b
+@state goal
+@state fail
+@init i : 1/2
+@init j : 1/2
+@trans i -> a : p
+@trans i -> j : 1 - p
+@trans j -> b : q
+@trans j -> i : 1 - q
+@trans a -> goal : 1/2
+@trans a -> b : 1/2
+@trans b -> goal : q
+@trans b -> fail : (1 - q) / 2
+@trans b -> i : (1 - q) / 2
+@trans goal -> goal : 1
+@trans fail -> fail : 1
+@target goal
+"""
+
+
+def test_two_inputs_with_an_interior_state_only_one_of_them_reaches():
+    # a is reached from i only; b from both inputs, and b leads back to i
+    m = preprocess(parse_model(TWO_INPUTS))
+    rows = {s: dict(m.row(s)) for s in m.states}
+    result = scc_mc.solve_multi_input(rows, ["i", "j"], ["goal", "fail"], ["a", "b"])
+    assert result.sites == 2
+
+    elim = eliminate_all(m)
+    point = {v: Fraction(k, 7) for k, v in zip((2, 3), m.params)}
+    exact = numeric_reachability(evaluate(m, point), m.initial_states, m.targets)
+    for s in ("i", "j"):
+        f = result.abs_probs[(s, "goal")]
+        assert f == elim.per_pair[(s, "goal")], s
+        assert rf_eval(f, point) == exact[(s, "goal")], s
+        assert rf_add(f, result.abs_probs[(s, "fail")]) == rf_one(), s
+
+
+def _stored_polynomials(engine, text: str) -> int:
+    reset_session()
+    return engine(preprocess(parse_model(text))).stats.stored_polynomials
+
+
+def test_the_scc_engine_keeps_the_pool_small_on_an_acyclic_model():
+    # brp is one loop-free component: reach probabilities from its input
+    # share their prefixes, so few new bases should enter the pool
+    text = brp(16, 4)
+    scc = _stored_polynomials(model_check, text)
+    elim = _stored_polynomials(eliminate_all, text)
+    assert scc <= 1.5 * elim, (scc, elim)
 
 
 def test_every_input_of_every_solved_component_is_audited(fig2_text):
