@@ -229,9 +229,9 @@ def solve_multi_input(
     edges and collects the input's first hits on the outputs and on the
     inputs.  The reach probabilities from one input share their prefix
     as a common factor, which addition keeps factored out
-    (:func:`~parmreach.factorizations.fadd`).  Every
-    interior and input row is first checked for edges that escape the
-    component, reached or not.  The inputs' mutual-visit
+    (:func:`~parmreach.factorizations.fadd`).  Every interior and input
+    row is first checked for edges that escape the component, reached
+    or not.  The inputs' mutual-visit
     equations ``v_i = b_i + sum_j A_ij v_j`` are then solved once per
     input: for input i, every other input variable is eliminated from a
     working copy, leaving the unnormalized crossing functions (the
