@@ -75,8 +75,6 @@ from .ratfun import (
 from .scc_mc import (
     AbstractionInvariantBroken,
     CheckStats,
-    Constraint,
-    ConstraintKind,
     NoTargets,
     ReachabilityResult,
     collect_constraints,
@@ -100,8 +98,6 @@ __all__ = [
     "eliminate_all",
     "ReachabilityResult",
     "CheckStats",
-    "Constraint",
-    "ConstraintKind",
     "collect_constraints",
     # numeric ground truth
     "numeric_reachability",

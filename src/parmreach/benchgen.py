@@ -80,6 +80,12 @@ def generate(spec: BenchSpec) -> str:
     return zeroconf(spec.size)
 
 
+def _check_cap(states: int) -> None:
+    """Refuse an instance of ``states`` states above the cap before building it."""
+    if states > STATE_CAP:
+        raise SizeCapExceeded(f"instance would have {states} states (cap {STATE_CAP})")
+
+
 _Edges = dict[str, dict[str, str]]
 
 
@@ -105,11 +111,6 @@ def _emit(
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
-    if len(order) > STATE_CAP:
-        raise SizeCapExceeded(
-            f"instance would have {len(order)} states (cap {STATE_CAP})"
-        )
-
     lines = [f"# {header}"]
     if params:
         lines.append("@params " + " ".join(params))
@@ -141,6 +142,8 @@ def brp(chunks: int, max_retries: int) -> str:
     """
     if chunks < 1 or max_retries < 0:
         raise ValueError("need chunks >= 1 and max_retries >= 0")
+    # per chunk: sends 0..max, resends 1..max and waits 0..max; three sinks
+    _check_cap(chunks * (3 * max_retries + 2) + 3)
     edges: _Edges = {}
 
     def send(i: int, t: int, d: int) -> str:
@@ -189,6 +192,9 @@ def crowds(crowd_size: int, rounds: int) -> str:
     """
     if crowd_size < 2 or rounds < 1:
         raise ValueError("need crowd_size >= 2 and rounds >= 1")
+    # a route and a relay per round and sender observation count (only 0 in
+    # round 1), then safe, and caught from round 2 on
+    _check_cap(3 if rounds == 1 else 4 * rounds)
     edges: _Edges = {}
     hit = f"1/{crowd_size}"
     miss = f"{crowd_size - 1}/{crowd_size}"
@@ -235,6 +241,7 @@ def zeroconf(probes: int) -> str:
     """
     if probes < 1:
         raise ValueError("need probes >= 1")
+    _check_cap(probes + 3)  # the probes, pick, valid and in_use
     edges: _Edges = {}
     _add(edges, "pick", "valid", "1 - q")
     _add(edges, "pick", "probe_1", "q")

@@ -10,8 +10,9 @@ Two subcommands:
 
 Exit codes: 0 on success, 1 when the model itself is at fault (syntax,
 probability sums, absorbing-target violations, …), 2 on usage errors
-(unreadable input, malformed flags, unknown parameter or target names).
-Any other exception is a bug and is not reported as either.
+(unreadable input or unwritable output, malformed flags, unknown
+parameter or target names, ``gen`` sizes out of range or above the
+state cap).  Any other exception is a bug and is not reported as either.
 
 Result output is byte-deterministic for a fixed input and mode;
 the optional ``--stats`` block (wall time, peak memory) is diagnostic
@@ -24,10 +25,10 @@ import argparse
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from . import reset_session
-from .benchgen import BenchSpec, Family, generate
+from .benchgen import BenchSpec, Family, SizeCapExceeded, generate
 from .elimination import eliminate_all
 from .errors import ParmreachError
 from .model import Pdtmc, parse_model, preprocess
@@ -49,6 +50,13 @@ def _read_file(path: str) -> str:
         raise _UsageError(f"cannot read {path!r}: {exc.strerror}") from exc
 
 
+def _open_output(path: str) -> TextIO:
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
 def _parse_eval(text: str, m: Pdtmc) -> dict:
     point: dict = {}
     names = {str(v): v for v in m.params}
@@ -62,6 +70,8 @@ def _parse_eval(text: str, m: Pdtmc) -> dict:
             raise _UsageError(f"--eval entry {piece!r} is not of the form name=value")
         if name not in names:
             raise _UsageError(f"--eval names unknown parameter {name!r}")
+        if names[name] in point:
+            raise _UsageError(f"--eval sets {name!r} twice")
         try:
             point[names[name]] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -92,6 +102,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if point is not None
         else ""
     )
+    if args.constraints_out:
+        _open_output(args.constraints_out).close()  # fail before the engine runs
     result = model_check(m) if args.mode == "scc" else eliminate_all(m)
 
     def render(f: RationalFunction) -> str:
@@ -110,7 +122,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     show("total", result.total)
 
     if args.constraints_out:
-        with open(args.constraints_out, "w", encoding="utf-8") as fh:
+        with _open_output(args.constraints_out) as fh:
             fh.write(collect_constraints(result, m) + "\n")
 
     if args.stats:
@@ -139,9 +151,19 @@ def _peak_memory_mb() -> str:
 def _cmd_gen(args: argparse.Namespace) -> int:
     family = Family(args.family)
     depth = args.max if family is Family.BRP else args.rounds
-    text = generate(BenchSpec(family, args.n, depth))
+    smallest = 2 if family is Family.CROWDS else 1
+    if args.n < smallest:
+        raise _UsageError(f"--n must be at least {smallest} for {family.value}")
+    if family is Family.BRP and depth < 0:
+        raise _UsageError("--max must be at least 0")
+    if family is Family.CROWDS and depth < 1:
+        raise _UsageError("--rounds must be at least 1")
+    try:
+        text = generate(BenchSpec(family, args.n, depth))
+    except SizeCapExceeded as exc:
+        raise _UsageError(str(exc)) from exc
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _open_output(args.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -31,13 +31,7 @@ from .ratfun import (
     rf_sum,
     rf_zero,
 )
-from .scc_mc import (
-    Constraint,
-    ConstraintKind,
-    NoTargets,
-    ReachabilityResult,
-    assemble_result,
-)
+from .scc_mc import NoTargets, ReachabilityResult, assemble_result
 
 __all__ = [
     "SelfLoopProbabilityOne",
@@ -83,7 +77,7 @@ def _remove_state(
     rows: _Rows,
     preds: dict[str, set[str]],
     s: str,
-    constraints: list[Constraint],
+    constraints: list[RationalFunction],
 ) -> None:
     """Remove ``s`` from the working graph in place.
 
@@ -105,13 +99,7 @@ def _remove_state(
             raise SelfLoopProbabilityOne(
                 f"state {s!r} has self-loop probability 1 and cannot be removed"
             )
-        constraints.append(
-            Constraint(
-                ConstraintKind.DENOMINATOR_NONZERO,
-                keep,
-                f"summing out the self-loop of {s!r}",
-            )
-        )
+        constraints.append(keep)
         row_s = {v: rf_div(f, keep) for v, f in row_s.items()}
 
     for u in sorted(incoming):
@@ -129,10 +117,6 @@ def _remove_state(
                     preds[v].add(u)
 
     _audit_rows(rows, incoming, f"after removing {s!r}")
-
-
-def _is_absorbing_row(s: str, row: dict[str, RationalFunction]) -> bool:
-    return set(row) == {s} and row[s].is_one
 
 
 def _removal_sequence(
@@ -171,10 +155,10 @@ def eliminate_all(m: Pdtmc) -> ReachabilityResult:
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
     preds = _predecessor_map(rows)
     initials = set(m.initial_states)
-    absorbing = {s for s in m.states if _is_absorbing_row(s, rows[s])}
+    absorbing = {s for s in m.states if m.is_absorbing(s)}
     candidates = [s for s in m.states if s not in initials and s not in absorbing]
 
-    constraints: list[Constraint] = []
+    constraints: list[RationalFunction] = []
     for s in _removal_sequence(m, rows, preds, candidates):
         _remove_state(rows, preds, s, constraints)
 
@@ -192,7 +176,7 @@ def _solve_initial(
     preds: dict[str, set[str]],
     absorbing: set[str],
     source: str,
-    constraints: list[Constraint],
+    constraints: list[RationalFunction],
 ) -> dict[str, RationalFunction]:
     """Reachability functions from one initial state of the reduced graph.
 
@@ -213,14 +197,7 @@ def _solve_initial(
         raise SelfLoopProbabilityOne(
             f"initial state {source!r} returns to itself with probability 1"
         )
-    if not keep.is_one:
-        constraints.append(
-            Constraint(
-                ConstraintKind.DENOMINATOR_NONZERO,
-                keep,
-                f"summing out the self-loop of initial state {source!r}",
-            )
-        )
+    constraints.append(keep)
     return {
         t: rf_one() if t == source else rf_div(row.get(t, rf_zero()), keep)
         for t in m.targets

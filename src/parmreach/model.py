@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParmreachError
 from .polycore import MissingAssignment, Variable, variable
@@ -57,8 +57,6 @@ __all__ = [
     "Pdtmc",
     "Dtmc",
     "Evaluation",
-    "SccNode",
-    "SccTree",
     "parse_model",
     "parse_expression",
     "evaluate",
@@ -66,7 +64,7 @@ __all__ = [
     "inp",
     "out",
     "tarjan_sccs",
-    "build_scc_tree",
+    "scc_components",
     "preprocess",
 ]
 
@@ -257,6 +255,9 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
 )
 
+# Deeper parentheses are a syntax error, not a RecursionError: a level costs four frames.
+_MAX_NESTING = 100
+
 
 class _ExprParser:
     """Recursive-descent parser producing a RationalFunction.
@@ -286,6 +287,7 @@ class _ExprParser:
             self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def _fail(self, col: int, msg: str) -> None:
         raise ModelSyntaxError(f"{self.where}, column {col + 1}: {msg}")
@@ -355,10 +357,14 @@ class _ExprParser:
                 self._fail(col, f"unknown parameter {text!r} (declare it with @params)")
             return rf_of_variable(v)
         if text == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                self._fail(col, f"parentheses nested deeper than {_MAX_NESTING}")
             value = self._expr()
             tok = self._next()
             if tok[1] != ")":
                 self._fail(tok[2], "expected ')'")
+            self.depth -= 1
             return value
         self._fail(col, f"unexpected {text!r}")
         raise AssertionError("unreachable")
@@ -644,74 +650,38 @@ def _nontrivial(m: Pdtmc, scc: tuple[str, ...]) -> bool:
     return len(scc) > 1 or scc[0] in m.trans.get(scc[0], {})
 
 
-@dataclass(frozen=True, eq=False)
-class SccNode:
-    """One component in the hierarchical decomposition.
+def scc_components(
+    m: Pdtmc, region: Iterable[str]
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Hierarchical decomposition of the subgraph induced by *region*:
+    ``(states, inputs)`` of every looping component, each after the
+    components nested in it.
 
-    Nodes compare and hash by identity, and ``repr`` only counts the
-    children, so none of them walks the hierarchy, however deep.
+    The top-level components are the looping components of the region
+    in the order of :func:`tarjan_sccs`; the components nested in one
+    are the looping components of its states minus its input states.
+    Acyclic pieces and bottom components have nothing to abstract and
+    are left out.  Walked with an explicit stack, so nesting depth is
+    bounded by memory rather than by the recursion limit.
     """
 
-    states: tuple[str, ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    children: tuple["SccNode", ...]
-
-    def __repr__(self) -> str:
-        return (
-            f"SccNode(states={self.states}, inputs={self.inputs}, "
-            f"outputs={self.outputs}, children=<{len(self.children)} nodes>)"
-        )
-
-
-@dataclass(frozen=True)
-class SccTree:
-    """Nested loop structure: top-level components of the whole graph,
-    each decomposed again after removing its own input states."""
-
-    roots: tuple[SccNode, ...]
-
-    def __iter__(self):
-        """Every node, each before the components nested in it."""
-        stack = list(reversed(self.roots))
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-
-def build_scc_tree(m: Pdtmc, restriction: Iterable[str] | None = None) -> SccTree:
-    """Hierarchical decomposition of the subgraph induced by *restriction*
-    (default: all states).
-
-    The roots are the looping components of the subgraph in the order of
-    :func:`tarjan_sccs`; each node's children are the looping components
-    of the node's states minus its input states.  Acyclic pieces and
-    bottom components have nothing to abstract and are left out.  Built
-    with an explicit stack, so nesting depth is bounded by memory rather
-    than by the recursion limit.
-    """
-
-    def looping(region: Iterable[str]) -> list[tuple[str, ...]]:
-        found = [scc for scc in tarjan_sccs(m, region) if _nontrivial(m, scc) and out(m, scc)]
+    def looping(states: Iterable[str]) -> list[tuple[str, ...]]:
+        found = [scc for scc in tarjan_sccs(m, states) if _nontrivial(m, scc) and out(m, scc)]
         return found[::-1]  # popped from the end, so the first comes first
 
-    roots: list[SccNode] = []
     # one frame per open component: (components still to decompose,
-    # nodes finished at this level, the open component and its inputs)
-    stack = [(looping(m.states if restriction is None else restriction), roots, None)]
+    # the open component and its inputs)
+    stack = [(looping(region), None)]
     while stack:
-        pending, done, owner = stack[-1]
+        pending, owner = stack[-1]
         if pending:
             scc = pending.pop()
             inputs = inp(m, scc)
-            stack.append((looping(set(scc).difference(inputs)), [], (scc, inputs)))
+            stack.append((looping(set(scc).difference(inputs)), (scc, inputs)))
             continue
         stack.pop()
         if owner is not None:
-            scc, inputs = owner
-            stack[-1][1].append(SccNode(scc, inputs, out(m, scc), tuple(done)))
-    return SccTree(tuple(roots))
+            yield owner
 
 
 # ---------------------------------------------------------------------------

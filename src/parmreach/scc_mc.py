@@ -8,20 +8,19 @@ first, so by the time a component is solved, everything strictly inside
 it is already loop-free and one forward pass over the DAG per input
 suffices.
 
-The components come from :func:`~parmreach.model.build_scc_tree`, and
-all of them are solved in place on one working copy of the transition
-rows: a component's inputs are those of its tree node, its outputs and
-its interior order are read off the working rows, and
+The components come from :func:`~parmreach.model.scc_components`,
+innermost first, and all of them are solved in place on one working
+copy of the transition rows: a component's inputs come with it, its
+outputs and its interior order are read off the working rows, and
 :func:`substitute` deletes the non-input states and rewrites each
 input's row.  One solver, :func:`solve_multi_input`, serves every
 component: the inputs' mutual-visit equations are solved by symbolic
 variable elimination, separately per input, and with a single input
 this reduces to dividing out the first-return probability.
 
-Every division performed along the way is recorded as a
-:class:`Constraint`, so the final result can be exported as an SMT
-query characterizing the parameter region where the closed forms are
-valid (:func:`collect_constraints`).
+Every divisor used along the way is recorded, so the final result can
+be exported as an SMT query characterizing the parameter region where
+the closed forms are valid (:func:`collect_constraints`).
 
 Internal invariants are checked unconditionally: at every abstraction
 site the outgoing abstracted probabilities must sum to exactly 1, and
@@ -36,12 +35,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParmreachError
 from .factorizations import pool_stats
-from .model import Pdtmc, build_scc_tree
+from .model import Pdtmc, scc_components
 from .polycore import Polynomial, monomial_exponents
 from .ratfun import (
     RationalFunction,
@@ -58,8 +56,6 @@ __all__ = [
     "AbsorbingSubset",
     "NoTargets",
     "AbstractionInvariantBroken",
-    "ConstraintKind",
-    "Constraint",
     "AbstractionResult",
     "ReachabilityResult",
     "CheckStats",
@@ -85,28 +81,15 @@ class AbstractionInvariantBroken(ParmreachError):
     """An always-on internal identity failed; indicates a bug, not bad input."""
 
 
-class ConstraintKind(Enum):
-    EDGE_POSITIVE = "edge-positive"
-    DENOMINATOR_NONZERO = "denominator-nonzero"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """A symbolic side condition collected during the computation."""
-
-    kind: ConstraintKind
-    function: RationalFunction
-    context: str
-
-
 @dataclass(frozen=True)
 class AbstractionResult:
     """Abstraction of one component: ``abs_probs`` maps (input, output)
-    to the normalized crossing probability; ``sites`` counts the
+    to the normalized crossing probability; ``constraints`` are the
+    divisors used, each of which must stay nonzero; ``sites`` counts the
     abstraction sites audited on the way (one per input)."""
 
     abs_probs: Mapping[tuple[str, str], RationalFunction]
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[RationalFunction, ...]
     sites: int
 
 
@@ -120,11 +103,13 @@ class CheckStats:
 
 @dataclass(frozen=True)
 class ReachabilityResult:
-    """Outcome of :func:`model_check`."""
+    """Outcome of :func:`model_check`: ``constraints`` are the divisors
+    the engine used, in order, each of which must stay nonzero for the
+    functions to be valid."""
 
     per_pair: Mapping[tuple[str, str], RationalFunction]
     total: RationalFunction
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[RationalFunction, ...]
     stats: CheckStats
 
 
@@ -240,7 +225,7 @@ def solve_multi_input(
     input nothing is eliminated; with one output no computation is
     needed at all: the crossing probability is 1.
     """
-    constraints: list[Constraint] = []
+    constraints: list[RationalFunction] = []
 
     if len(outputs) == 1:
         abs_probs: dict[tuple[str, str], RationalFunction] = {}
@@ -283,13 +268,7 @@ def solve_multi_input(
         alive = [j for j in inputs if j != target_input]
         for j in alive:
             keep = rf_sub(rf_one(), A[j][j])
-            constraints.append(
-                Constraint(
-                    ConstraintKind.DENOMINATOR_NONZERO,
-                    keep,
-                    f"eliminating input {j!r} while solving for {target_input!r}",
-                )
-            )
+            constraints.append(keep)
             # v_j = (b_j + sum_{k != j} A_jk v_k) / keep
             sub_row = {
                 k: rf_div(A[j][k], keep) for k in inputs if k != j and not A[j][k].is_zero
@@ -313,13 +292,7 @@ def solve_multi_input(
         self_loop = A[target_input][target_input]
 
         escape = rf_sum(raw_row.values())
-        constraints.append(
-            Constraint(
-                ConstraintKind.DENOMINATOR_NONZERO,
-                escape,
-                f"normalization at input {target_input!r}",
-            )
-        )
+        constraints.append(escape)
         row = {t: rf_div(v, escape) for t, v in raw_row.items()}
         _audit_site(f"input {target_input!r}", row, raw_row, self_loop)
         for t, v in row.items():
@@ -355,7 +328,7 @@ def _solve(
     rows: _Rows,
     K: Sequence[str],
     inputs: Sequence[str],
-    constraints: list[Constraint],
+    constraints: list[RationalFunction],
 ) -> int:
     """Replace component K, whose interior is loop-free by now, by
     direct edges from its inputs to its outputs; return the number of
@@ -367,13 +340,12 @@ def _solve(
     return result.sites
 
 
-def _abstract(m: Pdtmc) -> tuple[_Rows, list[Constraint], int]:
+def _abstract(m: Pdtmc) -> tuple[_Rows, list[RationalFunction], int]:
     """Abstract every looping component of ``m`` (initial states
     excluded), each after the components nested in it, then the rest.
 
-    All components are solved on one working copy of the rows.  The
-    hierarchy is walked with an explicit stack, so nesting depth is
-    bounded by memory rather than by the recursion limit.  When a
+    All components are solved on one working copy of the rows, in the
+    order :func:`~parmreach.model.scc_components` yields them.  When a
     component's turn comes, its nested components have already been
     replaced by direct edges, which leaves its interior loop-free.
     The rest is the live (non-absorbing) states; its inputs are the
@@ -381,20 +353,12 @@ def _abstract(m: Pdtmc) -> tuple[_Rows, list[Constraint], int]:
     number of abstraction sites audited.
     """
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
-    constraints: list[Constraint] = []
+    constraints: list[RationalFunction] = []
     sites = 0
-    initials = set(m.initial_states)
-    tree = build_scc_tree(m, [s for s in m.states if s not in initials])
-    stack = [(node, False) for node in reversed(tree.roots)]
-    while stack:
-        node, nested_done = stack.pop()
-        if not nested_done:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
-            continue
+    for states, inputs in scc_components(m, [s for s in m.states if s not in m.init]):
         # nested components left only their input states behind
-        K = [s for s in node.states if s in rows]
-        sites += _solve(m, rows, K, node.inputs, constraints)
+        K = [s for s in states if s in rows]
+        sites += _solve(m, rows, K, inputs, constraints)
 
     # solving never makes a state absorbing or changes an absorbing row
     live = [s for s in m.states if s in rows and not m.is_absorbing(s)]
@@ -407,7 +371,7 @@ def _abstract(m: Pdtmc) -> tuple[_Rows, list[Constraint], int]:
 def assemble_result(
     m: Pdtmc,
     reach: Callable[[str], Mapping[str, RationalFunction]],
-    constraints: list[Constraint],
+    constraints: list[RationalFunction],
     started: float,
     abstraction_sites: int,
 ) -> ReachabilityResult:
@@ -415,9 +379,9 @@ def assemble_result(
 
     ``reach(s)`` maps every target to its reachability function from the
     initial state ``s``; it is called once per initial state, in order,
-    and may append to ``constraints``.  The edge-positivity constraints
-    of ``m`` follow, and ``total`` weights each initial state's target
-    mass by its initial probability.  ``started`` is the
+    and may append divisors to ``constraints``.  ``total`` weights each
+    initial state's target mass by its initial probability.  ``started``
+    is the
     :func:`time.perf_counter` reading the elapsed time counts from.
     """
     per_pair: dict[tuple[str, str], RationalFunction] = {}
@@ -429,12 +393,6 @@ def assemble_result(
             per_pair[(s, t)] = row[t]
             mass = rf_add(mass, row[t])
         total = rf_add(total, rf_mul(m.init[s], mass))
-
-    for s, row in m.trans.items():
-        for t, f in row.items():
-            constraints.append(
-                Constraint(ConstraintKind.EDGE_POSITIVE, f, f"edge {s!r} -> {t!r}")
-            )
 
     pool = pool_stats()
     stats = CheckStats(
@@ -512,11 +470,12 @@ def _content_normalized(p: Polynomial) -> Polynomial:
 def collect_constraints(r: ReachabilityResult, m: Pdtmc) -> str:
     """Render the side conditions as an SMT-LIB 2 script (QF_NRA).
 
-    Per parametric original edge f = n/d: ``0 < n*d`` (the edge keeps
-    positive probability) and ``0 < (d-n)*d`` (it stays below one); per
-    recorded division: ``numerator != 0``.  Constant conditions are
-    trivially true and omitted; duplicates are emitted once.  The script
-    ends with (check-sat) and performs no solving itself.
+    Per recorded divisor, in order: ``numerator != 0``; then per
+    parametric edge f = n/d of ``m``, in row order: ``0 < n*d`` (the
+    edge keeps positive probability) and ``0 < (d-n)*d`` (it stays
+    below one).  Constant conditions are trivially true and omitted;
+    duplicates are emitted once.  The script ends with (check-sat) and
+    performs no solving itself.
     """
     names = {v.id: v.name for v in m.params}
     lines = ["(set-logic QF_NRA)"]
@@ -530,21 +489,20 @@ def collect_constraints(r: ReachabilityResult, m: Pdtmc) -> str:
             seen.add(assertion)
             lines.append(assertion)
 
-    for c in r.constraints:
-        num = c.function.numerator_poly()
-        den = c.function.denominator_poly()
-        if c.kind is ConstraintKind.EDGE_POSITIVE:
-            if c.function.is_constant:
+    for divisor in r.constraints:
+        num = divisor.numerator_poly()
+        if not num.is_constant:
+            emit(f"(assert (not (= {_smt_poly(_content_normalized(num), names)} 0)))")
+    for row in m.trans.values():
+        for f in row.values():
+            if f.is_constant:
                 continue
+            num, den = f.numerator_poly(), f.denominator_poly()
             positive = _content_normalized(num * den)
             emit(f"(assert (< 0 {_smt_poly(positive, names)}))")
             below_one = _content_normalized((den - num) * den)
             if not below_one.is_constant:
                 emit(f"(assert (< 0 {_smt_poly(below_one, names)}))")
-        else:
-            if num.is_constant:
-                continue
-            emit(f"(assert (not (= {_smt_poly(_content_normalized(num), names)} 0)))")
 
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

@@ -124,8 +124,28 @@ def test_exit_2_on_an_unknown_eval_parameter(capsys):
     assert err.startswith("usage error: ") and "'z'" in err
 
 
+def test_exit_1_naming_the_line_on_parentheses_nested_too_deep(tmp_path, capsys):
+    deep = "(" * 1200 + "p" + ")" * 1200
+    model = _write(
+        tmp_path,
+        "@params p\n@state a\n@state b\n@init a : 1\n"
+        f"@trans a -> b : {deep}\n@trans a -> a : 1 - p\n@trans b -> b : 1\n@target b\n",
+    )
+    code, out, err = _run(["check", model], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 5, ") and "nested deeper" in err
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("flag", [["--target", "nosuch"], ["--eval", "zz=1"]])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--target", "nosuch"],
+        ["--eval", "zz=1"],
+        ["--eval", "p=1/3,q=2/5,p=1/2"],
+        ["--constraints-out", str(DATA / "no-such-dir" / "x.smt2")],
+    ],
+)
 def test_exit_2_on_a_bad_flag_before_the_engine_runs(flag, mode, monkeypatch, capsys):
     def engine(*args):
         raise AssertionError("the engine ran")
@@ -133,6 +153,24 @@ def test_exit_2_on_a_bad_flag_before_the_engine_runs(flag, mode, monkeypatch, ca
     monkeypatch.setattr(cli, "model_check", engine)
     monkeypatch.setattr(cli, "eliminate_all", engine)
     code, out, err = _run(["check", FIG2, "--mode", mode, *flag], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "brp", "--n", "0"],
+        ["--family", "brp", "--n", "2", "--max", "-1"],
+        ["--family", "crowds", "--n", "1"],
+        ["--family", "crowds", "--n", "3", "--rounds", "0"],
+        ["--family", "zeroconf", "--n", "0"],
+        ["--family", "brp", "--n", "100000", "--max", "4"],
+        ["--family", "zeroconf", "--n", "4", "-o", str(DATA / "no-such-dir" / "x.pdtmc")],
+    ],
+)
+def test_gen_exits_2_on_a_bad_size_or_output_path(args, capsys):
+    code, out, err = _run(["gen", *args], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ")
 

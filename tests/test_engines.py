@@ -23,7 +23,7 @@ from parmreach import (
 )
 from parmreach.benchgen import brp, zeroconf
 from parmreach.elimination import ConservationBroken, SelfLoopProbabilityOne
-from parmreach.model import Pdtmc, SccTree, build_scc_tree, parse_expression
+from parmreach.model import Pdtmc, parse_expression, scc_components
 from parmreach.ratfun import rf_add, rf_const, rf_div, rf_mul, rf_one
 from parmreach.scc_mc import AbstractionInvariantBroken
 
@@ -61,6 +61,9 @@ def test_engines_agree_with_each_other_and_the_oracle(seed):
         Fraction(0),
     )
     assert rf_eval(scc.total, point) == expected_total
+    # every recorded divisor is nonzero where the functions are evaluated
+    for result in (scc, elim):
+        assert [f for f in result.constraints if rf_eval(f, point) == 0] == []
 
 
 def _closed_form(text: str, formula: str):
@@ -95,17 +98,12 @@ def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
     sys.setrecursionlimit(_frame_depth() + 100)
     try:
         result = model_check(m)
-        nodes = list(build_scc_tree(m))
-        root, twin = nodes[0], build_scc_tree(m).roots[0]
-        shown, hashed, same, equal_twins = repr(root), hash(root), root == root, root == twin
+        components = list(scc_components(m, m.states))
     finally:
         sys.setrecursionlimit(limit)
     assert result.total == rf_const(Fraction(1, 300))
-    # s1..s299, then s2..s299, ..., down to s298, s299
-    assert [node.states[0] for node in nodes] == [f"s{i}" for i in range(1, 299)]
-    assert shown.endswith("children=<1 nodes>)")
-    assert hashed == hash(root)
-    assert same and not equal_twins  # nodes compare by identity
+    # s298, s299 first, then s297..s299, ..., up to s1..s299
+    assert [states[0] for states, _ in components] == [f"s{i}" for i in range(298, 0, -1)]
 
 
 def test_a_planted_arithmetic_bug_breaks_the_abstraction_audit(monkeypatch, fig2_text):
@@ -118,7 +116,7 @@ def test_a_planted_arithmetic_bug_breaks_the_abstraction_audit(monkeypatch, fig2
 def test_a_loop_left_in_the_interior_is_caught(monkeypatch, fig2_text):
     m = preprocess(parse_model(fig2_text))
     # without the hierarchy, the loops of fig2 stay in the final pass
-    monkeypatch.setattr(scc_mc, "build_scc_tree", lambda m, restriction: SccTree(()))
+    monkeypatch.setattr(scc_mc, "scc_components", lambda m, region: iter(()))
     with pytest.raises(AbstractionInvariantBroken, match="still contains a loop"):
         model_check(m)
 
@@ -199,9 +197,9 @@ def test_the_scc_engine_keeps_the_pool_small_on_an_acyclic_model():
 
 def test_every_input_of_every_solved_component_is_audited(fig2_text):
     m = preprocess(parse_model(fig2_text))
-    tree = build_scc_tree(m, [s for s in m.states if s not in m.initial_states])
+    region = [s for s in m.states if s not in m.initial_states]
     final_pass = [s for s in m.initial_states if not m.is_absorbing(s)]
-    expected = sum(len(node.inputs) for node in tree) + len(final_pass)
+    expected = sum(len(inputs) for _, inputs in scc_components(m, region)) + len(final_pass)
     assert expected == 5  # s6, s7, s2 and s3, then s1
     assert model_check(m).stats.abstraction_sites == expected
 

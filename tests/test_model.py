@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from parmreach.benchgen import brp, crowds, zeroconf
+from parmreach.benchgen import (
+    STATE_CAP,
+    BenchSpec,
+    Family,
+    SizeCapExceeded,
+    brp,
+    crowds,
+    generate,
+    zeroconf,
+)
 from parmreach.model import (
     Evaluation,
     ModelSyntaxError,
@@ -14,13 +23,13 @@ from parmreach.model import (
     RowSumNotOne,
     TargetNotAbsorbing,
     UnknownState,
-    build_scc_tree,
     evaluate,
     inp,
     is_graph_preserving,
     out,
     parse_model,
     preprocess,
+    scc_components,
     tarjan_sccs,
 )
 from parmreach.oracle import numeric_reachability
@@ -126,6 +135,18 @@ def test_parse_error_cases():
             "@state a\n@state b\n@init a : 1\n"
             "@trans a -> b : 1\n@trans b -> a : 1\n@target b"
         )
+
+
+@pytest.mark.parametrize("depth", [50, 100])
+def test_nested_parentheses_parse(depth):
+    m = parse_model(TINY.replace("1 - p", "(" * depth + "1 - p" + ")" * depth))
+    assert m.prob("a", "a") == parse_model(TINY).prob("a", "a")
+
+
+def test_parentheses_nested_past_the_limit_are_a_syntax_error():
+    nested = "(" * 101 + "1 - p" + ")" * 101
+    with pytest.raises(ModelSyntaxError, match="line 6, column 102: .* deeper than 100"):
+        parse_model(TINY.replace("1 - p", nested))
 
 
 def test_comments_and_blank_lines_ignored():
@@ -252,36 +273,25 @@ def test_relabeling_invariance(fig2_text):
 
 def test_acyclic_model_has_empty_tree():
     m = parse_model(CHAIN)
-    assert build_scc_tree(m).roots == ()
+    assert list(scc_components(m, m.states)) == []
 
 
 def test_cycle_tree_single_node():
     m = parse_model(CYCLE)
-    tree = build_scc_tree(m)
-    assert len(tree.roots) == 1
-    node = tree.roots[0]
-    assert node.states == ("a", "b", "c")
-    assert node.inputs == ("a",)
-    assert node.outputs == ("d",)
-    assert node.children == ()
+    assert list(scc_components(m, m.states)) == [(("a", "b", "c"), ("a",))]
+    assert out(m, ("a", "b", "c")) == ("d",)
 
 
 def test_golden_model_nested_tree(fig2_text):
     m = parse_model(fig2_text)
-    tree = build_scc_tree(m)
-    assert [n.states for n in tree] == [
-        ("s1", "s2", "s3", "s4", "s6", "s7", "s8"),
-        ("s6", "s7", "s8"),
-        ("s7", "s8"),
-        ("s2", "s3", "s4"),
+    # every component after the ones nested in it
+    assert list(scc_components(m, m.states)) == [
+        (("s7", "s8"), ("s7",)),
+        (("s6", "s7", "s8"), ("s6",)),
+        (("s2", "s3", "s4"), ("s2", "s3")),
+        (("s1", "s2", "s3", "s4", "s6", "s7", "s8"), ("s1",)),
     ]
-    root = tree.roots[0]
-    assert root.inputs == ("s1",)
-    assert root.outputs == ("s5", "s9")
-    inner = {n.states: n for n in tree}
-    assert inner[("s2", "s3", "s4")].inputs == ("s2", "s3")
-    assert inner[("s6", "s7", "s8")].inputs == ("s6",)
-    assert inner[("s7", "s8")].inputs == ("s7",)
+    assert out(m, ("s1", "s2", "s3", "s4", "s6", "s7", "s8")) == ("s5", "s9")
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +371,20 @@ def test_preprocess_preserves_numeric_reachability():
 def test_benchmark_sources_parse(source, states):
     m = parse_model(source)
     assert len(m.states) == states
+
+
+@pytest.mark.parametrize(
+    "at_cap, above",
+    [
+        (BenchSpec(Family.BRP, 19, 87), BenchSpec(Family.BRP, 357, 4)),
+        (BenchSpec(Family.CROWDS, 3, 1250), BenchSpec(Family.CROWDS, 3, 1251)),
+        (BenchSpec(Family.ZEROCONF, 4997), BenchSpec(Family.ZEROCONF, 4998)),
+    ],
+)
+def test_generate_refuses_only_instances_above_the_state_cap(at_cap, above):
+    assert generate(at_cap).count("\n@state ") == STATE_CAP
+    with pytest.raises(SizeCapExceeded, match=f"cap {STATE_CAP}"):
+        generate(above)
 
 
 def test_repr_summarizes(fig2_text):
