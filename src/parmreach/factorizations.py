@@ -22,6 +22,12 @@ Zero is represented by the empty factorization; one by ``{1^1}``.
 Bases are canonical: non-constant bases have positive leading
 coefficient and integer content 1, and each factorization carries at
 most one constant base (which absorbs sign and content).
+
+Pool handle 0 is always the constant 1, so the one factorization is the
+factor tuple ``((0, 1),)`` in every session, and no other canonical
+factorization mentions handle 0.  The pool also records, per handle,
+the value of a constant base (``None`` for a non-constant one), so
+canonicalization folds constants without looking at any polynomial.
 """
 
 from __future__ import annotations
@@ -93,13 +99,18 @@ class _Entry:
 
 
 class PolyPool:
-    """Process-wide interning table for factor bases; interning is idempotent."""
+    """Process-wide interning table for factor bases; interning is idempotent.
+
+    Handle 0 is always the constant 1.  ``consts[h]`` is the integer
+    value of base ``h`` when that base is a constant and ``None``
+    otherwise; it is filled in when the base is interned.
+    """
 
     def __init__(self):
         self._entries: list[_Entry] = []
         self._index: dict[Polynomial, int] = {}
+        self.consts: list[int | None] = []
         self.gcd_kernel_calls = 0
-        # handle 0 is always the constant 1
         self.intern(Polynomial.one())
 
     def intern(self, p: Polynomial) -> int:
@@ -108,6 +119,7 @@ class PolyPool:
             h = len(self._entries)
             self._entries.append(_Entry(p))
             self._index[p] = h
+            self.consts.append(p.constant_value() if p.is_constant else None)
         return h
 
     def poly(self, handle: int) -> Polynomial:
@@ -164,12 +176,15 @@ def pool_stats() -> PoolStats:
 # ---------------------------------------------------------------------------
 
 
+_ONE_FACTORS = ((0, 1),)
+
+
 def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Canonicalize factor pairs: merge duplicates, fold constants into a
     single constant base, drop exponent-0 and base-1 factors, sort by
     handle.  An empty result denotes the polynomial one and is returned
-    as ``((handle_of_one, 1),)``."""
-    p = _pool
+    as ``_ONE_FACTORS``."""
+    consts = _pool.consts
     acc: dict[int, int] = {}
     for h, e in pairs:
         if e:
@@ -179,25 +194,23 @@ def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     for h, e in acc.items():
         if e == 0:
             continue
-        base = p.poly(h)
-        if base.is_constant:
-            c = base.constant_value()
-            if c == 1:
-                continue
-            if c == -1:
-                const = -const if e % 2 else const
-            else:
-                if e < 0:
-                    raise ValueError("negative exponent on a non-unit constant base")
-                const *= c**e
-        else:
+        c = consts[h]
+        if c is None:
             if e < 0:
                 raise ValueError("negative exponent in factorization")
             out.append((h, e))
+        elif c == 1:
+            continue
+        elif c == -1:
+            const = -const if e % 2 else const
+        else:
+            if e < 0:
+                raise ValueError("negative exponent on a non-unit constant base")
+            const *= c**e
     if const != 1:
-        out.append((p.intern(Polynomial.const(const)), 1))
+        out.append((_pool.intern(Polynomial.const(const)), 1))
     if not out:
-        return ((p.intern(Polynomial.one()), 1),)
+        return _ONE_FACTORS
     out.sort()
     return tuple(out)
 
@@ -219,7 +232,7 @@ class Factorization:
 
     @property
     def is_one(self) -> bool:
-        return len(self.factors) == 1 and self.factors[0][1] == 1 and _pool.poly(self.factors[0][0]).is_one
+        return self.factors == _ONE_FACTORS
 
     @classmethod
     def zero(cls) -> "Factorization":
@@ -227,7 +240,7 @@ class Factorization:
 
     @classmethod
     def one(cls) -> "Factorization":
-        return Factorization(((_pool.intern(Polynomial.one()), 1),))
+        return _F_ONE
 
     @classmethod
     def of(cls, p: Polynomial) -> "Factorization":
@@ -311,6 +324,7 @@ class Factorization:
 
 
 _F_ZERO = Factorization(())
+_F_ONE = Factorization(_ONE_FACTORS)
 
 
 def _resolve_memo(handle: int, exp: int) -> list[tuple[int, int]]:
@@ -362,9 +376,7 @@ def fcd(f1: Factorization, f2: Factorization) -> Factorization:
     get split here (that is :func:`gcd_factored`'s job).
     """
     _require_nonzero(f1, f2)
-    other = dict(f2.factors)
-    shared = [(h, min(e, other[h])) for h, e in f1.factors if h in other]
-    return Factorization(_normalize(shared))
+    return Factorization(_split_shared(f1, f2)[0] or _ONE_FACTORS)
 
 
 def fmul(f1: Factorization, f2: Factorization) -> Factorization:
@@ -397,17 +409,44 @@ def fdiv(f1: Factorization, f2: Factorization) -> Factorization:
     :class:`InsufficientRefinement` instead of passing silently.
     """
     _require_nonzero(f1, f2)
-    other = dict(f2.factors)
-    out = []
-    for h, e in f1.factors:
-        out.append((h, max(0, e - other.get(h, 0))))
-    result = Factorization(_normalize(out))
+    result = Factorization(_split_shared(f1, f2)[1] or _ONE_FACTORS)
     if CHECK_DIVISION:
         if poly_mul(result.expand(), f2.expand()) != f1.expand():
             raise InsufficientRefinement(
                 f"cannot divide {f1} by {f2} factor-wise; refine the factorizations first"
             )
     return result
+
+
+def _split_shared(
+    f1: Factorization, f2: Factorization
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The bases *f1* and *f2* share, each with its smaller exponent, and
+    what is left of *f1* and of *f2*, as three factor tuples, in one pass.
+
+    Both operands must be canonical.  Lowering exponents of a canonical
+    tuple keeps it sorted, and its one constant base (exponent 1) is
+    either shared whole or not at all, so the three tuples come out
+    canonical without :func:`_normalize`, except that an empty tuple
+    stands for one.
+    """
+    rest2 = dict(f2.factors)
+    shared: list[tuple[int, int]] = []
+    rest1: list[tuple[int, int]] = []
+    for h, e1 in f1.factors:
+        e2 = rest2.get(h)
+        if e2 is None:
+            rest1.append((h, e1))
+            continue
+        mn = min(e1, e2)
+        shared.append((h, mn))
+        if e1 > mn:
+            rest1.append((h, e1 - mn))
+        if e2 > mn:
+            rest2[h] = e2 - mn
+        else:
+            del rest2[h]
+    return tuple(shared), tuple(rest1), tuple(rest2.items())
 
 
 def fadd(f1: Factorization, f2: Factorization) -> Factorization:
@@ -421,9 +460,7 @@ def fadd(f1: Factorization, f2: Factorization) -> Factorization:
         return f2
     if f2.is_zero:
         return f1
-    d = fcd(f1, f2)
-    c1 = fdiv(f1, d)
-    c2 = fdiv(f2, d)
+    d, c1, c2 = (Factorization(t or _ONE_FACTORS) for t in _split_shared(f1, f2))
     s = c1.expand() + c2.expand()
     if s.is_zero:
         return _F_ZERO
@@ -462,14 +499,6 @@ def _rank(factors: Mapping[int, int]) -> int:
     return sum(e * _size(_pool.poly(h)) for h, e in factors.items())
 
 
-def _pick(d: dict[int, int]) -> int | None:
-    """Smallest handle whose base is not the polynomial one."""
-    for h in sorted(d):
-        if not _pool.poly(h).is_one and d[h] > 0:
-            return h
-    return None
-
-
 def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     """gcd of two factored polynomials, refining as it goes.
 
@@ -492,20 +521,25 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     ('(z)', '(1)', '(x)*(y)')
     """
     _require_nonzero(f1, f2)
+    if f1.is_one or f2.is_one:
+        return GcdTriple(f1, f2, _F_ONE)
     p = _pool
-    g_shared = fcd(f1, f2)
-    work1 = dict(fdiv(f1, g_shared).factors)
-    work2 = dict(fdiv(f2, g_shared).factors)
+    # Neither operand is one, so no multiset below starts with handle 0
+    # (the base 1), and every base added later is a nontrivial gcd or
+    # quotient.  Bases are taken smallest handle first.
+    common_acc, work1, work2 = (dict(t) for t in _split_shared(f1, f2))
     left_acc: dict[int, int] = {}
-    common_acc: dict[int, int] = dict(g_shared.factors)
 
-    while (h1 := _pick(work1)) is not None:
+    while work1:
+        h1 = min(work1)
         e1 = work1.pop(h1)
         r1 = p.poly(h1)
+        irr1 = p.irreducibility(h1)
         shift2: dict[int, int] = {}
         pieces: list[int] = []
         rank_before = _rank(work2) if CHECK_TERMINATION else 0
-        while not r1.is_one and (h2 := _pick(work2)) is not None:
+        while not r1.is_one and work2:
+            h2 = min(work2)
             e2 = work2.pop(h2)
             r2 = p.poly(h2)
             if r1.is_constant and r2.is_constant:
@@ -513,7 +547,7 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
             elif r1 == r2:
                 g = r1
             elif (
-                is_irreducible_heuristic(r1) is Irreducibility.IRREDUCIBLE
+                irr1 is Irreducibility.IRREDUCIBLE
                 and p.irreducibility(h2) is Irreducibility.IRREDUCIBLE
             ):
                 # distinct irreducibles are coprime; skip the kernel
@@ -525,6 +559,7 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
                 shift2[h2] = shift2.get(h2, 0) + e2
             else:
                 r1 = poly_divide_exact(r1, g)
+                irr1 = is_irreducible_heuristic(r1)
                 q2 = poly_divide_exact(r2, g)
                 mn = min(e1, e2)
                 hg = p.intern(g)

@@ -493,19 +493,39 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
 def poly_eval(p: Polynomial, assignment: Mapping[Variable, Fraction]) -> Fraction:
     """Evaluate at a point; exact rational result.
 
+    Works over a common denominator in plain integers.  With each value
+    written ``v = n/d`` and ``m`` the largest exponent of ``v`` in *p*,
+    the term ``c * v**e`` contributes ``c * n**e * d**(m - e)`` to a sum
+    over ``d**m`` (one such factor per variable), so no
+    :class:`~fractions.Fraction` is built until the end.
+
     Raises :class:`MissingAssignment` if a variable occurring in *p*
     has no value.
     """
     by_id = {v.id: val for v, val in assignment.items()}
-    total = Fraction(0)
-    for k, c in p.terms:
-        value = Fraction(1)
+    top: dict[int, int] = {}
+    for k, _ in p.terms:
         for vid, e in monomial_exponents(k):
             if vid not in by_id:
                 raise MissingAssignment(f"no value for variable id {vid}")
-            value *= by_id[vid] ** e
-        total += c * value
-    return total
+            if e > top.get(vid, 0):
+                top[vid] = e
+    denominator = 1
+    tables = []
+    for vid, m in top.items():
+        n, d = by_id[vid].numerator, by_id[vid].denominator
+        n_pow, d_pow = [1] * (m + 1), [1] * (m + 1)
+        for i in range(1, m + 1):
+            n_pow[i] = n_pow[i - 1] * n
+            d_pow[i] = d_pow[i - 1] * d
+        tables.append((vid << 5, [n_pow[e] * d_pow[m - e] for e in range(m + 1)]))
+        denominator *= d_pow[m]
+    total = 0
+    for k, c in p.terms:
+        for shift, t in tables:
+            c *= t[(k >> shift) & _FIELD_MASK]
+        total += c
+    return Fraction(total, denominator)
 
 
 def poly_divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -17,6 +17,15 @@ to be coprime or irreducible.  Products avoid a full re-cancellation:
 for ``(n1/d1) * (n2/d2)`` it suffices to cancel ``n1`` against ``d2``
 and ``n2`` against ``d1``, since each factor was coprime to its own
 denominator already.
+
+Sums with different denominators use Henrici's method (P. Henrici,
+JACM 3, 1956; Knuth, TAOCP vol. 2, section 4.5.1): split
+``d1 = g*d1'`` and ``d2 = g*d2'`` with ``d1'``, ``d2'`` coprime, form
+``s = n1*d2' + n2*d1'`` and cancel ``s`` against ``g`` only.  No
+irreducible factor of ``d1'`` can divide ``s``: it would divide
+``n1*d2'``, but ``n1`` is coprime to ``d1`` and ``d2'`` to ``d1'``.
+The same holds for ``d2'``, so ``s/(g*d1'*d2')`` is fully reduced once
+``s`` and ``g`` are.
 """
 
 from __future__ import annotations
@@ -70,10 +79,10 @@ def _minus_one() -> Factorization:
 
 def _den_sign_fixed(num: Factorization, den: Factorization) -> tuple[Factorization, Factorization]:
     """Move a negative sign from the denominator into the numerator."""
-    p = pool()
-    for h, e in den.factors:
-        base = p.poly(h)
-        if base.is_constant and base.constant_value() < 0:
+    consts = pool().consts
+    for h, _ in den.factors:
+        c = consts[h]
+        if c is not None and c < 0:
             # constant bases always carry exponent 1 after normalization
             m = _minus_one()
             return fmul(num, m), fmul(den, m)
@@ -85,8 +94,6 @@ def _cancel(num: Factorization, den: Factorization) -> tuple[Factorization, Fact
         raise DivisionByZeroFunction("denominator is identically zero")
     if num.is_zero:
         return num, Factorization.one()
-    if den.is_one or num.is_one:
-        return _den_sign_fixed(num, den)
     t = gcd_factored(num, den)
     return _den_sign_fixed(t.cofactor_left, t.cofactor_right)
 
@@ -228,9 +235,14 @@ def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
         num = fadd(a.num, b.num)
         n, d = _cancel(num, a.den)
         return RationalFunction(n, d)
-    num = fadd(fmul(a.num, b.den), fmul(b.num, a.den))
-    n, d = _cancel(num, fmul(a.den, b.den))
-    return RationalFunction(n, d)
+    # Henrici: only the shared part of the denominators can cancel
+    t = gcd_factored(a.den, b.den)
+    num = fadd(fmul(a.num, t.cofactor_right), fmul(b.num, t.cofactor_left))
+    if num.is_zero:
+        return rf_zero()
+    c = gcd_factored(num, t.common)
+    den = fmul(fmul(t.cofactor_left, t.cofactor_right), c.cofactor_right)
+    return RationalFunction(*_den_sign_fixed(c.cofactor_left, den))
 
 
 def rf_neg(a: RationalFunction) -> RationalFunction:

@@ -85,6 +85,15 @@ def test_gamblers_ruin_closed_form(n, engine):
     assert ENGINES[engine](m).total == expected
 
 
+@pytest.mark.parametrize("engine, bound", [("elim", 450), ("scc", 850)])
+def test_sums_do_not_send_whole_denominators_to_the_gcd_kernel(engine, bound):
+    # each sum cancels only against the denominator part its operands
+    # share; cancelling against the whole product denominator made
+    # 890 (elim) and 1,032 (scc) kernel calls here
+    m = preprocess(parse_model(ruin(150)))
+    assert ENGINES[engine](m).stats.gcd_kernel_calls <= bound
+
+
 def _frame_depth() -> int:
     depth, frame = 0, sys._getframe()
     while frame is not None:

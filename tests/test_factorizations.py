@@ -315,3 +315,41 @@ def test_eval_matches_expanded_eval(f):
     x, y = variables("x", "y")
     pt = {x: Fraction(2, 3), y: Fraction(-1, 4)}
     assert f.eval(pt) == poly_eval(f.expand(), pt)
+
+
+@st.composite
+def gcd_operands(draw):
+    """Two factorizations over bases that are shared, constant (with
+    sign), opaque products of other bases, or the one factorization."""
+    x, y = variables("x", "y")
+    X, Y = Polynomial.of_variable(x), Polynomial.of_variable(y)
+    one = Polynomial.one()
+    atoms = _atoms() + [
+        Polynomial.const(-3),
+        Polynomial.const(6),
+        X * X - one,
+        (X + Y) * (Y + one),
+        (X * Y + one) * (X + one) * (X + one),
+    ]
+
+    def pick():
+        if draw(st.integers(0, 5)) == 0:
+            return Factorization.one()
+        f = Factorization.one()
+        for i, e in draw(st.lists(st.tuples(st.integers(0, len(atoms) - 1), st.integers(1, 3)), max_size=3)):
+            f = fmul(f, fpow(Factorization.of(atoms[i]), e))
+        return f
+
+    shared = pick()
+    return fmul(pick(), shared), fmul(pick(), shared)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gcd_operands())
+def test_gcd_factored_splits_into_common_part_and_coprime_cofactors(ops):
+    f1, f2 = ops
+    t = gcd_factored(f1, f2)
+    common = t.common.expand()
+    assert poly_mul(common, t.cofactor_left.expand()) == f1.expand()
+    assert poly_mul(common, t.cofactor_right.expand()) == f2.expand()
+    assert poly_gcd(t.cofactor_left.expand(), t.cofactor_right.expand()).is_one

@@ -357,3 +357,43 @@ def test_monomial_order_compatible_with_multiplication(a, b, c):
     la, lb, lc = a.leading_monomial, b.leading_monomial, c.leading_monomial
     if la < lb:
         assert la + lc < lb + lc
+
+
+def _eval_term_by_term(p, assignment):
+    """Reference evaluation: one Fraction product per term."""
+    by_id = {v.id: val for v, val in assignment.items()}
+    total = Fraction(0)
+    for key, c in p.terms:
+        value = Fraction(1)
+        for vid, e in polycore.monomial_exponents(key):
+            if vid not in by_id:
+                raise MissingAssignment(f"no value for variable id {vid}")
+            value *= by_id[vid] ** e
+        total += c * value
+    return total
+
+
+@st.composite
+def partial_points(draw):
+    """Values for some of x, y, z (zero, negative and non-unit
+    denominators included) plus one for a variable no polynomial uses."""
+    x, y, z, w = variables("x", "y", "z", "w")
+    pt = {}
+    for v in (x, y, z, w):
+        if v is w or draw(st.integers(0, 4)):
+            pt[v] = Fraction(draw(st.integers(-7, 7)), draw(st.integers(1, 9)))
+    return pt
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(max_terms=8, max_exp=5, coeff=50), partial_points())
+def test_eval_matches_term_by_term_fractions(p, pt):
+    try:
+        want = _eval_term_by_term(p, pt)
+    except MissingAssignment as e:
+        with pytest.raises(MissingAssignment, match=f"^{e}$"):
+            poly_eval(p, pt)
+        return
+    got = poly_eval(p, pt)
+    assert isinstance(got, Fraction)
+    assert got == want

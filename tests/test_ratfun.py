@@ -205,3 +205,34 @@ def test_pow_matches_repeated_multiplication():
     assert rf_pow(f, -1) == rf_div(rf_one(), f)
     with pytest.raises(DivisionByZeroFunction):
         rf_pow(rf_zero(), -1)
+
+
+@st.composite
+def addends(draw):
+    """Two rational functions, often with denominator factors in common,
+    sometimes built so that the shared factors cancel from the sum."""
+    a, b = draw(ratfuns()), draw(ratfuns())
+    kind = draw(st.sampled_from(["any", "shared", "cancelling"]))
+    if kind != "any":
+        shared = rf_div(rf_one(), draw(ratfuns()))
+        a, b = rf_mul(a, shared), rf_mul(b, shared)
+    if kind == "cancelling":
+        # b - a, reduced without rf_add, so that a + b == b
+        n1, d1 = a.numerator_poly(), a.denominator_poly()
+        n2, d2 = b.numerator_poly(), b.denominator_poly()
+        b = rf_from_polys(n2 * d1 - n1 * d2, d1 * d2)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(addends())
+def test_sum_equals_the_fully_cancelled_cross_product(ab):
+    # Henrici's addition cancels only against the shared denominator
+    # part; the fully reduced fraction must come out all the same
+    a, b = ab
+    n1, d1 = a.numerator_poly(), a.denominator_poly()
+    n2, d2 = b.numerator_poly(), b.denominator_poly()
+    want = rf_from_polys(n1 * d2 + n2 * d1, d1 * d2)
+    got = rf_add(a, b)
+    assert got.numerator_poly() == want.numerator_poly()
+    assert got.denominator_poly() == want.denominator_poly()
