@@ -27,7 +27,6 @@ from .errors import ParmreachError
 from .factorizations import (
     Factorization,
     GcdTriple,
-    InsufficientRefinement,
     PoolStats,
     gcd_factored,
     pool_stats,
@@ -139,7 +138,6 @@ __all__ = [
     "SelfLoopProbabilityOne",
     "SingularSystem",
     "SizeCapExceeded",
-    "InsufficientRefinement",
     "DivisionByZeroFunction",
     "EvalDenominatorZero",
     "ExponentOverflow",

@@ -8,6 +8,11 @@ geometric series.  Once only initial and absorbing states remain, the
 per-initial reachability function falls out of one final self-loop
 fold.
 
+The removal step itself, :func:`parmreach.scc_mc.eliminate`, is the one
+the SCC engine solves its components with; the audits stay per engine.
+Here every row a removal changed is re-summed symbolically and must
+still cancel to exactly 1.
+
 The result contract matches :func:`parmreach.scc_mc.model_check`
 exactly, so the two engines can be cross-checked symbolically.  States
 are removed greedily, fewest new transitions first; the order does not
@@ -21,32 +26,21 @@ import time
 
 from .errors import ParmreachError
 from .model import Pdtmc
-from .ratfun import (
-    RationalFunction,
-    rf_add,
-    rf_div,
-    rf_mul,
-    rf_one,
-    rf_sub,
-    rf_sum,
-    rf_zero,
+from .ratfun import RationalFunction, rf_div, rf_one, rf_sub, rf_sum, rf_zero
+from .scc_mc import (
+    NoTargets,
+    ReachabilityResult,
+    SelfLoopProbabilityOne,
+    assemble_result,
+    eliminate,
+    predecessor_map,
 )
-from .scc_mc import NoTargets, ReachabilityResult, assemble_result
 
 __all__ = [
     "SelfLoopProbabilityOne",
     "ConservationBroken",
     "eliminate_all",
 ]
-
-
-class SelfLoopProbabilityOne(ParmreachError):
-    """Removal of a state whose self-loop probability cancels to 1.
-
-    Such a state never passes control back, so the geometric series
-    used to sum out its self-loop diverges; the state is effectively
-    absorbing and must stay in the model.
-    """
 
 
 class ConservationBroken(ParmreachError):
@@ -56,67 +50,20 @@ class ConservationBroken(ParmreachError):
 _Rows = dict[str, dict[str, RationalFunction]]
 
 
-def _predecessor_map(rows: _Rows) -> dict[str, set[str]]:
-    preds: dict[str, set[str]] = {s: set() for s in rows}
-    for u, row in rows.items():
-        for v in row:
-            if v in preds:
-                preds[v].add(u)
-    return preds
-
-
-def _audit_rows(rows: _Rows, touched: set[str], context: str) -> None:
-    for u in sorted(touched):
-        if rf_sum(rows[u].values()) != rf_one():
-            raise ConservationBroken(
-                f"outgoing probabilities of {u!r} no longer sum to 1 ({context})"
-            )
-
-
 def _remove_state(
     rows: _Rows,
     preds: dict[str, set[str]],
     s: str,
     constraints: list[RationalFunction],
 ) -> None:
-    """Remove ``s`` from the working graph in place.
-
-    Every predecessor ``u`` gains ``P(u,s) * P(s,v) / (1 - P(s,s))``
-    on its edge to each successor ``v``.  ``rows`` and ``preds`` are
-    kept consistent throughout, and every row that changed is re-summed
-    symbolically: it must still cancel to exactly 1.
-    """
-    row_s = rows.pop(s)
-    loop = row_s.pop(s, None)
-    incoming = preds.pop(s)
-    incoming.discard(s)
-    for v in row_s:
-        preds[v].discard(s)
-
-    if loop is not None:
-        keep = rf_sub(rf_one(), loop)
-        if keep.is_zero:
-            raise SelfLoopProbabilityOne(
-                f"state {s!r} has self-loop probability 1 and cannot be removed"
+    """Eliminate ``s`` (:func:`~parmreach.scc_mc.eliminate`), then re-sum
+    every row that changed symbolically: it must still cancel to exactly 1."""
+    for u in sorted(eliminate(rows, preds, s, constraints)):
+        if rf_sum(rows[u].values()) != rf_one():
+            raise ConservationBroken(
+                f"outgoing probabilities of {u!r} no longer sum to 1 "
+                f"(after removing {s!r})"
             )
-        constraints.append(keep)
-        row_s = {v: rf_div(f, keep) for v, f in row_s.items()}
-
-    for u in sorted(incoming):
-        row_u = rows[u]
-        weight = row_u.pop(s)
-        for v, f in row_s.items():
-            combined = rf_add(row_u.get(v, rf_zero()), rf_mul(weight, f))
-            if combined.is_zero:
-                row_u.pop(v, None)
-                if v in preds:
-                    preds[v].discard(u)
-            else:
-                row_u[v] = combined
-                if v in preds:
-                    preds[v].add(u)
-
-    _audit_rows(rows, incoming, f"after removing {s!r}")
 
 
 def _removal_sequence(
@@ -153,7 +100,7 @@ def eliminate_all(m: Pdtmc) -> ReachabilityResult:
     started = time.perf_counter()
 
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
-    preds = _predecessor_map(rows)
+    preds = predecessor_map(rows)
     initials = set(m.initial_states)
     absorbing = {s for s in m.states if m.is_absorbing(s)}
     candidates = [s for s in m.states if s not in initials and s not in absorbing]

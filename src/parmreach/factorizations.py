@@ -8,10 +8,9 @@ each distinct polynomial once, caches its irreducibility screen, and
 remembers refinements discovered by :func:`gcd_factored` so later
 computations start from the finest known split.
 
-The operator set mirrors the usual arithmetic:
+The operators:
 
-* :func:`fmul` / :func:`fdiv` -- exponent addition / clamped subtraction,
-* :func:`fcm` / :func:`fcd`   -- factor-wise lcm / shared-base divisor,
+* :func:`fmul` / :func:`fpow` -- exponent addition / scaling,
 * :func:`fadd`                -- addition with common factors pulled out,
 * :func:`gcd_factored`        -- gcd of two factorizations that works
   base-by-base, calls the polynomial gcd kernel only on pairs not known
@@ -37,48 +36,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ParmreachError
 from .polycore import (
     Irreducibility,
     Polynomial,
     Variable,
     is_irreducible_heuristic,
     poly_divide_exact,
+    poly_eval,
     poly_gcd,
     poly_mul,
 )
 
 __all__ = [
-    "InsufficientRefinement",
     "PolyPool",
     "PoolStats",
     "pool",
     "reset_pool",
     "Factorization",
     "GcdTriple",
-    "reduce_factorization",
-    "fcm",
-    "fcd",
     "fmul",
     "fpow",
-    "fdiv",
     "fadd",
     "gcd_factored",
     "pool_stats",
 ]
 
-# When enabled, fdiv verifies that the clamped-exponent quotient times the
-# divisor reproduces the dividend, and raises InsufficientRefinement if the
-# factorizations were too coarse for the division to be exact.
-CHECK_DIVISION = False
-
 # When enabled, gcd_factored asserts that its termination rank strictly
 # decreases across outer-loop iterations.
 CHECK_TERMINATION = False
-
-
-class InsufficientRefinement(ParmreachError):
-    """A factorization was too coarse for an exact factor-wise division."""
 
 
 @dataclass(frozen=True)
@@ -300,8 +285,6 @@ class Factorization:
 
     def eval(self, assignment: Mapping[Variable, Fraction]) -> Fraction:
         """Evaluate the represented polynomial without expanding it."""
-        from .polycore import poly_eval
-
         if not self.factors:
             return Fraction(0)
         out = Fraction(1)
@@ -341,44 +324,6 @@ def _resolve_memo(handle: int, exp: int) -> list[tuple[int, int]]:
     return out
 
 
-def _require_nonzero(*fs: Factorization) -> None:
-    for f in fs:
-        if f.is_zero:
-            raise ValueError("operation undefined for the zero factorization")
-
-
-def reduce_factorization(f: Factorization) -> Factorization:
-    """Drop exponent-0 and base-1 factors; canonicalize constants.
-
-    The zero factorization reduces to itself; a factorization whose
-    factors all vanish reduces to ``{1^1}``.
-    """
-    if f.is_zero:
-        return f
-    return Factorization(_normalize(f.factors))
-
-
-def fcm(f1: Factorization, f2: Factorization) -> Factorization:
-    """Factor-wise least common multiple: max exponent per base."""
-    _require_nonzero(f1, f2)
-    acc = dict(f1.factors)
-    for h, e in f2.factors:
-        if acc.get(h, 0) < e:
-            acc[h] = e
-    return Factorization(_normalize(acc.items()))
-
-
-def fcd(f1: Factorization, f2: Factorization) -> Factorization:
-    """Factor-wise common divisor: min exponent over shared bases.
-
-    A common divisor of the represented polynomials, but only as fine as
-    the factorizations themselves -- structurally distinct bases do not
-    get split here (that is :func:`gcd_factored`'s job).
-    """
-    _require_nonzero(f1, f2)
-    return Factorization(_split_shared(f1, f2)[0] or _ONE_FACTORS)
-
-
 def fmul(f1: Factorization, f2: Factorization) -> Factorization:
     """Product: exponents add over the union of bases."""
     if f1.is_zero or f2.is_zero:
@@ -398,24 +343,6 @@ def fpow(f: Factorization, k: int) -> Factorization:
     if f.is_zero or k == 1:
         return f
     return Factorization(_normalize((h, e * k) for h, e in f.factors))
-
-
-def fdiv(f1: Factorization, f2: Factorization) -> Factorization:
-    """Factor-wise quotient with exponents clamped at zero.
-
-    Exact when every factor of *f2* appears in *f1* with at least the
-    same exponent; otherwise the result merely drops the shared part.
-    With :data:`CHECK_DIVISION` enabled, an inexact division raises
-    :class:`InsufficientRefinement` instead of passing silently.
-    """
-    _require_nonzero(f1, f2)
-    result = Factorization(_split_shared(f1, f2)[1] or _ONE_FACTORS)
-    if CHECK_DIVISION:
-        if poly_mul(result.expand(), f2.expand()) != f1.expand():
-            raise InsufficientRefinement(
-                f"cannot divide {f1} by {f2} factor-wise; refine the factorizations first"
-            )
-    return result
 
 
 def _split_shared(
@@ -452,7 +379,7 @@ def _split_shared(
 def fadd(f1: Factorization, f2: Factorization) -> Factorization:
     """Sum that keeps the common factors of both operands factored out.
 
-    The shared part D = fcd(f1, f2) is pulled out, the cofactors are
+    The shared bases D (:func:`_split_shared`) are pulled out, the cofactors are
     expanded and added, and the (possibly reducible) sum becomes a new
     base: ``D * {expand(f1/D) + expand(f2/D)}``.
     """
@@ -520,7 +447,8 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     >>> str(t.cofactor_left), str(t.cofactor_right), str(t.common)
     ('(z)', '(1)', '(x)*(y)')
     """
-    _require_nonzero(f1, f2)
+    if f1.is_zero or f2.is_zero:
+        raise ValueError("gcd undefined for the zero factorization")
     if f1.is_one or f2.is_one:
         return GcdTriple(f1, f2, _F_ONE)
     p = _pool

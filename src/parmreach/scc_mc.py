@@ -5,8 +5,7 @@ model by its *abstraction*: direct edges from the input states of ``K``
 to its output states, labeled with the exact probabilities of
 eventually crossing from input to output.  Loops are handled innermost
 first, so by the time a component is solved, everything strictly inside
-it is already loop-free and one forward pass over the DAG per input
-suffices.
+it is already loop-free.
 
 The components come from :func:`~parmreach.model.scc_components`,
 innermost first, and all of them are solved in place on one working
@@ -14,9 +13,11 @@ copy of the transition rows: a component's inputs come with it, its
 outputs and its interior order are read off the working rows, and
 :func:`substitute` deletes the non-input states and rewrites each
 input's row.  One solver, :func:`solve_multi_input`, serves every
-component: the inputs' mutual-visit equations are solved by symbolic
-variable elimination, separately per input, and with a single input
-this reduces to dividing out the first-return probability.
+component.  It is built from the classic state-elimination step,
+:func:`eliminate`, which the elimination engine uses too: the interior
+is eliminated in topological order, then, per target input, the other
+inputs, and with a single input this reduces to dividing out the
+first-return probability.
 
 Every divisor used along the way is recorded, so the final result can
 be exported as an SMT query characterizing the parameter region where
@@ -56,9 +57,12 @@ __all__ = [
     "AbsorbingSubset",
     "NoTargets",
     "AbstractionInvariantBroken",
+    "SelfLoopProbabilityOne",
     "AbstractionResult",
     "ReachabilityResult",
     "CheckStats",
+    "predecessor_map",
+    "eliminate",
     "induced",
     "solve_single_input",
     "solve_multi_input",
@@ -79,6 +83,15 @@ class NoTargets(ParmreachError):
 
 class AbstractionInvariantBroken(ParmreachError):
     """An always-on internal identity failed; indicates a bug, not bad input."""
+
+
+class SelfLoopProbabilityOne(ParmreachError):
+    """Removal of a state whose self-loop probability cancels to 1.
+
+    Such a state never passes control back, so the geometric series
+    used to sum out its self-loop diverges; the state is effectively
+    absorbing and must stay in the model.
+    """
 
 
 @dataclass(frozen=True)
@@ -121,6 +134,61 @@ class ReachabilityResult:
 # whose rows keep declaration order and in which every solved component
 # has been replaced by direct edges from its inputs to its outputs.
 _Rows = dict[str, dict[str, RationalFunction]]
+
+
+def predecessor_map(rows: _Rows) -> dict[str, set[str]]:
+    """For each state of ``rows``, the states whose rows lead to it."""
+    preds: dict[str, set[str]] = {s: set() for s in rows}
+    for u, row in rows.items():
+        for v in row:
+            if v in preds:
+                preds[v].add(u)
+    return preds
+
+
+def eliminate(
+    rows: _Rows,
+    preds: dict[str, set[str]],
+    s: str,
+    constraints: list[RationalFunction],
+) -> set[str]:
+    """Remove ``s`` from ``rows`` in place; return its predecessors.
+
+    Every predecessor ``u`` gains ``P(u,s) * P(s,v) / (1 - P(s,s))``
+    on its edge to each successor ``v``, and ``1 - P(s,s)`` is recorded
+    in ``constraints`` when ``s`` has a self-loop.  ``preds`` (which
+    must hold every successor of ``s``) is kept consistent with
+    ``rows``.  Nothing is audited here: each engine checks the returned
+    rows its own way.
+    """
+    row_s = rows.pop(s)
+    loop = row_s.pop(s, None)
+    incoming = preds.pop(s)
+    incoming.discard(s)
+    for v in row_s:
+        preds[v].discard(s)
+
+    if loop is not None:
+        keep = rf_sub(rf_one(), loop)
+        if keep.is_zero:
+            raise SelfLoopProbabilityOne(
+                f"state {s!r} has self-loop probability 1 and cannot be removed"
+            )
+        constraints.append(keep)
+        row_s = {v: rf_div(f, keep) for v, f in row_s.items()}
+
+    for u in sorted(incoming):
+        row_u = rows[u]
+        weight = row_u.pop(s)
+        for v, f in row_s.items():
+            combined = rf_add(row_u.get(v, rf_zero()), rf_mul(weight, f))
+            if combined.is_zero:
+                row_u.pop(v, None)
+                preds[v].discard(u)
+            else:
+                row_u[v] = combined
+                preds[v].add(u)
+    return incoming
 
 
 def induced(
@@ -209,24 +277,21 @@ def solve_multi_input(
 ) -> AbstractionResult:
     """Abstraction of a component whose interior is loop-free.
 
-    One forward pass per input, over the interior in topological order,
-    pushes the probability of reaching each interior state along its
-    edges and collects the input's first hits on the outputs and on the
-    inputs.  The reach probabilities from one input share their prefix
-    as a common factor, which addition keeps factored out
-    (:func:`~parmreach.factorizations.fadd`).  Every interior and input
-    row is first checked for edges that escape the component, reached
-    or not.  The inputs' mutual-visit
-    equations ``v_i = b_i + sum_j A_ij v_j`` are then solved once per
-    input: for input i, every other input variable is eliminated from a
-    working copy, leaving the unnormalized crossing functions (the
-    constant terms) and the first-return coefficient ``A'_ii``, which
-    is divided out (recorded as a nonzero side condition).  With one
-    input nothing is eliminated; with one output no computation is
-    needed at all: the crossing probability is 1.
+    Every interior and input row is first checked for edges that escape
+    the component, reached or not.  The interior is then eliminated
+    (:func:`eliminate`) from a copy of the input and interior rows, in
+    topological order, which leaves each input with direct edges to the
+    outputs and to the inputs.  Edges out of one input share their
+    prefix as a common factor, which addition keeps factored out
+    (:func:`~parmreach.factorizations.fadd`).  Then, per target input,
+    the other inputs are eliminated from a copy of those rows: the
+    target's edges to the outputs are its unnormalized crossing
+    functions and its self-loop is the first-return probability.  The
+    crossing functions are divided by their sum (recorded as a nonzero
+    side condition).  With one input nothing is left to eliminate; with
+    one output no computation is needed at all: the crossing
+    probability is 1.
     """
-    constraints: list[RationalFunction] = []
-
     if len(outputs) == 1:
         abs_probs: dict[tuple[str, str], RationalFunction] = {}
         for s in inputs:
@@ -242,61 +307,29 @@ def solve_multi_input(
                 raise AbstractionInvariantBroken(
                     f"edge {s!r} -> {t!r} escapes the component being solved"
                 )
-    order = _reverse_topological(rows, interior)[::-1]
-    ivals: dict[str, dict[str, RationalFunction]] = {}
-    for i in inputs:
-        reach: dict[str, RationalFunction] = {}
-        hits: dict[str, RationalFunction] = {}
-        for u in (i, *order):
-            weight = rf_one() if u == i else reach.get(u)
-            if weight is None:
-                continue  # i does not reach u
-            for t, prob in rows[u].items():
-                acc = reach if t in inside else hits
-                acc[t] = rf_add(acc.get(t, rf_zero()), rf_mul(weight, prob))
-        ivals[i] = hits
+    local: _Rows = {s: dict(rows[s]) for s in (*inputs, *interior)}
+    local.update((t, {}) for t in outputs)
+    preds = predecessor_map(local)
+    constraints: list[RationalFunction] = []
+    for s in _reverse_topological(rows, interior)[::-1]:
+        eliminate(local, preds, s, constraints)
 
     abs_probs = {}
-    for target_input in inputs:
-        # working copy of the input-to-input system
-        A = {
-            i: {j: ivals[i].get(j, rf_zero()) for j in inputs} for i in inputs
-        }
-        b = {
-            i: {t: ivals[i].get(t, rf_zero()) for t in outputs} for i in inputs
-        }
-        alive = [j for j in inputs if j != target_input]
-        for j in alive:
-            keep = rf_sub(rf_one(), A[j][j])
-            constraints.append(keep)
-            # v_j = (b_j + sum_{k != j} A_jk v_k) / keep
-            sub_row = {
-                k: rf_div(A[j][k], keep) for k in inputs if k != j and not A[j][k].is_zero
-            }
-            sub_rhs = {t: rf_div(v, keep) for t, v in b[j].items() if not v.is_zero}
-            for i in inputs:
-                if i == j or not A[i]:
-                    continue  # skip the row being removed and spent rows
-                coeff = A[i][j]
-                if coeff.is_zero:
-                    continue
-                A[i][j] = rf_zero()
-                for k, v in sub_row.items():
-                    A[i][k] = rf_add(A[i][k], rf_mul(coeff, v))
-                for t, v in sub_rhs.items():
-                    b[i][t] = rf_add(b[i][t], rf_mul(coeff, v))
-            A[j] = {}
-            b[j] = {}
-
-        raw_row = {t: v for t, v in b[target_input].items() if not v.is_zero}
-        self_loop = A[target_input][target_input]
+    for target in inputs:
+        work = {u: dict(row) for u, row in local.items()}
+        work_preds = {u: set(ps) for u, ps in preds.items()}
+        for j in inputs:
+            if j != target:
+                eliminate(work, work_preds, j, constraints)
+        raw_row = {t: work[target][t] for t in outputs if t in work[target]}
+        self_loop = work[target].get(target, rf_zero())
 
         escape = rf_sum(raw_row.values())
         constraints.append(escape)
         row = {t: rf_div(v, escape) for t, v in raw_row.items()}
-        _audit_site(f"input {target_input!r}", row, raw_row, self_loop)
+        _audit_site(f"input {target!r}", row, raw_row, self_loop)
         for t, v in row.items():
-            abs_probs[(target_input, t)] = v
+            abs_probs[(target, t)] = v
 
     return AbstractionResult(abs_probs, tuple(constraints), len(inputs))
 

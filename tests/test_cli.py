@@ -26,6 +26,7 @@ GOLDEN = DATA / "golden"
 MODELS = {
     "fig2": (None, "p=1/3,q=2/5"),
     "three": (None, "p=1/3,q=1/2,r=1/5"),
+    "two_inputs": (None, "p=2/7,q=3/7"),
     "brp": (["--family", "brp", "--n", "4", "--max", "2"], "pK=9/10,pL=4/5"),
     "crowds": (["--family", "crowds", "--n", "3", "--rounds", "2"], "p_f=4/5,B=1/10"),
     "zeroconf": (["--family", "zeroconf", "--n", "4"], "p=1/5,q=1/2"),

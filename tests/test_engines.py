@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -10,7 +11,6 @@ import pytest
 
 from fuzzgen import graph_preserving_point, random_preprocessed
 from parmreach import (
-    elimination,
     eliminate_all,
     evaluate,
     model_check,
@@ -24,7 +24,8 @@ from parmreach import (
 from parmreach.benchgen import brp, zeroconf
 from parmreach.elimination import ConservationBroken, SelfLoopProbabilityOne
 from parmreach.model import Pdtmc, parse_expression, scc_components
-from parmreach.ratfun import rf_add, rf_const, rf_div, rf_mul, rf_one
+from parmreach.polycore import variable
+from parmreach.ratfun import rf_add, rf_const, rf_div, rf_mul, rf_one, rf_sub
 from parmreach.scc_mc import AbstractionInvariantBroken
 
 ENGINES = {"scc": model_check, "elim": eliminate_all}
@@ -148,29 +149,7 @@ def test_an_escaping_edge_is_caught_on_a_state_no_input_reaches():
         scc_mc.solve_multi_input(rows, ["i"], ["o1", "o2"], ["a", "b"])
 
 
-TWO_INPUTS = """\
-@params p q
-@state i
-@state j
-@state a
-@state b
-@state goal
-@state fail
-@init i : 1/2
-@init j : 1/2
-@trans i -> a : p
-@trans i -> j : 1 - p
-@trans j -> b : q
-@trans j -> i : 1 - q
-@trans a -> goal : 1/2
-@trans a -> b : 1/2
-@trans b -> goal : q
-@trans b -> fail : (1 - q) / 2
-@trans b -> i : (1 - q) / 2
-@trans goal -> goal : 1
-@trans fail -> fail : 1
-@target goal
-"""
+TWO_INPUTS = (pathlib.Path(__file__).parent / "data" / "two_inputs.pdtmc").read_text()
 
 
 def test_two_inputs_with_an_interior_state_only_one_of_them_reaches():
@@ -188,6 +167,41 @@ def test_two_inputs_with_an_interior_state_only_one_of_them_reaches():
         assert f == elim.per_pair[(s, "goal")], s
         assert rf_eval(f, point) == exact[(s, "goal")], s
         assert rf_add(f, result.abs_probs[(s, "fail")]) == rf_one(), s
+
+
+def _rows(table: dict[str, dict[str, str]]) -> dict:
+    params = {"p": variable("p")}
+    return {u: {v: parse_expression(f, params) for v, f in row.items()} for u, row in table.items()}
+
+
+ROWS = {
+    "i": {"a": "p", "b": "1 - p"},
+    "a": {"a": "1/2", "b": "p/2", "goal": "(1 - p)/2"},
+    "b": {"i": "1/4", "a": "1/4", "goal": "1/2"},
+    "goal": {},
+}
+
+
+@pytest.mark.parametrize(
+    "order, loops", [(("a", "b"), 2), (("b", "a"), 1)], ids=["a_first", "b_first"]
+)
+def test_eliminate_keeps_predecessors_and_records_only_self_loop_divisors(order, loops):
+    rows = _rows(ROWS)
+    preds = scc_mc.predecessor_map(rows)
+    constraints = []
+    for s in order:
+        loop, recorded = rows[s].get(s), len(constraints)
+        before = set(preds[s]) - {s}
+        assert scc_mc.eliminate(rows, preds, s, constraints) == before
+        assert preds == scc_mc.predecessor_map(rows)
+        assert constraints[recorded:] == ([] if loop is None else [rf_sub(rf_one(), loop)])
+    # a has its loop from the start, b gains one only through a
+    assert len(constraints) == loops
+    # i reaches goal with (3 - p^2)/(4 - p), whichever state goes first
+    assert {u: {v: str(f) for v, f in row.items()} for u, row in rows.items()} == {
+        "i": {"i": "(-p^2 + p - 1)/(p - 4)", "goal": "(p^2 - 3)/(p - 4)"},
+        "goal": {},
+    }
 
 
 def _stored_polynomials(engine, text: str) -> int:
@@ -213,11 +227,22 @@ def test_every_input_of_every_solved_component_is_audited(fig2_text):
     assert model_check(m).stats.abstraction_sites == expected
 
 
-def test_a_planted_arithmetic_bug_breaks_the_elimination_audit(monkeypatch, fig2_text):
+AUDITS = {
+    "scc": (AbstractionInvariantBroken, "expected 1"),
+    "elim": (ConservationBroken, "no longer sum to 1"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_planted_bug_in_the_elimination_step_breaks_each_engines_audit(
+    monkeypatch, fig2_text, engine
+):
+    # both engines remove states with scc_mc.eliminate
     m = preprocess(parse_model(fig2_text))
-    monkeypatch.setattr(elimination, "rf_mul", lambda a, b: rf_mul(a, rf_add(b, b)))
-    with pytest.raises(ConservationBroken, match="no longer sum to 1"):
-        eliminate_all(m)
+    monkeypatch.setattr(scc_mc, "rf_mul", lambda a, b: rf_mul(a, rf_add(b, b)))
+    audit, message = AUDITS[engine]
+    with pytest.raises(audit, match=message):
+        ENGINES[engine](m)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Factored-polynomial layer: pool, the five operators, refining gcd."""
+"""Factored-polynomial layer: pool, the operators, refining gcd."""
 
 from fractions import Fraction
 
@@ -9,21 +9,15 @@ import parmreach.factorizations as fz
 from parmreach.factorizations import (
     Factorization,
     GcdTriple,
-    InsufficientRefinement,
     fadd,
-    fcd,
-    fcm,
-    fdiv,
     fmul,
     fpow,
     gcd_factored,
     pool,
     pool_stats,
-    reduce_factorization,
 )
 from parmreach.polycore import (
     Polynomial,
-    poly_divide_exact,
     poly_eval,
     poly_gcd,
     poly_mul,
@@ -42,6 +36,23 @@ def _xyz():
 
 def F(p):
     return Factorization.of(p)
+
+
+def reduce_factorization(f):
+    """The canonical form every operator returns."""
+    return f if f.is_zero else Factorization(fz._normalize(f.factors))
+
+
+def fcd(f1, f2):
+    """Factor-wise common divisor: the shared bases, as ``fadd`` and
+    ``gcd_factored`` split them off."""
+    return Factorization(fz._split_shared(f1, f2)[0] or fz._ONE_FACTORS)
+
+
+def fdiv(f1, f2):
+    """Factor-wise quotient, exponents clamped at zero: what is left of
+    ``f1`` once the shared bases are split off."""
+    return Factorization(fz._split_shared(f1, f2)[1] or fz._ONE_FACTORS)
 
 
 # ---------------------------------------------------------------------------
@@ -77,24 +88,8 @@ def test_zero_factorization_is_empty():
 
 
 # ---------------------------------------------------------------------------
-# common multiple / common divisor
+# common divisor
 # ---------------------------------------------------------------------------
-
-
-def test_fcm_unions_bases():
-    X, Y, Z = _xyz()
-    assert fcm(fmul(F(X), F(Y)), fmul(F(X), F(Z))) == fmul(fmul(F(X), F(Y)), F(Z))
-
-
-def test_fcm_idempotent():
-    X, Y, _ = _xyz()
-    f = fmul(F(X + Y), F(X))
-    assert fcm(f, f) == f
-
-
-def test_fcm_takes_max_exponent():
-    X, Y, _ = _xyz()
-    assert fcm(fpow(F(X), 2), fmul(F(X), F(Y))) == fmul(fpow(F(X), 2), F(Y))
 
 
 def test_fcd_structural_only():
@@ -135,15 +130,6 @@ def test_fdiv_clamps_missing_bases():
     assert fdiv(F(X * Y * Z), F(X)) == F(X * Y * Z)
 
 
-def test_fdiv_checked_mode_flags_inexact_division(monkeypatch):
-    X, Y, Z = _xyz()
-    monkeypatch.setattr(fz, "CHECK_DIVISION", True)
-    with pytest.raises(InsufficientRefinement):
-        fdiv(F(X * Y * Z), F(X))
-    # exact division still passes unflagged
-    assert fdiv(fmul(F(X), F(Y)), F(X)) == F(Y)
-
-
 def test_fadd_pulls_out_common_part():
     X, Y, _ = _xyz()
     got = fadd(F(X), fmul(F(X), F(Y)))
@@ -163,9 +149,8 @@ def test_fadd_zero_handled():
 
 def test_operators_reject_zero_operand():
     X, _, _ = _xyz()
-    for op in (fcm, fcd, fdiv, gcd_factored):
-        with pytest.raises(ValueError):
-            op(F(X), Factorization.zero())
+    with pytest.raises(ValueError):
+        gcd_factored(F(X), Factorization.zero())
     # multiplication absorbs zero instead
     assert fmul(F(X), Factorization.zero()).is_zero
 
@@ -286,13 +271,6 @@ def test_product_invariant_under_all_operators(f1, f2):
     p1, p2 = f1.expand(), f2.expand()
     assert fmul(f1, f2).expand() == poly_mul(p1, p2)
     assert fadd(f1, f2).expand() == p1 + p2
-    # common multiple: each operand divides it; common divisor: divides each
-    cm = fcm(f1, f2).expand()
-    poly_divide_exact(cm, p1)
-    poly_divide_exact(cm, p2)
-    cd = fcd(f1, f2).expand()
-    poly_divide_exact(p1, cd)
-    poly_divide_exact(p2, cd)
 
 
 @settings(max_examples=50, deadline=None)
