@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 
 from .errors import ParmreachError
-from .model import Pdtmc
+from .model import Pdtmc, predecessor_map
 from .ratfun import RationalFunction, rf_div, rf_one, rf_sub, rf_sum, rf_zero
 from .scc_mc import (
     NoTargets,
@@ -33,7 +33,6 @@ from .scc_mc import (
     SelfLoopProbabilityOne,
     assemble_result,
     eliminate,
-    predecessor_map,
 )
 
 __all__ = [

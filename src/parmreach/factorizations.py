@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .polycore import (
-    Irreducibility,
     Polynomial,
     Variable,
     is_irreducible_heuristic,
@@ -75,11 +74,11 @@ class PoolStats:
 
 
 class _Entry:
-    __slots__ = ("poly", "irreducibility", "memo")
+    __slots__ = ("poly", "irreducible", "memo")
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
-        self.irreducibility: Irreducibility | None = None
+        self.irreducible: bool | None = None
         self.memo: tuple[tuple[int, int], ...] | None = None
 
 
@@ -110,11 +109,13 @@ class PolyPool:
     def poly(self, handle: int) -> Polynomial:
         return self._entries[handle].poly
 
-    def irreducibility(self, handle: int) -> Irreducibility:
+    def irreducible(self, handle: int) -> bool:
+        """The cached :func:`~parmreach.polycore.is_irreducible_heuristic`
+        of base ``handle``."""
         e = self._entries[handle]
-        if e.irreducibility is None:
-            e.irreducibility = is_irreducible_heuristic(e.poly)
-        return e.irreducibility
+        if e.irreducible is None:
+            e.irreducible = is_irreducible_heuristic(e.poly)
+        return e.irreducible
 
     def note_kernel_call(self) -> None:
         self.gcd_kernel_calls += 1
@@ -462,7 +463,7 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
         h1 = min(work1)
         e1 = work1.pop(h1)
         r1 = p.poly(h1)
-        irr1 = p.irreducibility(h1)
+        irr1 = p.irreducible(h1)
         shift2: dict[int, int] = {}
         pieces: list[int] = []
         rank_before = _rank(work2) if CHECK_TERMINATION else 0
@@ -474,10 +475,7 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
                 g = poly_gcd(r1, r2)  # plain integer gcd, no kernel needed
             elif r1 == r2:
                 g = r1
-            elif (
-                irr1 is Irreducibility.IRREDUCIBLE
-                and p.irreducibility(h2) is Irreducibility.IRREDUCIBLE
-            ):
+            elif irr1 and p.irreducible(h2):
                 # distinct irreducibles are coprime; skip the kernel
                 g = Polynomial.one()
             else:

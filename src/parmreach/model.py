@@ -19,6 +19,10 @@ Expressions support ``+ - * / ^`` with integer and decimal literals
 Every state's outgoing row must sum to one *symbolically*; so must the
 initial distribution.  Targets must already be absorbing in the file --
 :func:`preprocess` is the programmatic way to absorb them.
+
+The graph routines (:func:`predecessor_map`, :func:`tarjan_sccs`,
+:func:`looping`) work on plain row tables, mappings from a state to its
+successors: ``m.trans`` or an engine's working rows alike.
 """
 
 from __future__ import annotations
@@ -61,9 +65,11 @@ __all__ = [
     "parse_expression",
     "evaluate",
     "is_graph_preserving",
+    "predecessor_map",
     "inp",
     "out",
     "tarjan_sccs",
+    "looping",
     "scc_components",
     "preprocess",
 ]
@@ -121,7 +127,7 @@ class Pdtmc:
     constructions, by design) establish those.
     """
 
-    __slots__ = ("states", "params", "init", "trans", "targets", "_index", "_preds")
+    __slots__ = ("states", "params", "init", "trans", "targets", "_index")
 
     def __init__(
         self,
@@ -167,7 +173,6 @@ class Pdtmc:
         object.__setattr__(self, "trans", norm_trans)
         object.__setattr__(self, "targets", tgt)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_preds", None)
 
     def __setattr__(self, key, value):  # pragma: no cover - guard only
         raise AttributeError("Pdtmc is immutable")
@@ -182,17 +187,6 @@ class Pdtmc:
 
     def prob(self, s: str, t: str) -> RationalFunction:
         return self.trans.get(s, {}).get(t, rf_zero())
-
-    def predecessors(self, s: str) -> tuple[str, ...]:
-        preds = self._preds
-        if preds is None:
-            preds = {t: [] for t in self.states}
-            for u in self.states:
-                for v in self.trans.get(u, {}):
-                    preds[v].append(u)
-            preds = {t: tuple(us) for t, us in preds.items()}
-            object.__setattr__(self, "_preds", preds)
-        return preds[s]
 
     @property
     def initial_states(self) -> tuple[str, ...]:
@@ -394,6 +388,9 @@ def parse_model(text: str) -> Pdtmc:
     init: dict[str, RationalFunction] = {}
     trans: dict[str, dict[str, RationalFunction]] = {}
     targets: list[str] = []
+    # every @init state and @trans pair seen, zero weights included
+    # (init and trans store only the nonzero ones)
+    declared: set[tuple[str, ...]] = set()
 
     def known(name: str, lineno: int) -> str:
         if name not in state_set:
@@ -429,8 +426,9 @@ def parse_model(text: str) -> Pdtmc:
             if not sep:
                 raise ModelSyntaxError(f"{where}: expected '@init <state> : <expr>'")
             s = known(lhs.strip(), lineno)
-            if s in init:
+            if (s,) in declared:
                 raise ModelSyntaxError(f"{where}: duplicate @init for {s!r}")
+            declared.add((s,))
             f = parse_expression(expr, params, where)
             if not f.is_zero:
                 init[s] = f
@@ -441,12 +439,12 @@ def parse_model(text: str) -> Pdtmc:
             src_txt, _, dst_txt = lhs.partition("->")
             s = known(src_txt.strip(), lineno)
             t = known(dst_txt.strip(), lineno)
-            row = trans.setdefault(s, {})
-            if t in row:
+            if (s, t) in declared:
                 raise ModelSyntaxError(f"{where}: duplicate transition {s!r} -> {t!r}")
+            declared.add((s, t))
             f = parse_expression(expr, params, where)
             if not f.is_zero:
-                row[t] = f
+                trans.setdefault(s, {})[t] = f
         elif head == "@target":
             names = rest.split()
             if not names:
@@ -564,15 +562,25 @@ def is_graph_preserving(
 # Graph utilities
 # ---------------------------------------------------------------------------
 
+# Routines that take ``rows`` read any row table, a mapping from a state
+# to its successors: ``m.trans`` or an engine's working copy.
+
+
+def predecessor_map(rows: Mapping[str, Iterable[str]]) -> dict[str, set[str]]:
+    """For each state of ``rows``, the states whose rows lead to it."""
+    preds: dict[str, set[str]] = {s: set() for s in rows}
+    for u, row in rows.items():
+        for v in row:
+            if v in preds:
+                preds[v].add(u)
+    return preds
+
 
 def inp(m: Pdtmc, K: Iterable[str]) -> tuple[str, ...]:
     """Input states of K: initial probability mass or an edge from outside."""
     ks = set(K)
-    result = []
-    for s in m.sort_states(ks):
-        if s in m.init or any(p not in ks for p in m.predecessors(s)):
-            result.append(s)
-    return tuple(result)
+    entered = {t for s, row in m.trans.items() if s not in ks for t in row if t in ks}
+    return m.sort_states(entered | ks.intersection(m.init))
 
 
 def out(m: Pdtmc, K: Iterable[str]) -> tuple[str, ...]:
@@ -586,43 +594,47 @@ def out(m: Pdtmc, K: Iterable[str]) -> tuple[str, ...]:
     return m.sort_states(result)
 
 
-def tarjan_sccs(m: Pdtmc, restriction: Iterable[str] | None = None) -> list[tuple[str, ...]]:
-    """Strongly connected components of the subgraph induced by *restriction*.
+def tarjan_sccs(
+    rows: Mapping[str, Iterable[str]], region: Sequence[str]
+) -> list[tuple[str, ...]]:
+    """Strongly connected components of the subgraph of ``rows`` induced
+    by *region*.
 
-    Returns a partition (singletons included) in reverse topological
-    order of the condensation: a component is emitted only after every
-    component reachable from it.  Iteration follows declaration order,
-    so the output is deterministic.  Iterative implementation; immune to
-    recursion limits on long chains.
+    Returns a partition of the region (singletons included) in reverse
+    topological order of the condensation: a component is emitted only
+    after every component reachable from it.  Roots are taken in the
+    region's order and successors in row order; successors outside the
+    region are skipped, and a state without a row has none.  Each
+    component lists its states in the region's order, so the output is
+    deterministic.  Iterative implementation; immune to recursion limits
+    on long chains.
     """
-    allowed = set(m.states if restriction is None else restriction)
-    order = [s for s in m.states if s in allowed]
+    position = {s: i for i, s in enumerate(region)}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
     sccs: list[tuple[str, ...]] = []
-    counter = 0
 
-    for root in order:
+    for root in region:
         if root in index:
             continue
         # explicit DFS stack of (state, iterator over its successors)
-        work = [(root, iter([t for t in m.trans.get(root, {}) if t in allowed]))]
-        index[root] = low[root] = counter
-        counter += 1
+        work = [(root, iter(rows.get(root, ())))]
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
             s, it = work[-1]
             advanced = False
             for t in it:
+                if t not in position:
+                    continue
                 if t not in index:
-                    index[t] = low[t] = counter
-                    counter += 1
+                    index[t] = low[t] = len(index)
                     stack.append(t)
                     on_stack.add(t)
-                    work.append((t, iter([u for u in m.trans.get(t, {}) if u in allowed])))
+                    work.append((t, iter(rows.get(t, ()))))
                     advanced = True
                     break
                 if t in on_stack:
@@ -641,21 +653,22 @@ def tarjan_sccs(m: Pdtmc, restriction: Iterable[str] | None = None) -> list[tupl
                     comp.append(t)
                     if t == s:
                         break
-                sccs.append(m.sort_states(comp))
+                sccs.append(tuple(sorted(comp, key=position.__getitem__)))
     return sccs
 
 
-def _nontrivial(m: Pdtmc, scc: tuple[str, ...]) -> bool:
-    """A component matters if it can loop: several states, or a self-loop."""
-    return len(scc) > 1 or scc[0] in m.trans.get(scc[0], {})
+def looping(rows: Mapping[str, Iterable[str]], comp: Sequence[str]) -> bool:
+    """Whether a component of :func:`tarjan_sccs` can loop: several
+    states, or a self-loop."""
+    return len(comp) > 1 or comp[0] in rows.get(comp[0], ())
 
 
 def scc_components(
-    m: Pdtmc, region: Iterable[str]
+    m: Pdtmc, region: Sequence[str]
 ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Hierarchical decomposition of the subgraph induced by *region*:
-    ``(states, inputs)`` of every looping component, each after the
-    components nested in it.
+    """Hierarchical decomposition of the subgraph induced by *region*
+    (in declaration order): ``(states, inputs)`` of every looping
+    component, each after the components nested in it.
 
     The top-level components are the looping components of the region
     in the order of :func:`tarjan_sccs`; the components nested in one
@@ -665,19 +678,24 @@ def scc_components(
     bounded by memory rather than by the recursion limit.
     """
 
-    def looping(states: Iterable[str]) -> list[tuple[str, ...]]:
-        found = [scc for scc in tarjan_sccs(m, states) if _nontrivial(m, scc) and out(m, scc)]
+    def nested(states: Sequence[str]) -> list[tuple[str, ...]]:
+        found = [
+            scc
+            for scc in tarjan_sccs(m.trans, states)
+            if looping(m.trans, scc) and out(m, scc)
+        ]
         return found[::-1]  # popped from the end, so the first comes first
 
     # one frame per open component: (components still to decompose,
     # the open component and its inputs)
-    stack = [(looping(region), None)]
+    stack = [(nested(region), None)]
     while stack:
         pending, owner = stack[-1]
         if pending:
             scc = pending.pop()
             inputs = inp(m, scc)
-            stack.append((looping(set(scc).difference(inputs)), (scc, inputs)))
+            entries = set(inputs)
+            stack.append((nested([s for s in scc if s not in entries]), (scc, inputs)))
             continue
         stack.pop()
         if owner is not None:
@@ -706,7 +724,7 @@ def preprocess(m: Pdtmc) -> Pdtmc:
         trans[t] = {t: one}
 
     tmp = Pdtmc(m.states, m.params, m.init, trans, m.targets)
-    for scc in tarjan_sccs(tmp):
+    for scc in tarjan_sccs(trans, m.states):
         if len(scc) < 2:
             continue
         if out(tmp, scc):
@@ -714,16 +732,16 @@ def preprocess(m: Pdtmc) -> Pdtmc:
         for s in inp(tmp, scc):
             trans[s] = {s: one}
 
-    tmp = Pdtmc(m.states, m.params, m.init, trans, m.targets)
     reachable: set[str] = set()
-    frontier = list(tmp.init)
+    frontier = list(m.init)
     while frontier:
         s = frontier.pop()
         if s in reachable:
             continue
         reachable.add(s)
-        frontier.extend(tmp.trans.get(s, {}))
-    keep = [s for s in m.states if s in reachable or s in set(m.targets)]
+        frontier.extend(trans.get(s, {}))
+    reachable.update(m.targets)
+    keep = [s for s in m.states if s in reachable]
     keep_set = set(keep)
     final_trans = {
         s: {t: f for t, f in trans.get(s, {}).items() if t in keep_set}

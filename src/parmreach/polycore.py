@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -38,7 +37,6 @@ __all__ = [
     "monomial_exponents",
     "Polynomial",
     "ExponentOverflow",
-    "Irreducibility",
     "MissingAssignment",
     "NotDivisible",
     "poly_add",
@@ -1080,30 +1078,19 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-class Irreducibility(Enum):
-    """Outcome of the cheap irreducibility screen."""
+def is_irreducible_heuristic(g: Polynomial) -> bool:
+    """Cheap, sound-when-true irreducibility screen.
 
-    IRREDUCIBLE = "irreducible"
-    UNKNOWN = "unknown"
-
-
-def is_irreducible_heuristic(g: Polynomial) -> Irreducibility:
-    """Cheap, sound-when-positive irreducibility screen.
-
-    Returns IRREDUCIBLE only for certificates that need no factoring
-    attempt: constants, bare variables, and content-free polynomials of
-    total degree one.  Everything else is UNKNOWN, which callers must
-    treat as potentially reducible.
+    True certifies irreducibility without a factoring attempt: constants,
+    bare variables, and content-free polynomials of total degree one.
+    False means unknown, which callers must treat as potentially
+    reducible.
     """
     if g.is_zero:
         raise ValueError("irreducibility of the zero polynomial is undefined")
     if g.is_constant:
-        return Irreducibility.IRREDUCIBLE
+        return True
     if len(g.terms) == 1:
         k, c = g.terms[0]
-        if abs(c) == 1 and _key_degree(k) == 1:
-            return Irreducibility.IRREDUCIBLE
-        return Irreducibility.UNKNOWN
-    if g.total_degree() == 1 and g.integer_content() == 1:
-        return Irreducibility.IRREDUCIBLE
-    return Irreducibility.UNKNOWN
+        return abs(c) == 1 and _key_degree(k) == 1
+    return g.total_degree() == 1 and g.integer_content() == 1

@@ -10,14 +10,15 @@ it is already loop-free.
 The components come from :func:`~parmreach.model.scc_components`,
 innermost first, and all of them are solved in place on one working
 copy of the transition rows: a component's inputs come with it, its
-outputs and its interior order are read off the working rows, and
-:func:`substitute` deletes the non-input states and rewrites each
-input's row.  One solver, :func:`solve_multi_input`, serves every
-component.  It is built from the classic state-elimination step,
-:func:`eliminate`, which the elimination engine uses too: the interior
-is eliminated in topological order, then, per target input, the other
-inputs, and with a single input this reduces to dividing out the
-first-return probability.
+outputs are read off the working rows, and :func:`substitute` deletes
+the non-input states and rewrites each input's row.  One solver,
+:func:`solve_multi_input`, serves every component.  It is built from
+the classic state-elimination step, :func:`eliminate`, which the
+elimination engine uses too: the interior is eliminated in the
+topological order that :func:`~parmreach.model.tarjan_sccs` gives on
+the working rows, then, per target input, the other inputs, and with a
+single input this reduces to dividing out the first-return
+probability.
 
 Every divisor used along the way is recorded, so the final result can
 be exported as an SMT query characterizing the parameter region where
@@ -40,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ParmreachError
 from .factorizations import pool_stats
-from .model import Pdtmc, scc_components
+from .model import Pdtmc, looping, predecessor_map, scc_components, tarjan_sccs
 from .polycore import Polynomial, monomial_exponents
 from .ratfun import (
     RationalFunction,
@@ -61,7 +62,6 @@ __all__ = [
     "AbstractionResult",
     "ReachabilityResult",
     "CheckStats",
-    "predecessor_map",
     "eliminate",
     "induced",
     "solve_single_input",
@@ -136,16 +136,6 @@ class ReachabilityResult:
 _Rows = dict[str, dict[str, RationalFunction]]
 
 
-def predecessor_map(rows: _Rows) -> dict[str, set[str]]:
-    """For each state of ``rows``, the states whose rows lead to it."""
-    preds: dict[str, set[str]] = {s: set() for s in rows}
-    for u, row in rows.items():
-        for v in row:
-            if v in preds:
-                preds[v].add(u)
-    return preds
-
-
 def eliminate(
     rows: _Rows,
     preds: dict[str, set[str]],
@@ -208,42 +198,6 @@ def induced(
     return outputs, [s for s in K if s not in entries]
 
 
-def _reverse_topological(rows: _Rows, region: Sequence[str]) -> list[str]:
-    """The region's states, successors before predecessors: a depth-first
-    post-order over the rows, limited to the region, with roots in the
-    region's order.
-
-    The caller guarantees the region is loop-free; a loop here means the
-    innermost-first processing order was violated.
-    """
-    inside = set(region)
-    finished: dict[str, bool] = {}  # False while a state is on the path
-    order: list[str] = []
-    for root in region:
-        if root in finished:
-            continue
-        finished[root] = False
-        path = [(root, iter(rows[root]))]
-        while path:
-            s, successors = path[-1]
-            for t in successors:
-                if t not in inside:
-                    continue
-                if t not in finished:
-                    finished[t] = False
-                    path.append((t, iter(rows[t])))
-                    break
-                if not finished[t]:
-                    raise AbstractionInvariantBroken(
-                        f"interior {list(region)} still contains a loop through {t!r}"
-                    )
-            else:
-                path.pop()
-                finished[s] = True
-                order.append(s)
-    return order
-
-
 def _audit_site(
     site: str,
     abs_row: Mapping[str, RationalFunction],
@@ -278,9 +232,13 @@ def solve_multi_input(
     """Abstraction of a component whose interior is loop-free.
 
     Every interior and input row is first checked for edges that escape
-    the component, reached or not.  The interior is then eliminated
-    (:func:`eliminate`) from a copy of the input and interior rows, in
-    topological order, which leaves each input with direct edges to the
+    the component, reached or not.  :func:`~parmreach.model.tarjan_sccs`
+    on the working rows, limited to the interior, then gives the
+    interior's components; a looping one means the innermost-first
+    order was violated.  Otherwise every component is one state, and
+    the interior is eliminated (:func:`eliminate`) from a copy of the
+    input and interior rows in the reverse of the order they come in,
+    which is topological and leaves each input with direct edges to the
     outputs and to the inputs.  Edges out of one input share their
     prefix as a common factor, which addition keeps factored out
     (:func:`~parmreach.factorizations.fadd`).  Then, per target input,
@@ -311,7 +269,13 @@ def solve_multi_input(
     local.update((t, {}) for t in outputs)
     preds = predecessor_map(local)
     constraints: list[RationalFunction] = []
-    for s in _reverse_topological(rows, interior)[::-1]:
+    order = tarjan_sccs(rows, interior)
+    for comp in order:
+        if looping(rows, comp):
+            raise AbstractionInvariantBroken(
+                f"interior {list(interior)} still contains a loop through {comp[0]!r}"
+            )
+    for (s,) in reversed(order):
         eliminate(local, preds, s, constraints)
 
     abs_probs = {}

@@ -23,7 +23,7 @@ from parmreach import (
 )
 from parmreach.benchgen import brp, zeroconf
 from parmreach.elimination import ConservationBroken, SelfLoopProbabilityOne
-from parmreach.model import Pdtmc, parse_expression, scc_components
+from parmreach.model import Pdtmc, parse_expression, predecessor_map, scc_components
 from parmreach.polycore import variable
 from parmreach.ratfun import rf_add, rf_const, rf_div, rf_mul, rf_one, rf_sub
 from parmreach.scc_mc import AbstractionInvariantBroken
@@ -131,6 +131,13 @@ def test_a_loop_left_in_the_interior_is_caught(monkeypatch, fig2_text):
         model_check(m)
 
 
+def test_a_self_loop_left_in_the_interior_is_caught():
+    half = rf_const(Fraction(1, 2))
+    rows = {"i": {"a": half, "o1": half}, "a": {"a": half, "o2": half}}
+    with pytest.raises(AbstractionInvariantBroken, match="still contains a loop"):
+        scc_mc.solve_multi_input(rows, ["i"], ["o1", "o2"], ["a"])
+
+
 def test_an_edge_escaping_the_component_is_caught():
     half = rf_const(Fraction(1, 2))
     rows = {"i": {"a": half, "o1": half}, "a": {"o2": half, "x": half}}
@@ -187,13 +194,13 @@ ROWS = {
 )
 def test_eliminate_keeps_predecessors_and_records_only_self_loop_divisors(order, loops):
     rows = _rows(ROWS)
-    preds = scc_mc.predecessor_map(rows)
+    preds = predecessor_map(rows)
     constraints = []
     for s in order:
         loop, recorded = rows[s].get(s), len(constraints)
         before = set(preds[s]) - {s}
         assert scc_mc.eliminate(rows, preds, s, constraints) == before
-        assert preds == scc_mc.predecessor_map(rows)
+        assert preds == predecessor_map(rows)
         assert constraints[recorded:] == ([] if loop is None else [rf_sub(rf_one(), loop)])
     # a has its loop from the start, b gains one only through a
     assert len(constraints) == loops

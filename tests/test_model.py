@@ -26,8 +26,10 @@ from parmreach.model import (
     evaluate,
     inp,
     is_graph_preserving,
+    looping,
     out,
     parse_model,
+    predecessor_map,
     preprocess,
     scc_components,
     tarjan_sccs,
@@ -137,6 +139,31 @@ def test_parse_error_cases():
         )
 
 
+@pytest.mark.parametrize(
+    "directives, message",
+    [
+        (
+            "@init a : 1\n@trans a -> b : 0\n@trans a -> b : 1",
+            "line 6: duplicate transition 'a' -> 'b'",
+        ),
+        (
+            "@init a : 1\n@trans a -> b : p - p\n@trans a -> b : 1",
+            "line 6: duplicate transition 'a' -> 'b'",
+        ),
+        (
+            "@init a : 0\n@init a : 1\n@trans a -> b : 1",
+            "line 5: duplicate @init for 'a'",
+        ),
+    ],
+    ids=["zero_weight", "weight_cancelling_to_zero", "zero_init"],
+)
+def test_a_directive_repeated_after_a_zero_weight_is_a_duplicate(directives, message):
+    # a zero weight is not stored, but its directive still counts
+    text = f"@params p\n@state a\n@state b\n{directives}\n@trans b -> b : 1\n"
+    with pytest.raises(ModelSyntaxError, match=message):
+        parse_model(text)
+
+
 @pytest.mark.parametrize("depth", [50, 100])
 def test_nested_parentheses_parse(depth):
     m = parse_model(TINY.replace("1 - p", "(" * depth + "1 - p" + ")" * depth))
@@ -244,20 +271,35 @@ def test_inp_out_inner_component(fig2_text):
 
 def test_dag_gives_singletons_reverse_topological():
     m = parse_model(CHAIN)
-    assert tarjan_sccs(m) == [("c",), ("b",), ("a",)]
+    assert tarjan_sccs(m.trans, m.states) == [("c",), ("b",), ("a",)]
 
 
 def test_cycle_is_one_component():
     m = parse_model(CYCLE)
-    sccs = tarjan_sccs(m)
+    sccs = tarjan_sccs(m.trans, m.states)
     assert ("a", "b", "c") in sccs
     assert sccs.index(("d",)) < sccs.index(("a", "b", "c"))
 
 
 def test_restriction_limits_the_subgraph():
     m = parse_model(CYCLE)
-    # without the edge c -> a (cut by restriction) the cycle disappears
-    assert tarjan_sccs(m, ["b", "c"]) == [("c",), ("b",)]
+    # without the edge c -> a (cut by the region) the cycle disappears
+    assert tarjan_sccs(m.trans, ["b", "c"]) == [("c",), ("b",)]
+
+
+def test_a_row_table_is_walked_in_region_order():
+    rows = {
+        "a": ["b", "x"],  # x is outside the region
+        "b": ["c", "a"],
+        "c": ["b", "y"],  # y is in the region but has no row
+        "d": ["a"],
+        "e": ["e"],
+    }
+    region = ["d", "b", "c", "a", "y", "e"]
+    sccs = tarjan_sccs(rows, region)
+    # roots in region order, states of a component in region order
+    assert sccs == [("y",), ("b", "c", "a"), ("d",), ("e",)]
+    assert [looping(rows, scc) for scc in sccs] == [False, True, False, True]
 
 
 def test_relabeling_invariance(fig2_text):
@@ -266,9 +308,18 @@ def test_relabeling_invariance(fig2_text):
     states = [l for l in lines if l.startswith("@state")]
     rest = [l for l in lines if not l.startswith("@state")]
     m2 = parse_model("\n".join(states[::-1] + rest))
-    assert {frozenset(c) for c in tarjan_sccs(m)} == {
-        frozenset(c) for c in tarjan_sccs(m2)
+    assert {frozenset(c) for c in tarjan_sccs(m.trans, m.states)} == {
+        frozenset(c) for c in tarjan_sccs(m2.trans, m2.states)
     }
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_inputs_are_the_states_entered_from_outside(seed):
+    m = random_pdtmc(random.Random(seed))
+    preds = predecessor_map(m.trans)
+    for scc in tarjan_sccs(m.trans, m.states):
+        entered = [s for s in scc if s in m.init or not preds[s] <= set(scc)]
+        assert inp(m, scc) == tuple(entered), scc
 
 
 def test_acyclic_model_has_empty_tree():
