@@ -12,13 +12,15 @@ innermost first, and all of them are solved in place on one working
 copy of the transition rows: a component's inputs come with it, its
 outputs are read off the working rows, and :func:`substitute` deletes
 the non-input states and rewrites each input's row.  One solver,
-:func:`solve_multi_input`, serves every component.  It is built from
-the classic state-elimination step, :func:`eliminate`, which the
-elimination engine uses too: the interior is eliminated in the
-topological order that :func:`~parmreach.model.tarjan_sccs` gives on
-the working rows, then, per target input, the other inputs, and with a
-single input this reduces to dividing out the first-return
-probability.
+:func:`solve_multi_input`, serves every component.  It checks that the
+component's interior is loop-free, then :func:`reduce_component`
+applies the classic state-elimination step, :func:`eliminate`, in the
+greedy order of :func:`removal_order`: first to the interior, then,
+per target input, to the other inputs; with a single input this
+reduces to dividing out the first-return probability.  The
+elimination engine is that reduction applied to the whole live model
+without a hierarchy, so the two engines agreeing checks the hierarchy,
+and the exact oracle (:mod:`parmreach.oracle`) checks the arithmetic.
 
 Every divisor used along the way is recorded, so the final result can
 be exported as an SMT query characterizing the parameter region where
@@ -35,9 +37,10 @@ actually ran.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ParmreachError
 from .factorizations import pool_stats
@@ -63,9 +66,11 @@ __all__ = [
     "ReachabilityResult",
     "CheckStats",
     "eliminate",
+    "removal_order",
     "induced",
     "solve_single_input",
     "solve_multi_input",
+    "reduce_component",
     "substitute",
     "model_check",
     "assemble_result",
@@ -181,6 +186,41 @@ def eliminate(
     return incoming
 
 
+def removal_order(
+    rows: _Rows, preds: dict[str, set[str]], candidates: Sequence[str]
+) -> Iterator[str]:
+    """Yield ``candidates`` greedily; the caller removes each yielded
+    state from ``rows`` and ``preds`` before it asks for the next.
+
+    The next state is the one whose removal makes the fewest new edges:
+    the product of its current in- and out-degree (the Markowitz score),
+    ties broken by the order of ``candidates``.  A removal changes only
+    the rows of the removed state's predecessors and the predecessor
+    sets of its successors, so only those are scored again; a lazy heap
+    holds every pending state's current score, and entries a rescore
+    left stale are skipped when popped.
+    """
+
+    def score(s: str) -> int:
+        return len(preds[s]) * len(rows[s])
+
+    rank = {s: i for i, s in enumerate(candidates)}
+    pending = {s: score(s) for s in candidates}
+    heap = [(k, rank[s], s) for s, k in pending.items()]
+    heapq.heapify(heap)
+    while heap:
+        k, _, s = heapq.heappop(heap)
+        if pending.get(s) != k:
+            continue
+        del pending[s]
+        touched = {*preds[s], *rows[s]}
+        yield s
+        for t in touched:
+            if t in pending and (new := score(t)) != pending[t]:
+                pending[t] = new
+                heapq.heappush(heap, (new, rank[t], t))
+
+
 def induced(
     m: Pdtmc, rows: _Rows, K: Sequence[str], inputs: Sequence[str]
 ) -> tuple[tuple[str, ...], list[str]]:
@@ -235,20 +275,9 @@ def solve_multi_input(
     the component, reached or not.  :func:`~parmreach.model.tarjan_sccs`
     on the working rows, limited to the interior, then gives the
     interior's components; a looping one means the innermost-first
-    order was violated.  Otherwise every component is one state, and
-    the interior is eliminated (:func:`eliminate`) from a copy of the
-    input and interior rows in the reverse of the order they come in,
-    which is topological and leaves each input with direct edges to the
-    outputs and to the inputs.  Edges out of one input share their
-    prefix as a common factor, which addition keeps factored out
-    (:func:`~parmreach.factorizations.fadd`).  Then, per target input,
-    the other inputs are eliminated from a copy of those rows: the
-    target's edges to the outputs are its unnormalized crossing
-    functions and its self-loop is the first-return probability.  The
-    crossing functions are divided by their sum (recorded as a nonzero
-    side condition).  With one input nothing is left to eliminate; with
-    one output no computation is needed at all: the crossing
-    probability is 1.
+    order was violated.  Otherwise :func:`reduce_component` eliminates
+    the component with :func:`eliminate`.  With one output no
+    computation is needed at all: the crossing probability is 1.
     """
     if len(outputs) == 1:
         abs_probs: dict[tuple[str, str], RationalFunction] = {}
@@ -265,35 +294,60 @@ def solve_multi_input(
                 raise AbstractionInvariantBroken(
                     f"edge {s!r} -> {t!r} escapes the component being solved"
                 )
-    local: _Rows = {s: dict(rows[s]) for s in (*inputs, *interior)}
-    local.update((t, {}) for t in outputs)
-    preds = predecessor_map(local)
-    constraints: list[RationalFunction] = []
-    order = tarjan_sccs(rows, interior)
-    for comp in order:
+    for comp in tarjan_sccs(rows, interior):
         if looping(rows, comp):
             raise AbstractionInvariantBroken(
                 f"interior {list(interior)} still contains a loop through {comp[0]!r}"
             )
-    for (s,) in reversed(order):
-        eliminate(local, preds, s, constraints)
+    return reduce_component(rows, inputs, outputs, interior, eliminate)
 
-    abs_probs = {}
+
+def reduce_component(
+    rows: _Rows,
+    inputs: Sequence[str],
+    outputs: Sequence[str],
+    interior: Sequence[str],
+    remove: Callable[[_Rows, dict[str, set[str]], str, list[RationalFunction]], object],
+) -> AbstractionResult:
+    """Abstraction of a component by state elimination, unchecked.
+
+    ``remove`` is the removal step: :func:`eliminate` or an audited
+    wrapper of it.  The interior is removed from a copy of the input
+    and interior rows in :func:`removal_order`, which leaves each input
+    with direct edges to the outputs and to the inputs.  Then, per
+    target input, the other inputs are removed from a copy of those
+    rows: the target's edges to the outputs are its unnormalized
+    crossing functions, their sum ``escape`` is recorded as a nonzero
+    divisor, and its self-loop is the first-return probability.  If
+    ``escape`` cancels to zero the input surely returns to itself.
+    Both identities are audited at every input (one site each).
+    """
+    local: _Rows = {s: dict(rows[s]) for s in (*inputs, *interior)}
+    local.update((t, {}) for t in outputs)
+    preds = predecessor_map(local)
+    constraints: list[RationalFunction] = []
+    for s in removal_order(local, preds, interior):
+        remove(local, preds, s, constraints)
+
+    abs_probs: dict[tuple[str, str], RationalFunction] = {}
     for target in inputs:
         work = {u: dict(row) for u, row in local.items()}
         work_preds = {u: set(ps) for u, ps in preds.items()}
         for j in inputs:
             if j != target:
-                eliminate(work, work_preds, j, constraints)
+                remove(work, work_preds, j, constraints)
         raw_row = {t: work[target][t] for t in outputs if t in work[target]}
         self_loop = work[target].get(target, rf_zero())
 
         escape = rf_sum(raw_row.values())
+        if escape.is_zero:
+            raise SelfLoopProbabilityOne(
+                f"initial state {target!r} returns to itself with probability 1"
+            )
         constraints.append(escape)
         row = {t: rf_div(v, escape) for t, v in raw_row.items()}
         _audit_site(f"input {target!r}", row, raw_row, self_loop)
-        for t, v in row.items():
-            abs_probs[(target, t)] = v
+        abs_probs.update(((target, t), v) for t, v in row.items())
 
     return AbstractionResult(abs_probs, tuple(constraints), len(inputs))
 
@@ -367,28 +421,27 @@ def _abstract(m: Pdtmc) -> tuple[_Rows, list[RationalFunction], int]:
 
 def assemble_result(
     m: Pdtmc,
-    reach: Callable[[str], Mapping[str, RationalFunction]],
-    constraints: list[RationalFunction],
+    rows: _Rows,
+    constraints: Sequence[RationalFunction],
     started: float,
     abstraction_sites: int,
 ) -> ReachabilityResult:
     """The result both engines return, once the model is reduced.
 
-    ``reach(s)`` maps every target to its reachability function from the
-    initial state ``s``; it is called once per initial state, in order,
-    and may append divisors to ``constraints``.  ``total`` weights each
-    initial state's target mass by its initial probability.  ``started``
-    is the
-    :func:`time.perf_counter` reading the elapsed time counts from.
+    ``rows`` are the reduced rows: each live initial state's row holds
+    its reachability functions, an absorbing one only its self-loop.
+    ``total`` weights each initial state's target mass by its initial
+    probability.  ``started`` is the :func:`time.perf_counter` reading
+    the elapsed time counts from.
     """
     per_pair: dict[tuple[str, str], RationalFunction] = {}
     total = rf_zero()
     for s in m.initial_states:
-        row = reach(s)
         mass = rf_zero()
         for t in m.targets:
-            per_pair[(s, t)] = row[t]
-            mass = rf_add(mass, row[t])
+            f = rf_one() if s == t else rows[s].get(t, rf_zero())
+            per_pair[(s, t)] = f
+            mass = rf_add(mass, f)
         total = rf_add(total, rf_mul(m.init[s], mass))
 
     pool = pool_stats()
@@ -412,13 +465,7 @@ def model_check(m: Pdtmc) -> ReachabilityResult:
         raise NoTargets("model has no target states")
     started = time.perf_counter()
     rows, constraints, sites = _abstract(m)
-    return assemble_result(
-        m,
-        lambda s: {t: rf_one() if s == t else rows[s].get(t, rf_zero()) for t in m.targets},
-        constraints,
-        started,
-        sites,
-    )
+    return assemble_result(m, rows, constraints, started, sites)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,55 @@ def test_eliminate_keeps_predecessors_and_records_only_self_loop_divisors(order,
     }
 
 
+def test_the_removal_order_matches_a_quadratic_rescan():
+    # signed weights, so that an edge and the weight added to it can cancel
+    weights = [rf_const(Fraction(k, 4)) for k in (-2, -1, 1, 2)]
+    cancelled = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        names = [f"s{i}" for i in range(rng.randint(6, 14))]
+        rows = {
+            s: {t: rng.choice(weights) for t in rng.sample(names, rng.randint(1, 4))}
+            for s in names
+        }
+        preds = predecessor_map(rows)
+        candidates = rng.sample(names, len(names) - 2)
+        remaining = list(candidates)
+        for s in scc_mc.removal_order(rows, preds, candidates):
+            assert s == min(
+                remaining,
+                key=lambda c: (len(preds[c]) * len(rows[c]), candidates.index(c)),
+            ), seed
+            remaining.remove(s)
+            before = {u: set(rows[u]) for u in preds[s] - {s}}
+            successors = set(rows[s]) - {s}
+            scc_mc.eliminate(rows, preds, s, [])
+            cancelled += sum(len((before[u] & successors) - set(rows[u])) for u in before)
+        assert remaining == [], seed
+    assert cancelled > 0
+
+
+def _factored(engine, text: str) -> dict:
+    reset_session()
+    result = engine(preprocess(parse_model(text)))
+    return {pair: f.factored_str() for pair, f in result.per_pair.items()}
+
+
+def test_both_engines_factor_an_acyclic_model_alike():
+    # brp has no looping component, so the scc engine's one final pass
+    # removes the same states in the same order as elim
+    text = brp(16, 4)
+    assert _factored(model_check, text) == _factored(eliminate_all, text)
+
+
+@pytest.mark.parametrize("name, inputs", [("fig2", 1), ("two_inputs", 2)])
+def test_elim_audits_one_site_per_live_initial_state(name, inputs):
+    text = (pathlib.Path(__file__).parent / "data" / f"{name}.pdtmc").read_text()
+    m = preprocess(parse_model(text))
+    assert len([s for s in m.initial_states if not m.is_absorbing(s)]) == inputs
+    assert eliminate_all(m).stats.abstraction_sites == inputs
+
+
 def _stored_polynomials(engine, text: str) -> int:
     reset_session()
     return engine(preprocess(parse_model(text))).stats.stored_polynomials
