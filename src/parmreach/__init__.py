@@ -12,7 +12,9 @@ agreement checks the hierarchy; the exact numeric oracle
 (:func:`numeric_reachability`) checks the arithmetic.  Both build on
 an exact rational-function layer that keeps polynomials factored and
 caches every factorization discovered along the way, so expensive GCD
-kernel work is shared across the whole analysis.
+kernel work is shared across the whole analysis.  All such state lives
+in one :class:`~parmreach.polycore.Session`; :func:`reset_session` starts
+a new one, and values from an ended session raise :class:`StaleValue`.
 
 Typical use::
 
@@ -27,14 +29,7 @@ Typical use::
 from .benchgen import BenchSpec, Family, SizeCapExceeded, generate
 from .elimination import SelfLoopProbabilityOne, eliminate_all
 from .errors import ParmreachError
-from .factorizations import (
-    Factorization,
-    GcdTriple,
-    PoolStats,
-    gcd_factored,
-    pool_stats,
-    reset_pool,
-)
+from .factorizations import Factorization, GcdTriple, gcd_factored
 from .model import (
     Dtmc,
     Evaluation,
@@ -54,9 +49,11 @@ from .polycore import (
     ExponentOverflow,
     Polynomial,
     Rational,
+    StaleValue,
     Variable,
     poly_gcd,
-    reset_variables,
+    reset_session,
+    session,
     variable,
 )
 from .ratfun import (
@@ -123,8 +120,6 @@ __all__ = [
     "Factorization",
     "GcdTriple",
     "gcd_factored",
-    "PoolStats",
-    "pool_stats",
     # benchmarks
     "BenchSpec",
     "Family",
@@ -144,16 +139,8 @@ __all__ = [
     "DivisionByZeroFunction",
     "EvalDenominatorZero",
     "ExponentOverflow",
+    "StaleValue",
     # session management
+    "session",
     "reset_session",
 ]
-
-
-def reset_session() -> None:
-    """Forget all interned variables, pooled polynomials, caches and counters.
-
-    Call between independent analyses in one process when models use
-    unrelated parameter sets; each CLI invocation does this implicitly.
-    """
-    reset_variables()
-    reset_pool()

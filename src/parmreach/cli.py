@@ -27,11 +27,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from . import reset_session
 from .benchgen import BenchSpec, Family, SizeCapExceeded, generate
 from .elimination import eliminate_all
 from .errors import ParmreachError
 from .model import Pdtmc, parse_model, preprocess
+from .polycore import reset_session
 from .ratfun import RationalFunction, rf_eval
 from .scc_mc import collect_constraints, model_check
 

@@ -1,11 +1,12 @@
-"""Shared polynomial pool and factorization-preserving arithmetic.
+"""Factorization-preserving arithmetic over the session's factor pool.
 
 Rational-function arithmetic in this package never expands products
 eagerly.  Instead every polynomial is represented by a *factorization*:
 a set of (base, exponent) pairs whose expanded product is the
-polynomial.  Bases live in a process-wide :class:`PolyPool` that interns
-each distinct polynomial once, caches its irreducibility screen, and
-remembers refinements discovered by :func:`gcd_factored` so later
+polynomial.  Bases live in the pool of the current
+:class:`~parmreach.polycore.Session`, which interns each distinct
+polynomial once under an int handle, caches its irreducibility screen,
+and remembers refinements discovered by :func:`gcd_factored` so later
 computations start from the finest known split.
 
 The operators:
@@ -27,6 +28,9 @@ factor tuple ``((0, 1),)`` in every session, and no other canonical
 factorization mentions handle 0.  The pool also records, per handle,
 the value of a constant base (``None`` for a non-constant one), so
 canonicalization folds constants without looking at any polynomial.
+A factorization from an ended session names handles the current pool
+does not have, so using it raises
+:class:`~parmreach.polycore.StaleValue`.
 """
 
 from __future__ import annotations
@@ -44,20 +48,16 @@ from .polycore import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    session,
 )
 
 __all__ = [
-    "PolyPool",
-    "PoolStats",
-    "pool",
-    "reset_pool",
     "Factorization",
     "GcdTriple",
     "fmul",
     "fpow",
     "fadd",
     "gcd_factored",
-    "pool_stats",
 ]
 
 # When enabled, gcd_factored asserts that its termination rank strictly
@@ -65,96 +65,7 @@ __all__ = [
 CHECK_TERMINATION = False
 
 
-@dataclass(frozen=True)
-class PoolStats:
-    """Snapshot of pool counters."""
-
-    stored_polynomials: int
-    gcd_kernel_calls: int
-
-
-class _Entry:
-    __slots__ = ("poly", "irreducible", "memo")
-
-    def __init__(self, poly: Polynomial):
-        self.poly = poly
-        self.irreducible: bool | None = None
-        self.memo: tuple[tuple[int, int], ...] | None = None
-
-
-class PolyPool:
-    """Process-wide interning table for factor bases; interning is idempotent.
-
-    Handle 0 is always the constant 1.  ``consts[h]`` is the integer
-    value of base ``h`` when that base is a constant and ``None``
-    otherwise; it is filled in when the base is interned.
-    """
-
-    def __init__(self):
-        self._entries: list[_Entry] = []
-        self._index: dict[Polynomial, int] = {}
-        self.consts: list[int | None] = []
-        self.gcd_kernel_calls = 0
-        self.intern(Polynomial.one())
-
-    def intern(self, p: Polynomial) -> int:
-        h = self._index.get(p)
-        if h is None:
-            h = len(self._entries)
-            self._entries.append(_Entry(p))
-            self._index[p] = h
-            self.consts.append(p.constant_value() if p.is_constant else None)
-        return h
-
-    def poly(self, handle: int) -> Polynomial:
-        return self._entries[handle].poly
-
-    def irreducible(self, handle: int) -> bool:
-        """The cached :func:`~parmreach.polycore.is_irreducible_heuristic`
-        of base ``handle``."""
-        e = self._entries[handle]
-        if e.irreducible is None:
-            e.irreducible = is_irreducible_heuristic(e.poly)
-        return e.irreducible
-
-    def note_kernel_call(self) -> None:
-        self.gcd_kernel_calls += 1
-
-    def store_memo(self, handle: int, factors: tuple[tuple[int, int], ...]) -> None:
-        if factors == ((handle, 1),):
-            return  # trivial self-factorization, nothing learned
-        self._entries[handle].memo = factors
-
-    def memo(self, handle: int) -> tuple[tuple[int, int], ...] | None:
-        return self._entries[handle].memo
-
-    def stats(self) -> PoolStats:
-        # handle 0 (the constant 1) is bookkeeping, not a stored polynomial
-        return PoolStats(len(self._entries) - 1, self.gcd_kernel_calls)
-
-
-_pool = PolyPool()
-
-# expanded products per factor tuple; valid for the current pool only
-_EXPAND_CACHE: dict[tuple[tuple[int, int], ...], Polynomial] = {}
 _EXPAND_CACHE_CAP = 65536
-
-
-def pool() -> PolyPool:
-    """The session's shared pool."""
-    return _pool
-
-
-def reset_pool() -> None:
-    """Replace the session pool; factorizations made before the reset
-    must not be used afterwards."""
-    global _pool
-    _pool = PolyPool()
-    _EXPAND_CACHE.clear()
-
-
-def pool_stats() -> PoolStats:
-    return _pool.stats()
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +81,7 @@ def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     single constant base, drop exponent-0 and base-1 factors, sort by
     handle.  An empty result denotes the polynomial one and is returned
     as ``_ONE_FACTORS``."""
-    consts = _pool.consts
+    consts = session().consts
     acc: dict[int, int] = {}
     for h, e in pairs:
         if e:
@@ -194,7 +105,7 @@ def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
                 raise ValueError("negative exponent on a non-unit constant base")
             const *= c**e
     if const != 1:
-        out.append((_pool.intern(Polynomial.const(const)), 1))
+        out.append((session().intern(Polynomial.const(const)), 1))
     if not out:
         return _ONE_FACTORS
     out.sort()
@@ -238,8 +149,9 @@ class Factorization:
         """
         if p.is_zero:
             return _F_ZERO
+        s = session()
         if p.is_constant:
-            return cls(_normalize([(_pool.intern(p), 1)]))
+            return cls(_normalize([(s.intern(p), 1)]))
         content, prim = p.split_content()
         sign = 1
         if prim.leading_coefficient < 0:
@@ -247,9 +159,8 @@ class Factorization:
             sign = -1
         pairs: list[tuple[int, int]] = []
         if sign * content != 1:
-            pairs.append((_pool.intern(Polynomial.const(sign * content)), 1))
-        h = _pool.intern(prim)
-        pairs.extend(_resolve_memo(h, 1))
+            pairs.append((s.intern(Polynomial.const(sign * content)), 1))
+        pairs.extend(_resolve_memo(s.memos, s.intern(prim), 1))
         return cls(_normalize(pairs))
 
     def expand(self) -> Polynomial:
@@ -263,12 +174,14 @@ class Factorization:
         """
         if not self.factors:
             return Polynomial.zero()
-        hit = _EXPAND_CACHE.get(self.factors)
+        s = session()
+        cache = s.expanded
+        hit = cache.get(self.factors)
         if hit is not None:
             return hit
         heap = []
         for i, (h, e) in enumerate(self.factors):
-            p = _pool.poly(h) ** e
+            p = s.polys[h] ** e
             heap.append((len(p.terms), i, p))
         heapq.heapify(heap)
         tie = len(heap)
@@ -279,18 +192,19 @@ class Factorization:
             heapq.heappush(heap, (len(prod.terms), tie, prod))
             tie += 1
         out = heap[0][2]
-        if len(_EXPAND_CACHE) >= _EXPAND_CACHE_CAP:
-            _EXPAND_CACHE.clear()
-        _EXPAND_CACHE[self.factors] = out
+        if len(cache) >= _EXPAND_CACHE_CAP:
+            cache.clear()
+        cache[self.factors] = out
         return out
 
     def eval(self, assignment: Mapping[Variable, Fraction]) -> Fraction:
         """Evaluate the represented polynomial without expanding it."""
         if not self.factors:
             return Fraction(0)
+        polys = session().polys
         out = Fraction(1)
         for h, e in self.factors:
-            out *= poly_eval(_pool.poly(h), assignment) ** e
+            out *= poly_eval(polys[h], assignment) ** e
         return out
 
     def __str__(self) -> str:
@@ -298,9 +212,8 @@ class Factorization:
         text does not depend on the order the pool interned them in."""
         if not self.factors:
             return "0"
-        bases = sorted(
-            (_pool.poly(h).is_constant, f"({_pool.poly(h)})", e) for h, e in self.factors
-        )
+        polys = session().polys
+        bases = sorted((polys[h].is_constant, f"({polys[h]})", e) for h, e in self.factors)
         return "*".join(base if e == 1 else f"{base}^{e}" for _, base, e in bases)
 
     def __repr__(self) -> str:
@@ -311,17 +224,17 @@ _F_ZERO = Factorization(())
 _F_ONE = Factorization(_ONE_FACTORS)
 
 
-def _resolve_memo(handle: int, exp: int) -> list[tuple[int, int]]:
+def _resolve_memo(memos: Mapping[int, tuple], handle: int, exp: int) -> list[tuple[int, int]]:
     """Expand a handle through the pool's refinement memos, transitively."""
-    entry_memo = _pool.memo(handle)
-    if entry_memo is None:
+    memo = memos.get(handle)
+    if memo is None:
         return [(handle, exp)]
     out: list[tuple[int, int]] = []
-    for h, e in entry_memo:
+    for h, e in memo:
         if h == handle:  # self reference, cannot refine further
             out.append((h, e * exp))
         else:
-            out.extend(_resolve_memo(h, e * exp))
+            out.extend(_resolve_memo(memos, h, e * exp))
     return out
 
 
@@ -424,7 +337,8 @@ def _size(p: Polynomial) -> int:
 
 def _rank(factors: Mapping[int, int]) -> int:
     """Exponent-weighted size of a working factor multiset."""
-    return sum(e * _size(_pool.poly(h)) for h, e in factors.items())
+    polys = session().polys
+    return sum(e * _size(polys[h]) for h, e in factors.items())
 
 
 def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
@@ -452,7 +366,7 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
         raise ValueError("gcd undefined for the zero factorization")
     if f1.is_one or f2.is_one:
         return GcdTriple(f1, f2, _F_ONE)
-    p = _pool
+    p = session()
     # Neither operand is one, so no multiset below starts with handle 0
     # (the base 1), and every base added later is a nontrivial gcd or
     # quotient.  Bases are taken smallest handle first.
@@ -462,24 +376,24 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     while work1:
         h1 = min(work1)
         e1 = work1.pop(h1)
-        r1 = p.poly(h1)
-        irr1 = p.irreducible(h1)
+        r1 = p.polys[h1]
+        irr1 = p.is_irreducible(h1)
         shift2: dict[int, int] = {}
         pieces: list[int] = []
         rank_before = _rank(work2) if CHECK_TERMINATION else 0
         while not r1.is_one and work2:
             h2 = min(work2)
             e2 = work2.pop(h2)
-            r2 = p.poly(h2)
+            r2 = p.polys[h2]
             if r1.is_constant and r2.is_constant:
                 g = poly_gcd(r1, r2)  # plain integer gcd, no kernel needed
             elif r1 == r2:
                 g = r1
-            elif irr1 and p.irreducible(h2):
+            elif irr1 and p.is_irreducible(h2):
                 # distinct irreducibles are coprime; skip the kernel
                 g = Polynomial.one()
             else:
-                p.note_kernel_call()
+                p.gcd_kernel_calls += 1
                 g = poly_gcd(r1, r2)
             if g.is_one:
                 shift2[h2] = shift2.get(h2, 0) + e2
@@ -496,7 +410,7 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
                 if not q2.is_one:
                     hq2 = p.intern(q2)
                     shift2[hq2] = shift2.get(hq2, 0) + e2
-                    p.store_memo(h2, _normalize([(hg, 1), (hq2, 1)]))
+                    p.remember(h2, _normalize([(hg, 1), (hq2, 1)]))
                 common_acc[hg] = common_acc.get(hg, 0) + mn
                 pieces.append(hg)
             if CHECK_TERMINATION:
@@ -507,9 +421,9 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
             hr1 = p.intern(r1)
             left_acc[hr1] = left_acc.get(hr1, 0) + e1
             if pieces:
-                p.store_memo(h1, _normalize([(q, 1) for q in pieces] + [(hr1, 1)]))
+                p.remember(h1, _normalize([(q, 1) for q in pieces] + [(hr1, 1)]))
         elif pieces:
-            p.store_memo(h1, _normalize([(q, 1) for q in pieces]))
+            p.remember(h1, _normalize([(q, 1) for q in pieces]))
         for h, e in shift2.items():
             work2[h] = work2.get(h, 0) + e
 

@@ -391,6 +391,14 @@ def parse_model(text: str) -> Pdtmc:
     # every @init state and @trans pair seen, zero weights included
     # (init and trans store only the nonzero ones)
     declared: set[tuple[str, ...]] = set()
+    # weight text -> function, successful parses only (errors name their line)
+    parsed: dict[str, RationalFunction] = {}
+
+    def weight(expr: str, where: str) -> RationalFunction:
+        f = parsed.get(expr.strip())
+        if f is None:
+            f = parsed[expr.strip()] = parse_expression(expr, params, where)
+        return f
 
     def known(name: str, lineno: int) -> str:
         if name not in state_set:
@@ -429,7 +437,7 @@ def parse_model(text: str) -> Pdtmc:
             if (s,) in declared:
                 raise ModelSyntaxError(f"{where}: duplicate @init for {s!r}")
             declared.add((s,))
-            f = parse_expression(expr, params, where)
+            f = weight(expr, where)
             if not f.is_zero:
                 init[s] = f
         elif head == "@trans":
@@ -442,7 +450,7 @@ def parse_model(text: str) -> Pdtmc:
             if (s, t) in declared:
                 raise ModelSyntaxError(f"{where}: duplicate transition {s!r} -> {t!r}")
             declared.add((s, t))
-            f = parse_expression(expr, params, where)
+            f = weight(expr, where)
             if not f.is_zero:
                 trans.setdefault(s, {})[t] = f
         elif head == "@target":

@@ -10,6 +10,10 @@ lexicographically (higher variable index is more significant, the
 constant monomial 0 is least), and polynomial terms are stored
 leading-first under that order.  No other module reads key fields.
 
+All mutable state of the package lives in one :class:`Session`: the
+variable table, the gcd memo, and the factor pool and product cache of
+:mod:`parmreach.factorizations`.  :func:`reset_session` replaces it.
+
 Coefficients are plain Python ints; scalar results are
 :class:`fractions.Fraction`.  Decimal inputs are expected to have been
 cleared into integer-coefficient numerator/denominator pairs by the
@@ -32,7 +36,10 @@ __all__ = [
     "Variable",
     "variable",
     "variables",
-    "reset_variables",
+    "Session",
+    "session",
+    "reset_session",
+    "StaleValue",
     "monomial",
     "monomial_exponents",
     "Polynomial",
@@ -98,38 +105,23 @@ class Variable:
         return self.id < other.id
 
 
-_var_by_name: dict[str, Variable] = {}
-_var_list: list[Variable] = []
-
-
 def variable(name: str) -> Variable:
     """Return the session variable called *name*, interning it on first use.
 
     Interning is idempotent; the index order of variables is their
     order of first appearance in the session.
     """
-    v = _var_by_name.get(name)
+    s = _session
+    v = s.variables.get(name)
     if v is None:
-        v = Variable(len(_var_list), name)
-        _var_list.append(v)
-        _var_by_name[name] = v
+        v = s.variables[name] = Variable(len(s.names), name)
+        s.names.append(name)
     return v
 
 
 def variables(*names: str) -> tuple[Variable, ...]:
     """Intern several variables at once, in the given order."""
     return tuple(variable(n) for n in names)
-
-
-def reset_variables() -> None:
-    """Forget every interned variable and the GCD memo keyed on them.
-
-    Polynomials created before the reset must not be mixed with ones
-    created after it; this exists for test isolation and fresh sessions.
-    """
-    _var_by_name.clear()
-    _var_list.clear()
-    _GCD_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +189,9 @@ def _key_gcd(a: int, b: int) -> int:
 
 def _key_str(key: int) -> str:
     parts = []
+    names = _session.names
     for vid, e in monomial_exponents(key):
-        name = _var_list[vid].name if vid < len(_var_list) else f"_v{vid}"
+        name = names[vid] if vid < len(names) else f"_v{vid}"
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
@@ -307,8 +300,8 @@ class Polynomial:
             return 0
         return max(_key_degree(k) for k, _ in self.terms)
 
-    def degree_in(self, v: Variable) -> int:
-        shift = v.id << 5
+    def degree_in(self, vid: int) -> int:
+        shift = vid << 5
         return max(((k >> shift) & _FIELD_MASK for k, _ in self.terms), default=0)
 
     def variable_ids(self) -> tuple[int, ...]:
@@ -423,6 +416,98 @@ class Polynomial:
 
 _ZERO = Polynomial(())
 _ONE = Polynomial(((0, 1),))
+
+
+# ---------------------------------------------------------------------------
+# Session
+# ---------------------------------------------------------------------------
+
+
+class StaleValue(ParmreachError):
+    """A value made before the last :func:`reset_session` was used after it."""
+
+
+class _HandleTable(dict):
+    """Per-handle table; handles are never reused across sessions."""
+
+    __slots__ = ()
+
+    def __missing__(self, handle: int):
+        raise StaleValue(f"factor handle {handle} belongs to an ended session")
+
+
+class Session:
+    """The state one analysis shares: the variable table, the gcd memo,
+    the factor pool and the expanded-product cache.
+
+    The pool interns each factor base once: ``polys[h]`` is base ``h``,
+    ``consts[h]`` its value if it is constant (else ``None``),
+    ``screens[h]`` its :func:`is_irreducible_heuristic`, ``memos[h]`` its
+    finest known split.  Handle 0 is the constant 1 in every session; the
+    other handles continue after those of the session this one replaced.
+    """
+
+    def __init__(self, first_handle: int = 1):
+        self.variables: dict[str, Variable] = {}
+        self.names: list[str] = []  # variable names by id
+        self.gcd_memo: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
+        self.polys = _HandleTable({0: _ONE})
+        self.consts = _HandleTable({0: 1})
+        self.handles = {_ONE: 0}
+        self.next_handle = first_handle
+        self.screens: dict[int, bool] = {}
+        self.memos: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.gcd_kernel_calls = 0
+        self.expanded: dict[tuple[tuple[int, int], ...], Polynomial] = {}
+
+    @property
+    def stored_polynomials(self) -> int:
+        # handle 0 (the constant 1) is bookkeeping, not a stored polynomial
+        return len(self.polys) - 1
+
+    def intern(self, p: Polynomial) -> int:
+        """The handle of base *p*; interning is idempotent."""
+        h = self.handles.get(p)
+        if h is None:
+            h = self.handles[p] = self.next_handle
+            self.next_handle += 1
+            self.polys[h] = p
+            self.consts[h] = p.constant_value() if p.is_constant else None
+        return h
+
+    def remember(self, h: int, factors: tuple[tuple[int, int], ...]) -> None:
+        """Record a split of base *h*; its trivial self-split teaches nothing."""
+        if factors != ((h, 1),):
+            self.memos[h] = factors
+
+    def is_irreducible(self, h: int) -> bool:
+        """The cached :func:`is_irreducible_heuristic` of base *h*."""
+        irr = self.screens.get(h)
+        if irr is None:
+            irr = self.screens[h] = is_irreducible_heuristic(self.polys[h])
+        return irr
+
+
+_session = Session()
+
+
+def session() -> Session:
+    """The current session."""
+    return _session
+
+
+def reset_session() -> None:
+    """End the current session and start an empty one.
+
+    Call between independent analyses in one process; each CLI
+    invocation does this.  Factorizations and rational functions made
+    before the reset raise :class:`StaleValue` when used after it,
+    except zero and one, which every session shares.  :class:`Variable`
+    and bare :class:`Polynomial` values are still identified by variable
+    index alone and must not cross a reset.
+    """
+    global _session
+    _session = Session(_session.next_handle)
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +676,9 @@ def _make_positive(p: Polynomial) -> Polynomial:
     return -p if p.leading_coefficient < 0 else p
 
 
-def _main_variable(a: Polynomial, b: Polynomial) -> Variable:
-    vid = max(max(a.variable_ids(), default=-1), max(b.variable_ids(), default=-1))
-    return _var_list[vid]
-
-
-def _univariate(p: Polynomial, v: Variable) -> dict[int, Polynomial]:
+def _univariate(p: Polynomial, vid: int) -> dict[int, Polynomial]:
     """View p as a univariate polynomial in v with polynomial coefficients."""
-    shift = v.id << 5
+    shift = vid << 5
     coeffs: dict[int, list[tuple[int, int]]] = {}
     for k, c in p.terms:
         e = (k >> shift) & _FIELD_MASK
@@ -617,19 +697,19 @@ def _coeff_gcd(polys: Iterable[Polynomial]) -> Polynomial:
     return _make_positive(acc)
 
 
-def _prem(f: Polynomial, g: Polynomial, v: Variable) -> Polynomial:
+def _prem(f: Polynomial, g: Polynomial, vid: int) -> Polynomial:
     """Pseudo-remainder of f by g with respect to v."""
-    gu = _univariate(g, v)
+    gu = _univariate(g, vid)
     dg = max(gu)
     lg = gu[dg]
     r = f
     while not r.is_zero:
-        ru = _univariate(r, v)
+        ru = _univariate(r, vid)
         dr = max(ru)
         if dr < dg:
             break
         lr = ru[dr]
-        shifted = poly_mul(lr, g).mul_term((dr - dg) << (v.id << 5), 1)
+        shifted = poly_mul(lr, g).mul_term((dr - dg) << (vid << 5), 1)
         r = poly_add(poly_mul(lg, r), -shifted)
     return r
 
@@ -674,7 +754,7 @@ def _power_tables(
 
 
 def _image_mod_prime(
-    p: Polynomial, v: Variable, tables: list[tuple[int, list[int]]]
+    p: Polynomial, vid: int, tables: list[tuple[int, list[int]]]
 ) -> dict[int, int]:
     """Evaluate every variable except v via the power tables, mod a prime.
 
@@ -682,7 +762,7 @@ def _image_mod_prime(
     degree -> coefficient map with zero coefficients dropped.
     """
     img: dict[int, int] = {}
-    shift0 = v.id << 5
+    shift0 = vid << 5
     for k, c in p.terms:
         val = c % _FILTER_PRIME
         for shift, t in tables:
@@ -697,7 +777,7 @@ def _image_mod_prime(
 def _gf_poly_mod(a: list[int], b: list[int]) -> list[int]:
     """Remainder of dense univariate a by nonzero b over GF(_FILTER_PRIME)."""
     p = _FILTER_PRIME
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     a = a[:]
     db = len(b) - 1
     while a and len(a) - 1 >= db:
@@ -727,7 +807,7 @@ def _gf_gcd_degree(fd: dict[int, int], gd: dict[int, int]) -> int:
     return len(a) - 1
 
 
-def _image_gcd_vdegree(fa: Polynomial, fb: Polynomial, v: Variable) -> int | None:
+def _image_gcd_vdegree(fa: Polynomial, fb: Polynomial, vid: int) -> int | None:
     """Sound upper bound on the v-degree of gcd(fa, fb), or None.
 
     Evaluating all other variables at a fixed point and reducing mod a
@@ -739,17 +819,17 @@ def _image_gcd_vdegree(fa: Polynomial, fb: Polynomial, v: Variable) -> int | Non
     are coprime.  Returns None when no tried evaluation point is
     conclusive; the caller then falls back to exact methods.
     """
-    da = fa.degree_in(v)
-    others = sorted((set(fa.variable_ids()) | set(fb.variable_ids())) - {v.id})
+    da = fa.degree_in(vid)
+    others = sorted((set(fa.variable_ids()) | set(fb.variable_ids())) - {vid})
     for attempt in range(3):
         assign = {vid: _filter_point(vid, attempt) for vid in others}
         tables = _power_tables(assign, (fa, fb))
-        fimg = _image_mod_prime(fa, v, tables)
+        fimg = _image_mod_prime(fa, vid, tables)
         if fimg.get(da, 0) == 0:
             if not others:
                 return None
             continue
-        gimg = _image_mod_prime(fb, v, tables)
+        gimg = _image_mod_prime(fb, vid, tables)
         if not gimg:
             if not others:
                 return None
@@ -811,14 +891,14 @@ def _max_norm(p: Polynomial) -> int:
     return max(abs(c) for _, c in p.terms)
 
 
-def _eval_var_big(p: Polynomial, v: Variable, xi: int) -> Polynomial:
+def _eval_var_big(p: Polynomial, vid: int, xi: int) -> Polynomial:
     """Substitute the plain integer xi for v, keeping the other variables."""
-    dmax = p.degree_in(v)
+    dmax = p.degree_in(vid)
     pows = [1] * (dmax + 1)
     for k in range(1, dmax + 1):
         pows[k] = pows[k - 1] * xi
     acc: dict[int, int] = {}
-    shift = v.id << 5
+    shift = vid << 5
     for k, c in p.terms:
         e = (k >> shift) & _FIELD_MASK
         rest = k - (e << shift)
@@ -827,14 +907,14 @@ def _eval_var_big(p: Polynomial, v: Variable, xi: int) -> Polynomial:
 
 
 def _interpolate_digits(
-    h: Polynomial, v: Variable, xi: int, max_degree: int
+    h: Polynomial, vid: int, xi: int, max_degree: int
 ) -> Polynomial | None:
     """Invert :func:`_eval_var_big`: read the v-coefficients of a candidate
     polynomial off h as balanced base-xi digits.  None if more than
     max_degree + 1 digits appear, which no valid candidate can produce.
     """
     half = xi // 2
-    shift = v.id << 5
+    shift = vid << 5
     out: dict[int, int] = {}
     cur = h
     i = 0
@@ -861,7 +941,7 @@ _HEU_MAX_TRIES = 6
 
 
 def _heu_gcd(
-    f: Polynomial, g: Polynomial, want_var: Variable | None = None
+    f: Polynomial, g: Polynomial, want_vid: int | None = None
 ) -> Polynomial | None:
     """Heuristic gcd of two nonzero polynomials by big-integer evaluation.
 
@@ -873,9 +953,9 @@ def _heu_gcd(
     maximal, which the caller certifies separately.
 
     A trivial candidate passes division vacuously, so when the caller
-    already knows the gcd involves want_var, candidates constant in it
-    are treated like failures and the evaluation point is regrown.
-    Returns None when the tried points stay inconclusive.
+    already knows the gcd involves the variable with id want_vid,
+    candidates constant in it are treated like failures and the
+    evaluation point is regrown.  Returns None when the tried points stay inconclusive.
     """
     vids = set(f.variable_ids()) | set(g.variable_ids())
     if not vids:
@@ -885,19 +965,19 @@ def _heu_gcd(
     fc, fp = f.split_content()
     gc, gp = g.split_content()
     c = math.gcd(fc, gc)
-    v = _var_list[max(vids)]
-    dmax = min(fp.degree_in(v), gp.degree_in(v))
+    vid = max(vids)
+    dmax = min(fp.degree_in(vid), gp.degree_in(vid))
     xi = 2 * min(_max_norm(fp), _max_norm(gp)) + 29
     for _ in range(_HEU_MAX_TRIES):
-        ff = _eval_var_big(fp, v, xi)
-        gg = _eval_var_big(gp, v, xi)
+        ff = _eval_var_big(fp, vid, xi)
+        gg = _eval_var_big(gp, vid, xi)
         if not ff.is_zero and not gg.is_zero:
             sub = _heu_gcd(ff, gg)
             if sub is not None:
-                cand = _interpolate_digits(sub, v, xi, dmax)
+                cand = _interpolate_digits(sub, vid, xi, dmax)
                 if cand is not None and not cand.is_zero:
                     cand = _make_positive(cand.split_content()[1])
-                    if (want_var is None or cand.degree_in(want_var) > 0) and (
+                    if (want_vid is None or cand.degree_in(want_vid) > 0) and (
                         _try_divide(fp, cand) is not None
                         and _try_divide(gp, cand) is not None
                     ):
@@ -906,7 +986,7 @@ def _heu_gcd(
     return None
 
 
-def _v_part_gcd(fa: Polynomial, fb: Polynomial, v: Variable) -> Polynomial:
+def _v_part_gcd(fa: Polynomial, fb: Polynomial, vid: int) -> Polynomial:
     """gcd of two v-primitive polynomials.
 
     Tries, in order: the modular-image degree certificate (degree 0
@@ -919,10 +999,10 @@ def _v_part_gcd(fa: Polynomial, fb: Polynomial, v: Variable) -> Polynomial:
     v-coefficient content 1.  Falls back to the exact primitive
     remainder sequence when nothing conclusive happens.
     """
-    da, db = fa.degree_in(v), fb.degree_in(v)
+    da, db = fa.degree_in(vid), fb.degree_in(vid)
     if da == 0 or db == 0:
         return _ONE
-    d = _image_gcd_vdegree(fa, fb, v)
+    d = _image_gcd_vdegree(fa, fb, vid)
     if d == 0:
         return _ONE
     if d == min(da, db):
@@ -931,9 +1011,9 @@ def _v_part_gcd(fa: Polynomial, fb: Polynomial, v: Variable) -> Polynomial:
             return _make_positive(small)
         if da == db and _try_divide(small, big) is not None:
             return _make_positive(big)
-    h = _heu_gcd(fa, fb, want_var=v if d is not None else None)
+    h = _heu_gcd(fa, fb, want_vid=vid if d is not None else None)
     if h is not None:
-        dh = h.degree_in(v)
+        dh = h.degree_in(vid)
         if dh == d:
             return _make_positive(h)
         # gcd(fa, fb) = h * gcd(fa/h, fb/h); the cofactors inherit
@@ -941,14 +1021,13 @@ def _v_part_gcd(fa: Polynomial, fb: Polynomial, v: Variable) -> Polynomial:
         # otherwise the strictly smaller cofactor pair is recursed on.
         cf = poly_divide_exact(fa, h)
         cg = poly_divide_exact(fb, h)
-        if _image_gcd_vdegree(cf, cg, v) == 0:
+        if _image_gcd_vdegree(cf, cg, vid) == 0:
             return _make_positive(h)
         if dh > 0:
-            return _make_positive(poly_mul(h, _v_part_gcd(cf, cg, v)))
-    return _primitive_prs_gcd(fa, fb, v)
+            return _make_positive(poly_mul(h, _v_part_gcd(cf, cg, vid)))
+    return _primitive_prs_gcd(fa, fb, vid)
 
 
-_GCD_MEMO: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
 _GCD_MEMO_CAP = 65536
 
 
@@ -959,15 +1038,16 @@ def _gcd_nonzero(a: Polynomial, b: Polynomial) -> Polynomial:
     machinery asks for the same factor pairs over and over, and the
     answer depends on nothing but the operands.
     """
+    memo = _session.gcd_memo
     key = (a, b)
-    g = _GCD_MEMO.get(key)
+    g = memo.get(key)
     if g is None:
-        g = _GCD_MEMO.get((b, a))
+        g = memo.get((b, a))
     if g is None:
         g = _gcd_nonzero_impl(a, b)
-        if len(_GCD_MEMO) >= _GCD_MEMO_CAP:
-            _GCD_MEMO.clear()
-        _GCD_MEMO[key] = g
+        if len(memo) >= _GCD_MEMO_CAP:
+            memo.clear()
+        memo[key] = g
     return g
 
 
@@ -1019,33 +1099,33 @@ def _gcd_nonzero_impl(a: Polynomial, b: Polynomial) -> Polynomial:
         return finish(_ONE)
     if _certified_coprime(pa, pb):
         return finish(_ONE)
-    v = _main_variable(pa, pb)
-    ua = _univariate(pa, v)
-    ub = _univariate(pb, v)
+    vid = max(pa.variable_ids() + pb.variable_ids())  # v, the main variable
+    ua = _univariate(pa, vid)
+    ub = _univariate(pb, vid)
     cont_a = _coeff_gcd(ua.values())
     cont_b = _coeff_gcd(ub.values())
     cont = _gcd_nonzero(cont_a, cont_b)
     fa = poly_divide_exact(pa, cont_a)
     fb = poly_divide_exact(pb, cont_b)
-    part = _v_part_gcd(fa, fb, v)
+    part = _v_part_gcd(fa, fb, vid)
     return finish(poly_mul(part, cont))
 
 
-def _primitive_prs_gcd(f: Polynomial, g: Polynomial, v: Variable) -> Polynomial:
+def _primitive_prs_gcd(f: Polynomial, g: Polynomial, vid: int) -> Polynomial:
     """gcd of two v-primitive polynomials via a primitive PRS in v."""
-    if f.degree_in(v) == 0 or g.degree_in(v) == 0:
+    if f.degree_in(vid) == 0 or g.degree_in(vid) == 0:
         # one side lost v entirely after content removal; the caller has
         # already accounted for contents, so the v-parts are coprime.
         return _ONE
-    if f.degree_in(v) < g.degree_in(v):
+    if f.degree_in(vid) < g.degree_in(vid):
         f, g = g, f
     while True:
-        r = _prem(f, g, v)
+        r = _prem(f, g, vid)
         if r.is_zero:
             return g
-        if r.degree_in(v) == 0:
+        if r.degree_in(vid) == 0:
             return _ONE
-        cont = _coeff_gcd(_univariate(r, v).values())
+        cont = _coeff_gcd(_univariate(r, vid).values())
         r = poly_divide_exact(r, cont)
         f, g = g, r
 

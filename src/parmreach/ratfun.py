@@ -40,9 +40,8 @@ from .factorizations import (
     fmul,
     fpow,
     gcd_factored,
-    pool,
 )
-from .polycore import Polynomial, Variable
+from .polycore import Polynomial, Variable, session
 
 __all__ = [
     "DivisionByZeroFunction",
@@ -79,7 +78,7 @@ def _minus_one() -> Factorization:
 
 def _den_sign_fixed(num: Factorization, den: Factorization) -> tuple[Factorization, Factorization]:
     """Move a negative sign from the denominator into the numerator."""
-    consts = pool().consts
+    consts = session().consts
     for h, _ in den.factors:
         c = consts[h]
         if c is not None and c < 0:
@@ -106,13 +105,11 @@ class RationalFunction:
     canonical already.
     """
 
-    __slots__ = ("num", "den", "_num_poly", "_den_poly")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Factorization, den: Factorization):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_num_poly", None)
-        object.__setattr__(self, "_den_poly", None)
 
     def __setattr__(self, key, value):  # pragma: no cover - guard only
         raise AttributeError("RationalFunction is immutable")
@@ -132,18 +129,10 @@ class RationalFunction:
         return self.numerator_poly().is_constant and self.denominator_poly().is_constant
 
     def numerator_poly(self) -> Polynomial:
-        p = self._num_poly
-        if p is None:
-            p = self.num.expand()
-            object.__setattr__(self, "_num_poly", p)
-        return p
+        return self.num.expand()
 
     def denominator_poly(self) -> Polynomial:
-        p = self._den_poly
-        if p is None:
-            p = self.den.expand()
-            object.__setattr__(self, "_den_poly", p)
-        return p
+        return self.den.expand()
 
     # -- protocol ------------------------------------------------------
 

@@ -43,9 +43,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ParmreachError
-from .factorizations import pool_stats
 from .model import Pdtmc, looping, predecessor_map, scc_components, tarjan_sccs
-from .polycore import Polynomial, monomial_exponents
+from .polycore import Polynomial, monomial_exponents, session
 from .ratfun import (
     RationalFunction,
     rf_add,
@@ -444,10 +443,10 @@ def assemble_result(
             mass = rf_add(mass, f)
         total = rf_add(total, rf_mul(m.init[s], mass))
 
-    pool = pool_stats()
+    current = session()
     stats = CheckStats(
-        stored_polynomials=pool.stored_polynomials,
-        gcd_kernel_calls=pool.gcd_kernel_calls,
+        stored_polynomials=current.stored_polynomials,
+        gcd_kernel_calls=current.gcd_kernel_calls,
         abstraction_sites=abstraction_sites,
         elapsed_seconds=time.perf_counter() - started,
     )

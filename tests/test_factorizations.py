@@ -13,14 +13,13 @@ from parmreach.factorizations import (
     fmul,
     fpow,
     gcd_factored,
-    pool,
-    pool_stats,
 )
 from parmreach.polycore import (
     Polynomial,
     poly_eval,
     poly_gcd,
     poly_mul,
+    session,
     variables,
 )
 
@@ -62,16 +61,16 @@ def fdiv(f1, f2):
 
 def test_reduce_drops_unit_base():
     X, _, _ = _xyz()
-    h1 = pool().intern(Polynomial.one())
-    hx = pool().intern(X)
+    h1 = session().intern(Polynomial.one())
+    hx = session().intern(X)
     raw = Factorization(((h1, 1), (hx, 1)))
     assert reduce_factorization(raw) == F(X)
 
 
 def test_reduce_all_trivial_collapses_to_one():
     X, _, _ = _xyz()
-    hx = pool().intern(X)
-    h1 = pool().intern(Polynomial.one())
+    hx = session().intern(X)
+    h1 = session().intern(Polynomial.one())
     raw = Factorization(((hx, 0), (h1, 1)))
     assert reduce_factorization(raw).is_one
 
@@ -205,32 +204,32 @@ def test_gcd_triple_field_names():
 
 
 def test_fresh_pool_is_empty():
-    s = pool_stats()
+    s = session()
     assert s.stored_polynomials == 0
     assert s.gcd_kernel_calls == 0
 
 
 def test_interning_is_idempotent():
     X, _, _ = _xyz()
-    h1 = pool().intern(X)
-    h2 = pool().intern(X)
+    h1 = session().intern(X)
+    h2 = session().intern(X)
     assert h1 == h2
-    assert pool_stats().stored_polynomials == 1
+    assert session().stored_polynomials == 1
 
 
 def test_opaque_product_run_stores_all_pieces():
     X, Y, Z = _xyz()
     gcd_factored(F(X * Y * Z), fmul(F(X), F(Y)))
-    assert pool_stats().stored_polynomials >= 4  # x, y, z, xyz
+    assert session().stored_polynomials >= 4  # x, y, z, xyz
 
 
 def test_refinement_monotone_no_second_kernel_call():
     X, _, _ = _xyz()
     one = Polynomial.one()
     gcd_factored(F(X * X - one), F(X + one))
-    before = pool_stats().gcd_kernel_calls
+    before = session().gcd_kernel_calls
     gcd_factored(F(X * X - one), F(X + one))
-    assert pool_stats().gcd_kernel_calls == before
+    assert session().gcd_kernel_calls == before
 
 
 def test_termination_rank_assertions_pass(monkeypatch):

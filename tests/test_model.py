@@ -17,6 +17,7 @@ from parmreach.benchgen import (
 )
 from parmreach.model import (
     Evaluation,
+    _ExprParser,
     ModelSyntaxError,
     NotWellDefined,
     Pdtmc,
@@ -174,6 +175,19 @@ def test_parentheses_nested_past_the_limit_are_a_syntax_error():
     nested = "(" * 101 + "1 - p" + ")" * 101
     with pytest.raises(ModelSyntaxError, match="line 6, column 102: .* deeper than 100"):
         parse_model(TINY.replace("1 - p", nested))
+
+
+def test_each_distinct_weight_text_is_parsed_once(monkeypatch):
+    texts = []
+    parse = _ExprParser.parse
+
+    def counting(self):
+        texts.append(self.text.strip())
+        return parse(self)
+
+    monkeypatch.setattr(_ExprParser, "parse", counting)
+    parse_model(brp(16, 4))
+    assert texts and len(texts) == len(set(texts))
 
 
 def test_comments_and_blank_lines_ignored():

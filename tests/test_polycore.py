@@ -239,9 +239,9 @@ def test_reset_session_empties_the_gcd_memo():
     (X, _, _) = _xyz()
     one = Polynomial.one()
     poly_gcd(X * X - one, X * X + X.scale(2) + one)
-    assert polycore._GCD_MEMO
+    assert polycore.session().gcd_memo
     reset_session()
-    assert not polycore._GCD_MEMO
+    assert not polycore.session().gcd_memo
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parmreach.polycore import Polynomial, poly_gcd, variable, variables
+from parmreach.polycore import (
+    Polynomial,
+    StaleValue,
+    poly_gcd,
+    reset_session,
+    variable,
+    variables,
+)
 from parmreach.ratfun import (
     DivisionByZeroFunction,
     EvalDenominatorZero,
@@ -236,3 +243,30 @@ def test_sum_equals_the_fully_cancelled_cross_product(ab):
     got = rf_add(a, b)
     assert got.numerator_poly() == want.numerator_poly()
     assert got.denominator_poly() == want.denominator_poly()
+
+
+# ---------------------------------------------------------------------------
+# sessions
+# ---------------------------------------------------------------------------
+
+
+def test_values_from_an_ended_session_raise():
+    P = rf_of_variable(variable("p"))
+    f = rf_div(P, rf_add(rf_one(), P))
+    zero, one = rf_zero(), rf_one()
+    reset_session()
+    q = variable("q")
+    Q = rf_of_variable(q)
+    g = rf_div(rf_add(rf_pow(Q, 2), rf_const(3)), rf_sub(Q, rf_const(7)))
+    uses = [
+        str,
+        RationalFunction.factored_str,
+        lambda h: rf_add(h, g),
+        lambda h: rf_eval(h, {q: Fraction(1, 2)}),
+    ]
+    for use in uses:
+        with pytest.raises(StaleValue):
+            use(f)
+    # zero and one are the same in every session
+    assert rf_add(zero, g) == g
+    assert str(rf_add(one, g)) == "(q^2 + q - 4)/(q - 7)"
