@@ -13,15 +13,16 @@ The operators:
 
 * :func:`fmul` / :func:`fpow` -- exponent addition / scaling,
 * :func:`fadd`                -- addition with common factors pulled out,
-* :func:`gcd_factored`        -- gcd of two factorizations that works
-  base-by-base, calls the polynomial gcd kernel only on pairs not known
-  to be irreducible, and refines the pool's stored factorizations with
-  every split it finds.
+* :func:`gcd_factored`        -- gcd of two factorizations pair by pair;
+  only pairs of non-constant bases that the irreducibility screen does
+  not certify reach the polynomial gcd kernel, and every split found
+  refines the pool's stored factorizations.
 
 Zero is represented by the empty factorization; one by ``{1^1}``.
 Bases are canonical: non-constant bases have positive leading
-coefficient and integer content 1, and each factorization carries at
-most one constant base (which absorbs sign and content).
+coefficient and integer content 1, so no constant divides them, and
+each factorization carries at most one constant base (which absorbs
+sign and content).
 
 Pool handle 0 is always the constant 1, so the one factorization is the
 factor tuple ``((0, 1),)`` in every session, and no other canonical
@@ -36,12 +37,15 @@ does not have, so using it raises
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .polycore import (
+    NotDivisible,
     Polynomial,
+    Session,
     Variable,
     is_irreducible_heuristic,
     poly_divide_exact,
@@ -240,8 +244,10 @@ def _resolve_memo(memos: Mapping[int, tuple], handle: int, exp: int) -> list[tup
 
 def fmul(f1: Factorization, f2: Factorization) -> Factorization:
     """Product: exponents add over the union of bases."""
-    if f1.is_zero or f2.is_zero:
-        return _F_ZERO
+    if f1.is_zero or f2.is_one:
+        return f1
+    if f2.is_zero or f1.is_one:
+        return f2
     acc = dict(f1.factors)
     for h, e in f2.factors:
         acc[h] = acc.get(h, 0) + e
@@ -341,15 +347,41 @@ def _rank(factors: Mapping[int, int]) -> int:
     return sum(e * _size(polys[h]) for h, e in factors.items())
 
 
+def _settle_pair(p: Session, r1: Polynomial, c1: int | None, irr1: bool, h2: int) -> tuple | None:
+    """``(g, r1/g, r2/g)`` for the gcd g of *r1* (valued *c1* if constant, screened *irr1*)
+    and base ``r2`` of handle *h2*, or None if they are coprime; see :func:`gcd_factored`."""
+    r2 = p.polys[h2]
+    c2 = p.consts[h2]
+    if c1 is not None or c2 is not None:
+        # a constant and a primitive base are coprime (None is content 1)
+        c = math.gcd(c1 or 1, c2 or 1)
+        return None if c == 1 else tuple(Polynomial.const(v) for v in (c, c1 // c, c2 // c))
+    if r1 == r2:
+        return r1, Polynomial.one(), Polynomial.one()
+    irr2 = p.is_irreducible(h2)
+    if irr1 and irr2:
+        return None  # distinct irreducibles
+    if irr1 or irr2:
+        # a primitive irreducible base divides the other or is coprime to it
+        try:
+            q = poly_divide_exact(r2, r1) if irr1 else poly_divide_exact(r1, r2)
+        except NotDivisible:
+            return None
+        return (r1, Polynomial.one(), q) if irr1 else (r2, q, Polynomial.one())
+    p.gcd_kernel_calls += 1
+    g = poly_gcd(r1, r2)
+    return None if g.is_one else (g, poly_divide_exact(r1, g), poly_divide_exact(r2, g))
+
+
 def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     """gcd of two factored polynomials, refining as it goes.
 
-    Works base-by-base: structurally shared factors are taken directly;
-    remaining base pairs are compared with the polynomial gcd kernel
-    unless both are known irreducible (constant pairs always use the
-    cheap integer gcd).  Every nontrivial split found along the way is
-    recorded in the pool so the bases involved enter future computations
-    already refined.
+    Works base-by-base: shared factors are taken directly.  Two constants
+    take the integer gcd; a constant and a non-constant base are coprime,
+    as non-constant bases are primitive; a base the screen certifies
+    irreducible (primitive, total degree one) divides the other or is
+    coprime to it, so one trial division settles the pair.  Only other
+    pairs reach the kernel.  Every split found is recorded in the pool.
 
     Examples
     --------
@@ -361,6 +393,10 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     >>> t = gcd_factored(Factorization.of(X * Y * Z), fmul(Factorization.of(X), Factorization.of(Y)))
     >>> str(t.cofactor_left), str(t.cofactor_right), str(t.common)
     ('(z)', '(1)', '(x)*(y)')
+    >>> calls, one = session().gcd_kernel_calls, Polynomial.one()
+    >>> t = gcd_factored(Factorization.of(X * X - one), Factorization.of(X + one))
+    >>> str(t.cofactor_left), str(t.common), session().gcd_kernel_calls == calls
+    ('(x - 1)', '(x + 1)', True)
     """
     if f1.is_zero or f2.is_zero:
         raise ValueError("gcd undefined for the zero factorization")
@@ -370,13 +406,16 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     # Neither operand is one, so no multiset below starts with handle 0
     # (the base 1), and every base added later is a nontrivial gcd or
     # quotient.  Bases are taken smallest handle first.
-    common_acc, work1, work2 = (dict(t) for t in _split_shared(f1, f2))
+    shared, rest1, rest2 = _split_shared(f1, f2)
+    common_acc, work1, work2 = dict(shared), dict(rest1), dict(rest2)
     left_acc: dict[int, int] = {}
+    refined = False
 
     while work1:
         h1 = min(work1)
         e1 = work1.pop(h1)
         r1 = p.polys[h1]
+        c1 = p.consts[h1]
         irr1 = p.is_irreducible(h1)
         shift2: dict[int, int] = {}
         pieces: list[int] = []
@@ -384,23 +423,14 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
         while not r1.is_one and work2:
             h2 = min(work2)
             e2 = work2.pop(h2)
-            r2 = p.polys[h2]
-            if r1.is_constant and r2.is_constant:
-                g = poly_gcd(r1, r2)  # plain integer gcd, no kernel needed
-            elif r1 == r2:
-                g = r1
-            elif irr1 and p.is_irreducible(h2):
-                # distinct irreducibles are coprime; skip the kernel
-                g = Polynomial.one()
-            else:
-                p.gcd_kernel_calls += 1
-                g = poly_gcd(r1, r2)
-            if g.is_one:
+            split = _settle_pair(p, r1, c1, irr1, h2)
+            if split is None:
                 shift2[h2] = shift2.get(h2, 0) + e2
             else:
-                r1 = poly_divide_exact(r1, g)
+                g, r1, q2 = split
+                refined = True
+                c1 = None if c1 is None else r1.constant_value()
                 irr1 = is_irreducible_heuristic(r1)
-                q2 = poly_divide_exact(r2, g)
                 mn = min(e1, e2)
                 hg = p.intern(g)
                 if e1 > mn:
@@ -427,6 +457,8 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
         for h, e in shift2.items():
             work2[h] = work2.get(h, 0) + e
 
+    if not refined:  # the tuples of _split_shared are canonical already
+        return GcdTriple(*(Factorization(t or _ONE_FACTORS) for t in (rest1, rest2, shared)))
     return GcdTriple(
         cofactor_left=Factorization(_normalize(left_acc.items())),
         cofactor_right=Factorization(_normalize(work2.items())),

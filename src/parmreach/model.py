@@ -264,10 +264,11 @@ class _ExprParser:
         atom   := uint | decimal | ident | '(' expr ')'
     """
 
-    def __init__(self, text: str, params: Mapping[str, Variable], where: str):
+    def __init__(self, text: str, params: Mapping[str, Variable], where: str, groups: dict):
         self.text = text
         self.params = params
         self.where = where
+        self.groups = groups
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
@@ -280,6 +281,15 @@ class _ExprParser:
             assert kind is not None
             self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
+        self.closing: dict[int, tuple[int, int]] = {}  # '(' index -> (')' index, group depth)
+        opened = [[-1, 0]]  # [index of '(', depth of its group so far], under a sentinel
+        for j, (_, tok, _) in enumerate(self.tokens):
+            if tok == "(":
+                opened.append([j, 1])
+            elif tok == ")" and len(opened) > 1:
+                i, depth = opened.pop()
+                self.closing[i] = (j, depth)
+                opened[-1][1] = max(opened[-1][1], depth + 1)
         self.i = 0
         self.depth = 0
 
@@ -351,6 +361,12 @@ class _ExprParser:
                 self._fail(col, f"unknown parameter {text!r} (declare it with @params)")
             return rf_of_variable(v)
         if text == "(":
+            match = self.closing.get(self.i - 1)
+            key = match and tuple(tok[1] for tok in self.tokens[self.i - 1 : match[0] + 1])
+            # reused only where a fresh parse would stay within the nesting limit
+            if key in self.groups and self.depth + match[1] <= _MAX_NESTING:
+                self.i = match[0] + 1
+                return self.groups[key]
             self.depth += 1
             if self.depth > _MAX_NESTING:
                 self._fail(col, f"parentheses nested deeper than {_MAX_NESTING}")
@@ -359,6 +375,7 @@ class _ExprParser:
             if tok[1] != ")":
                 self._fail(tok[2], "expected ')'")
             self.depth -= 1
+            self.groups[key] = value  # a parse that got here matched its '('
             return value
         self._fail(col, f"unexpected {text!r}")
         raise AssertionError("unreachable")
@@ -368,7 +385,7 @@ def parse_expression(
     text: str, params: Mapping[str, Variable], where: str = "expression"
 ) -> RationalFunction:
     """Parse a single expression against a parameter table."""
-    return _ExprParser(text, params, where).parse()
+    return _ExprParser(text, params, where, {}).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +408,14 @@ def parse_model(text: str) -> Pdtmc:
     # every @init state and @trans pair seen, zero weights included
     # (init and trans store only the nonzero ones)
     declared: set[tuple[str, ...]] = set()
-    # weight text -> function, successful parses only (errors name their line)
+    # weight text or a group's token texts -> function; successes only (errors keep their place)
     parsed: dict[str, RationalFunction] = {}
+    groups: dict[tuple[str, ...], RationalFunction] = {}
 
     def weight(expr: str, where: str) -> RationalFunction:
         f = parsed.get(expr.strip())
         if f is None:
-            f = parsed[expr.strip()] = parse_expression(expr, params, where)
+            f = parsed[expr.strip()] = _ExprParser(expr, params, where, groups).parse()
         return f
 
     def known(name: str, lineno: int) -> str:

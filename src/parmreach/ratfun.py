@@ -11,9 +11,9 @@ canonical form at all times:
   the sign),
 * zero is ``0/1`` and the denominator is never the zero factorization.
 
-Because cancellation happens on the factored form, the expensive
-polynomial gcd kernel only runs on base pairs that are not already known
-to be coprime or irreducible.  Products avoid a full re-cancellation:
+Cancellation works on the factored form, so the polynomial gcd kernel
+only sees pairs of non-constant bases neither of which the
+irreducibility screen certifies.  Products avoid a full re-cancellation:
 for ``(n1/d1) * (n2/d2)`` it suffices to cancel ``n1`` against ``d2``
 and ``n2`` against ``d1``, since each factor was coprime to its own
 denominator already.

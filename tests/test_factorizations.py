@@ -226,10 +226,31 @@ def test_opaque_product_run_stores_all_pieces():
 def test_refinement_monotone_no_second_kernel_call():
     X, _, _ = _xyz()
     one = Polynomial.one()
-    gcd_factored(F(X * X - one), F(X + one))
+    # neither quadratic is screened irreducible, so the first call needs the kernel
+    gcd_factored(F(X * X - one), F(X * X + X + X + one))
     before = session().gcd_kernel_calls
-    gcd_factored(F(X * X - one), F(X + one))
+    assert before > 0
+    gcd_factored(F(X * X - one), F(X * X + X + X + one))
     assert session().gcd_kernel_calls == before
+
+
+def test_pairs_the_pool_settles_make_no_kernel_call():
+    X, Y, _ = _xyz()
+    one = Polynomial.one()
+    lin = Polynomial.const(2) * X + Polynomial.const(3) * Y + one
+    before = session().gcd_kernel_calls
+    # a constant and a primitive base; two constants take the integer gcd
+    assert gcd_factored(F(Polynomial.const(6)), F(X * X + Y)).common.is_one
+    assert gcd_factored(F(Polynomial.const(6)), F(Polynomial.const(-4))).common == F(Polynomial.const(2))
+    # a certified linear base against an opaque product it divides, either side
+    t = gcd_factored(F(lin * (X * X + Y)), F(lin))
+    assert (t.cofactor_left, t.cofactor_right, t.common) == (F(X * X + Y), F(one), F(lin))
+    t = gcd_factored(F(lin), F(lin * (Y * Y + X)))
+    assert (t.cofactor_left, t.cofactor_right, t.common) == (F(one), F(Y * Y + X), F(lin))
+    assert session().gcd_kernel_calls == before
+    # the splits are remembered: the products now arrive refined
+    assert F(lin * (X * X + Y)) == fmul(F(lin), F(X * X + Y))
+    assert F(lin * (Y * Y + X)) == fmul(F(lin), F(Y * Y + X))
 
 
 def test_termination_rank_assertions_pass(monkeypatch):
@@ -301,12 +322,16 @@ def gcd_operands(draw):
     x, y = variables("x", "y")
     X, Y = Polynomial.of_variable(x), Polynomial.of_variable(y)
     one = Polynomial.one()
+    # a non-monic linear base, settled by trial division, and a product it divides
+    lin = Polynomial.const(2) * X + Polynomial.const(3) * Y + one
     atoms = _atoms() + [
         Polynomial.const(-3),
         Polynomial.const(6),
         X * X - one,
         (X + Y) * (Y + one),
         (X * Y + one) * (X + one) * (X + one),
+        lin,
+        lin * (X * Y + one),
     ]
 
     def pick():

@@ -1,5 +1,7 @@
 """Model layer: parsing, evaluation, graph utilities, preprocessing."""
 
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
@@ -175,6 +177,35 @@ def test_parentheses_nested_past_the_limit_are_a_syntax_error():
     nested = "(" * 101 + "1 - p" + ")" * 101
     with pytest.raises(ModelSyntaxError, match="line 6, column 102: .* deeper than 100"):
         parse_model(TINY.replace("1 - p", nested))
+
+
+def test_a_group_parsed_shallow_and_repeated_past_the_limit_is_still_an_error():
+    deep = "(" * 100 + "(1 - p)" + ")" * 100
+    text = TINY.replace("a -> a : 1 - p", "a -> a : (1 - p)").replace("a -> b : p", f"a -> b : {deep}")
+    with pytest.raises(ModelSyntaxError, match="line 7, column 102: .* deeper than 100"):
+        parse_model(text)
+
+
+def test_each_distinct_parenthesized_group_is_parsed_once(monkeypatch):
+    # the first model of the benchmark's fuzz family (perfbench/gen.py)
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text = gen.fuzz_model(random.Random(13123979), 0)
+    groups = []
+    expr = _ExprParser._expr
+
+    def counting(self):
+        start = self.i
+        value = expr(self)
+        if start and self.tokens[start - 1][1] == "(":
+            groups.append(tuple(tok[1] for tok in self.tokens[start - 1 : self.i + 1]))
+        return value
+
+    monkeypatch.setattr(_ExprParser, "_expr", counting)
+    parse_model(text)
+    assert groups and len(groups) == len(set(groups))
 
 
 def test_each_distinct_weight_text_is_parsed_once(monkeypatch):
