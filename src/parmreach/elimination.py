@@ -10,8 +10,8 @@ fewest new transitions first.  The order does not change the final
 
 No hierarchy is built, so states still on loops are removed and the
 checks that a component's interior is loop-free are skipped.  Instead
-every row a removal changed is re-summed symbolically and must still
-cancel to exactly 1.
+every row a removal changed must still sum to exactly 1, which
+:func:`~parmreach.ratfun.rf_sums_to_one` decides without cancelling.
 
 The result contract matches :func:`parmreach.scc_mc.model_check`
 exactly.  The engines share the removal step, the order and the
@@ -26,7 +26,7 @@ import time
 
 from .errors import ParmreachError
 from .model import Pdtmc
-from .ratfun import RationalFunction, rf_one, rf_sum
+from .ratfun import RationalFunction, rf_sums_to_one
 from .scc_mc import (
     NoTargets,
     ReachabilityResult,
@@ -54,10 +54,10 @@ def _remove_state(
     s: str,
     constraints: list[RationalFunction],
 ) -> None:
-    """Eliminate ``s`` (:func:`~parmreach.scc_mc.eliminate`), then re-sum
-    every row that changed symbolically: it must still cancel to exactly 1."""
+    """Eliminate ``s`` (:func:`~parmreach.scc_mc.eliminate`), then check
+    that every row that changed still sums to exactly 1."""
     for u in sorted(eliminate(rows, preds, s, constraints)):
-        if rf_sum(rows[u].values()) != rf_one():
+        if not rf_sums_to_one(rows[u].values()):
             raise ConservationBroken(
                 f"outgoing probabilities of {u!r} no longer sum to 1 "
                 f"(after removing {s!r})"

@@ -49,6 +49,7 @@ from .ratfun import (
     rf_pow,
     rf_sub,
     rf_sum,
+    rf_sums_to_one,
     rf_zero,
 )
 
@@ -487,14 +488,9 @@ def parse_model(text: str) -> Pdtmc:
     if not init:
         raise ModelSyntaxError("model declares no initial distribution (@init)")
 
-    one = rf_one()
-    residual = rf_sub(one, rf_sum(init.values()))
-    if not residual.is_zero:
-        raise RowSumNotOne("@init", residual)
-    for s in states:
-        residual = rf_sub(one, rf_sum(trans.get(s, {}).values()))
-        if not residual.is_zero:
-            raise RowSumNotOne(s, residual)
+    for s, row in (("@init", init), *((s, trans.get(s, {})) for s in states)):
+        if not rf_sums_to_one(row.values()):
+            raise RowSumNotOne(s, rf_sub(rf_one(), rf_sum(row.values())))
     for t in targets:
         row = trans.get(t, {})
         if not (len(row) == 1 and t in row and row[t].is_one):

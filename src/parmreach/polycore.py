@@ -60,7 +60,10 @@ class MissingAssignment(ParmreachError):
 
 
 class NotDivisible(ParmreachError):
-    """Exact polynomial division was requested but leaves a remainder."""
+    """Exact division left a remainder; holds both operands, formatted only when read."""
+
+    def __str__(self) -> str:
+        return "({}) is not divisible by ({})".format(*self.args)
 
 
 class ExponentOverflow(ParmreachError):
@@ -625,7 +628,7 @@ def poly_divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
         for k, coef in a.terms:
             q, r = divmod(coef, c)
             if r != 0:
-                raise NotDivisible(f"({a}) is not divisible by ({b})")
+                raise NotDivisible(a, b)
             terms.append((k, q))
         return Polynomial(tuple(terms))
     k_lead, lead_c = b.terms[0]
@@ -645,11 +648,11 @@ def poly_divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
             continue
         for shift, e in lead_fields:
             if ((k >> shift) & _FIELD_MASK) < e:
-                raise NotDivisible(f"({a}) is not divisible by ({b})")
+                raise NotDivisible(a, b)
         qk = k - k_lead
         qc, srem = divmod(c, lead_c)
         if srem != 0:
-            raise NotDivisible(f"({a}) is not divisible by ({b})")
+            raise NotDivisible(a, b)
         q_terms.append((qk, qc))
         for kb, bc in tail:
             nk = kb + qk

@@ -26,6 +26,20 @@ irreducible factor of ``d1'`` can divide ``s``: it would divide
 ``n1*d2'``, but ``n1`` is coprime to ``d1`` and ``d2'`` to ``d1'``.
 The same holds for ``d2'``, so ``s/(g*d1'*d2')`` is fully reduced once
 ``s`` and ``g`` are.
+
+Whether functions sum to exactly 1 needs no cancellation.  With ``D``
+every denominator base at its largest exponent, a common multiple of
+the ``d_i`` (``D/d_i`` is exponent subtraction), ``sum(n_i/d_i) == 1``
+exactly when ``sum(n_i*(D/d_i)) - D == 0``.  :func:`rf_sums_to_one`
+keeps that sum as ``G*S``, ``G`` the bases all terms so far share and
+``S`` a polynomial, so it expands only cofactors, and it neither
+interns, refines nor calls the gcd kernel:
+
+>>> from parmreach.polycore import variables
+>>> p = rf_of_variable(variables("p")[0])
+>>> row = [rf_div(p, rf_add(rf_one(), p)), rf_div(rf_one(), rf_add(rf_one(), p))]
+>>> rf_sums_to_one(row), rf_sums_to_one(row[:1]), rf_sums_to_one([])
+(True, False, False)
 """
 
 from __future__ import annotations
@@ -61,6 +75,7 @@ __all__ = [
     "rf_pow",
     "rf_eval",
     "rf_sum",
+    "rf_sums_to_one",
 ]
 
 
@@ -304,3 +319,33 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     for item in items:
         total = rf_add(total, item)
     return total
+
+
+def _cofactor(f: Mapping[int, int], shared: Mapping[int, int]) -> Polynomial:
+    """Expanded product of the bases of *f* at their exponents above *shared*."""
+    rest = tuple(sorted((h, e - shared.get(h, 0)) for h, e in f.items() if e > shared.get(h, 0)))
+    return Factorization(rest).expand() if rest else Polynomial.one()
+
+
+def rf_sums_to_one(items: Iterable[RationalFunction]) -> bool:
+    """Whether *items* sum to exactly 1, decided without cancelling (module docstring)."""
+    terms = [f for f in items if not f.is_zero]
+    common: dict[int, int] = {}
+    for f in terms:
+        for h, e in f.den.factors:
+            common[h] = max(common.get(h, 0), e)
+    g, s = {}, Polynomial.zero()  # the running sum is G*S
+    for f in terms:
+        t = dict(common)
+        for h, e in f.den.factors:
+            t[h] -= e
+        for h, e in f.num.factors:
+            t[h] = t.get(h, 0) + e
+        if s.is_zero:
+            g, s = t, Polynomial.one()
+            continue
+        shared = {h: min(e, t[h]) for h, e in g.items() if h in t}
+        s = s * _cofactor(g, shared) + _cofactor(t, shared)
+        g = shared
+    shared = {h: min(e, common[h]) for h, e in g.items() if h in common}
+    return s * _cofactor(g, shared) == _cofactor(common, shared)

@@ -29,8 +29,9 @@ the closed forms are valid (:func:`collect_constraints`).
 Internal invariants are checked unconditionally: at every abstraction
 site the outgoing abstracted probabilities must sum to exactly 1, and
 the first-return probability must complement the crossing
-probabilities.  Every solved component reports how many sites it
-audited, and the result carries their sum
+probabilities (:func:`~parmreach.ratfun.rf_sums_to_one` decides both
+exactly, with no cancellation).  Every solved component reports how
+many sites it audited, and the result carries their sum
 (``CheckStats.abstraction_sites``), so tests can assert the checks
 actually ran.
 """
@@ -53,6 +54,7 @@ from .ratfun import (
     rf_one,
     rf_sub,
     rf_sum,
+    rf_sums_to_one,
     rf_zero,
 )
 
@@ -245,16 +247,14 @@ def _audit_site(
 ) -> None:
     """Always-on identities: normalized sum 1, and (when a computation
     happened) conservation of raw crossing + first-return mass."""
-    if raw_row is not None and self_loop is not None:
+    if raw_row is not None and not rf_sums_to_one([*raw_row.values(), self_loop]):
         mass = rf_add(rf_sum(raw_row.values()), self_loop)
-        if not mass.is_one:
-            raise AbstractionInvariantBroken(
-                f"at {site}: crossing + first-return mass is {mass}, expected 1"
-            )
-    total = rf_sum(abs_row.values())
-    if not total.is_one:
         raise AbstractionInvariantBroken(
-            f"at {site}: abstracted probabilities sum to {total}, expected 1"
+            f"at {site}: crossing + first-return mass is {mass}, expected 1"
+        )
+    if not rf_sums_to_one(abs_row.values()):
+        raise AbstractionInvariantBroken(
+            f"at {site}: abstracted probabilities sum to {rf_sum(abs_row.values())}, expected 1"
         )
 
 

@@ -301,6 +301,31 @@ def test_a_planted_bug_in_the_elimination_step_breaks_each_engines_audit(
         ENGINES[engine](m)
 
 
+PLANTED_ADD = {
+    "scc": (
+        AbstractionInvariantBroken,
+        "at input 's7': crossing + first-return mass is (6*p + 13)/(10), expected 1",
+    ),
+    "elim": (
+        ConservationBroken,
+        "outgoing probabilities of 's1' no longer sum to 1 (after removing 's3')",
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_planted_addition_bug_breaks_each_engines_audit_with_its_message(
+    monkeypatch, fig2_text, engine
+):
+    # the audits decide "sums to 1" without rf_add; the message still words the sum with it
+    m = preprocess(parse_model(fig2_text))
+    monkeypatch.setattr(scc_mc, "rf_add", lambda a, b: rf_add(a, rf_add(b, b)))
+    audit, message = PLANTED_ADD[engine]
+    with pytest.raises(audit) as exc:
+        ENGINES[engine](m)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "succ, message",
     [

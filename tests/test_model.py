@@ -111,6 +111,30 @@ def test_row_sum_checked_exactly():
     assert str(err) == "probabilities leaving 'a' sum to 1 - ((1)/(10)), not 1"
 
 
+NEAR_ONE = """
+@params p
+@state a
+@state b
+@init a : 1
+@trans a -> b : p/(1+p)
+@trans a -> a : 1/(WHAT+p)
+@trans b -> b : 1
+"""
+
+
+def test_row_sum_is_one_only_after_cancellation():
+    # p/(1+p) + 1/(1+p) = (p+1)/(p+1): exactly one, though no term is
+    m = parse_model(NEAR_ONE.replace("WHAT", "1"))
+    row = {t: str(f) for t, f in m.row("a").items()}
+    assert row == {"b": "(p)/(p + 1)", "a": "(1)/(p + 1)"}
+    with pytest.raises(RowSumNotOne) as exc:
+        parse_model(NEAR_ONE.replace("WHAT", "2"))
+    err = exc.value
+    assert err.state == "a"
+    assert err.residual.factored_str() == "[(1)] / [(p + 1)*(p + 2)]"
+    assert str(err) == "probabilities leaving 'a' sum to 1 - ((1)/(p^2 + 3*p + 2)), not 1"
+
+
 def test_init_sum_checked():
     bad = """
 @state a

@@ -192,10 +192,24 @@ def test_divide_difference_of_squares():
     assert poly_divide_exact(X * X - one, X + one) == X - one
 
 
-def test_divide_rejects_remainder():
-    (X, _, _) = _xyz()
-    with pytest.raises(NotDivisible):
-        poly_divide_exact(X * X + Polynomial.one(), X + Polynomial.one())
+def test_divide_rejects_remainder(monkeypatch):
+    (X, Y, _) = _xyz()
+    one = Polynomial.one()
+    cases = [
+        (X * X + one, X + one, "(x^2 + 1) is not divisible by (x + 1)"),  # remainder
+        (Y + one, X + one, "(y + 1) is not divisible by (x + 1)"),  # leading monomial
+        (X + one, Polynomial.const(2), "(x + 1) is not divisible by (2)"),  # constant
+        (X + one, X * Polynomial.const(2) + one, "(x + 1) is not divisible by (2*x + 1)"),
+    ]
+    printed = []
+    real_str = Polynomial.__str__
+    monkeypatch.setattr(Polynomial, "__str__", lambda p: printed.append(p) or real_str(p))
+    for a, b, text in cases:
+        with pytest.raises(NotDivisible) as exc:
+            poly_divide_exact(a, b)
+        assert printed == []  # the text is built only when read
+        assert str(exc.value) == text
+        printed.clear()
 
 
 def test_divide_by_zero_raises():

@@ -10,6 +10,7 @@ from parmreach.polycore import (
     StaleValue,
     poly_gcd,
     reset_session,
+    session,
     variable,
     variables,
 )
@@ -30,6 +31,7 @@ from parmreach.ratfun import (
     rf_pow,
     rf_sub,
     rf_sum,
+    rf_sums_to_one,
     rf_zero,
 )
 
@@ -243,6 +245,75 @@ def test_sum_equals_the_fully_cancelled_cross_product(ab):
     got = rf_add(a, b)
     assert got.numerator_poly() == want.numerator_poly()
     assert got.denominator_poly() == want.denominator_poly()
+
+
+def _complement(fs):
+    """``1 - sum(fs)``, reduced from expanded polynomials without rf_add,
+    so its denominator shares factors with the others only once the pool
+    refines them."""
+    num, den = Polynomial.one(), Polynomial.one()
+    for f in fs:
+        n, d = f.numerator_poly(), f.denominator_poly()
+        num, den = num * d - n * den, den * d
+    return rf_from_polys(num, den)
+
+
+@st.composite
+def rows(draw):
+    """Lists of rational functions, zeros and constants among them, and
+    whether the list was built to sum to 1."""
+    items = draw(st.lists(st.sampled_from(["ratfun", "zero", "const"]), max_size=4))
+    fs = []
+    for kind in items:
+        if kind == "ratfun":
+            fs.append(draw(ratfuns()))
+        elif kind == "const":
+            fs.append(rf_const(Fraction(draw(st.integers(-3, 4)), draw(st.integers(1, 4)))))
+        else:
+            fs.append(rf_zero())
+    built = draw(st.booleans())
+    if built:
+        fs.append(_complement(fs))
+    return draw(st.permutations(fs)), built
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows())
+def test_sums_to_one_agrees_with_the_cancelled_sum(row):
+    fs, built = row
+    decided = rf_sums_to_one(fs)
+    assert decided == rf_sum(fs).is_one
+    if built:
+        assert decided
+
+
+def test_sums_to_one_on_constant_rows_and_the_empty_row():
+    third = rf_const(Fraction(1, 3))
+    assert rf_sums_to_one([third, rf_const(Fraction(2, 3))])
+    assert rf_sums_to_one([rf_zero(), rf_one(), rf_zero()])
+    assert rf_sums_to_one([rf_const(2), rf_const(-1)])
+    assert not rf_sums_to_one([third, third])
+    assert not rf_sums_to_one([rf_zero()])
+    assert not rf_sums_to_one([])
+
+
+def test_sums_to_one_leaves_the_session_as_it_was():
+    x = Polynomial.of_variable(variable("x"))
+    one = Polynomial.one()
+    # x^2 - 1 and (x + 1)^2 are single pool bases that only the kernel splits
+    row = [rf_from_polys(one, x * x - one), rf_from_polys(x, x * x + x + x + one)]
+    row.append(_complement(row))
+    s = session()
+
+    def state():
+        return s.stored_polynomials, dict(s.memos), dict(s.gcd_memo), s.gcd_kernel_calls
+
+    before = state()
+    assert rf_sums_to_one(row)
+    assert not rf_sums_to_one(row[1:])
+    assert state() == before
+    assert rf_sum(row).is_one
+    assert state() != before  # the cancelled sum refines the pool
 
 
 # ---------------------------------------------------------------------------
