@@ -228,9 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: the first build costs about four times a later one
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

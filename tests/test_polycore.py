@@ -269,6 +269,9 @@ def test_irreducible_certificates():
     assert is_irreducible_heuristic(P) is True
     assert is_irreducible_heuristic(Polynomial.one() - P) is True
     assert is_irreducible_heuristic(Polynomial.const(7)) is True
+    # single terms that are not a bare variable stay unknown
+    assert is_irreducible_heuristic(P.scale(2)) is False
+    assert is_irreducible_heuristic(P * P) is False
 
 
 def test_reducible_is_unknown():
@@ -354,6 +357,73 @@ def test_gcd_detects_planted_factor(a, b, g):
     h = poly_gcd(poly_mul(a, g), poly_mul(b, g))
     q = poly_divide_exact(h, g)  # the planted factor divides the gcd
     assert poly_mul(q, g) == h
+
+
+def test_exact_fallback_matches_the_default_path(monkeypatch):
+    """With the heuristic gcd given no tries, the primitive remainder
+    sequence answers in its place, with the same result."""
+    prs_calls = []
+    prs = polycore._primitive_prs_gcd
+
+    def counting_prs(f, g, vid):
+        prs_calls.append(vid)
+        return prs(f, g, vid)
+
+    def check(a, b, g):
+        if a.is_zero or b.is_zero or g.is_zero:
+            return
+        pa, pb = poly_mul(a, g), poly_mul(b, g)
+        with monkeypatch.context() as m:
+            m.setattr(polycore, "_HEU_MAX_TRIES", 0)
+            m.setattr(polycore, "_primitive_prs_gcd", counting_prs)
+            reset_session()  # an empty gcd memo
+            exact = poly_gcd(pa, pb)
+        reset_session()
+        assert exact == poly_gcd(pa, pb)
+
+    # the image bound 1 is below both x-degrees, so no trial division
+    # settles the pair and only the remainder sequence is left
+    X, _, _ = _xyz()
+    one = Polynomial.one()
+    check(X + one.scale(2), X * X + one.scale(3), X + one)
+    assert prs_calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys(max_terms=3), polys(max_terms=3), polys(max_terms=3))
+    def check_drawn(a, b, g):
+        check(a, b, g)
+
+    check_drawn()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_terms=3), polys(max_terms=3), polys(max_terms=3))
+def test_image_gcd_degree_bounds_the_gcd(a, b, g):
+    if a.is_zero or b.is_zero or g.is_zero:
+        return
+    pa, pb = poly_mul(a, g), poly_mul(b, g)
+    h = poly_gcd(pa, pb)
+    d = polycore._image_gcd_degree(pa, pb)
+    if d is not None:
+        assert d >= h.total_degree()
+        assert d > 0 or h.is_constant
+    for v in variables("x", "y", "z"):
+        d = polycore._image_gcd_degree(pa, pb, v.id)
+        if d is not None:
+            assert d >= h.degree_in(v.id)
+
+
+def test_image_gcd_degree_is_inconclusive_when_both_degrees_drop(monkeypatch):
+    # at x = y = 1 the common factor maps to a constant, so the images of
+    # the operands are coprime although the operands are not
+    monkeypatch.setattr(polycore, "_filter_point", lambda vid, attempt: 1)
+    x, y = variables("x", "y")
+    X, Y = Polynomial.of_variable(x), Polynomial.of_variable(y)
+    one = Polynomial.one()
+    common = X - Y + one  # total degree drops under x, y -> t
+    assert polycore._image_gcd_degree(common * X, common * (X + one)) is None
+    common = (Y - one) * X + one  # x-degree drops at y = 1
+    assert polycore._image_gcd_degree(common * X, common * (X + one), x.id) is None
 
 
 @settings(max_examples=60, deadline=None)
