@@ -470,20 +470,19 @@ class Session:
     """The state one analysis shares: the variable table, the gcd memo,
     the factor pool and the expanded-product cache.
 
-    The pool interns each factor base once: ``polys[h]`` is base ``h``,
-    ``consts[h]`` its value if it is constant (else ``None``),
-    ``screens[h]`` its :func:`is_irreducible_heuristic`, ``memos[h]`` its
-    finest known split.  Handle 0 is the constant 1 in every session; the
-    other handles continue after those of the session this one replaced.
+    The pool interns each non-constant factor base once: ``polys[h]`` is
+    base ``h``, ``screens[h]`` its :func:`is_irreducible_heuristic`,
+    ``memos[h]`` its finest known split.  Constants are not pooled (a
+    factorization keeps them as its coefficient), and handles continue
+    after those of the session this one replaced.
     """
 
-    def __init__(self, first_handle: int = 1):
+    def __init__(self, first_handle: int = 0):
         self.variables: dict[str, Variable] = {}
         self.names: list[str] = []  # variable names by id
         self.gcd_memo: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
-        self.polys = _HandleTable({0: _ONE})
-        self.consts = _HandleTable({0: 1})
-        self.handles = {_ONE: 0}
+        self.polys = _HandleTable()
+        self.handles: dict[Polynomial, int] = {}
         self.next_handle = first_handle
         self.screens: dict[int, bool] = {}
         self.memos: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -492,8 +491,7 @@ class Session:
 
     @property
     def stored_polynomials(self) -> int:
-        # handle 0 (the constant 1) is bookkeeping, not a stored polynomial
-        return len(self.polys) - 1
+        return len(self.polys)
 
     def intern(self, p: Polynomial) -> int:
         """The handle of base *p*; interning is idempotent."""
@@ -502,7 +500,6 @@ class Session:
             h = self.handles[p] = self.next_handle
             self.next_handle += 1
             self.polys[h] = p
-            self.consts[h] = p.constant_value() if p.is_constant else None
         return h
 
     def remember(self, h: int, factors: tuple[tuple[int, int], ...]) -> None:
@@ -532,9 +529,9 @@ def reset_session() -> None:
     Call between independent analyses in one process; each CLI
     invocation does this.  Factorizations and rational functions made
     before the reset raise :class:`StaleValue` when used after it,
-    except zero and one, which every session shares.  :class:`Variable`
-    and bare :class:`Polynomial` values are still identified by variable
-    index alone and must not cross a reset.
+    except constants, which are the same in every session.
+    :class:`Variable` and bare :class:`Polynomial` values are still
+    identified by variable index alone and must not cross a reset.
     """
     global _session
     _session = Session(_session.next_handle)
@@ -974,8 +971,6 @@ def _v_part_gcd(fa: Polynomial, fb: Polynomial, vid: int) -> Polynomial:
         small, big = (fa, fb) if da <= db else (fb, fa)
         if _try_divide(big, small) is not None:
             return _make_positive(small)
-        if da == db and _try_divide(small, big) is not None:
-            return _make_positive(big)
     h = _heu_gcd(fa, fb, want_vid=vid if d is not None else None)
     if h is not None:
         dh = h.degree_in(vid)

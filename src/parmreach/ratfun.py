@@ -7,16 +7,16 @@ canonical form at all times:
 * numerator and denominator are coprime (canceled with
   :func:`~parmreach.factorizations.gcd_factored`, which also refines the
   shared pool as a side effect),
-* the denominator's constant factor is positive (the numerator carries
+* the denominator's coefficient is positive (the numerator carries
   the sign),
 * zero is ``0/1`` and the denominator is never the zero factorization.
 
 Cancellation works on the factored form, so the polynomial gcd kernel
-only sees pairs of non-constant bases neither of which the
-irreducibility screen certifies.  Products avoid a full re-cancellation:
-for ``(n1/d1) * (n2/d2)`` it suffices to cancel ``n1`` against ``d2``
-and ``n2`` against ``d1``, since each factor was coprime to its own
-denominator already.
+only sees pairs of bases neither of which the irreducibility screen
+certifies, and the integer coefficients cancel by one integer gcd.
+Products avoid a full re-cancellation: for ``(n1/d1) * (n2/d2)`` it
+suffices to cancel ``n1`` against ``d2`` and ``n2`` against ``d1``,
+since each factor was coprime to its own denominator already.
 
 Sums with different denominators use Henrici's method (P. Henrici,
 JACM 3, 1956; Knuth, TAOCP vol. 2, section 4.5.1): split
@@ -28,12 +28,14 @@ The same holds for ``d2'``, so ``s/(g*d1'*d2')`` is fully reduced once
 ``s`` and ``g`` are.
 
 Whether functions sum to exactly 1 needs no cancellation.  With ``D``
-every denominator base at its largest exponent, a common multiple of
-the ``d_i`` (``D/d_i`` is exponent subtraction), ``sum(n_i/d_i) == 1``
-exactly when ``sum(n_i*(D/d_i)) - D == 0``.  :func:`rf_sums_to_one`
-keeps that sum as ``G*S``, ``G`` the bases all terms so far share and
-``S`` a polynomial, so it expands only cofactors, and it neither
-interns, refines nor calls the gcd kernel:
+the lcm ``L`` of the denominators' coefficients times every
+denominator base at its largest exponent, a common multiple of the
+``d_i`` (``D/d_i`` is ``L`` divided by ``d_i``'s coefficient, times an
+exponent subtraction), ``sum(n_i/d_i) == 1`` exactly when
+``sum(n_i*(D/d_i)) - D == 0``.  :func:`rf_sums_to_one` keeps that sum
+as ``G*S``, ``G`` the bases all terms so far share and ``S`` a
+polynomial, so it expands only cofactors, and it neither interns,
+refines nor calls the gcd kernel:
 
 >>> from parmreach.polycore import variables
 >>> p = rf_of_variable(variables("p")[0])
@@ -44,6 +46,7 @@ interns, refines nor calls the gcd kernel:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -55,7 +58,7 @@ from .factorizations import (
     fpow,
     gcd_factored,
 )
-from .polycore import Polynomial, Variable, session
+from .polycore import Polynomial, Variable
 
 __all__ = [
     "DivisionByZeroFunction",
@@ -87,19 +90,14 @@ class EvalDenominatorZero(ParmreachError):
     """The evaluation point lies on the denominator's zero set."""
 
 
-def _minus_one() -> Factorization:
-    return Factorization.of(Polynomial.const(-1))
+def _negated(f: Factorization) -> Factorization:
+    return Factorization(-f.coeff, f.factors)
 
 
 def _den_sign_fixed(num: Factorization, den: Factorization) -> tuple[Factorization, Factorization]:
     """Move a negative sign from the denominator into the numerator."""
-    consts = session().consts
-    for h, _ in den.factors:
-        c = consts[h]
-        if c is not None and c < 0:
-            # constant bases always carry exponent 1 after normalization
-            m = _minus_one()
-            return fmul(num, m), fmul(den, m)
+    if den.coeff < 0:
+        return _negated(num), _negated(den)
     return num, den
 
 
@@ -252,7 +250,7 @@ def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
 def rf_neg(a: RationalFunction) -> RationalFunction:
     if a.is_zero:
         return a
-    return RationalFunction(fmul(a.num, _minus_one()), a.den)
+    return RationalFunction(_negated(a.num), a.den)
 
 
 def rf_sub(a: RationalFunction, b: RationalFunction) -> RationalFunction:
@@ -324,12 +322,13 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
 def _cofactor(f: Mapping[int, int], shared: Mapping[int, int]) -> Polynomial:
     """Expanded product of the bases of *f* at their exponents above *shared*."""
     rest = tuple(sorted((h, e - shared.get(h, 0)) for h, e in f.items() if e > shared.get(h, 0)))
-    return Factorization(rest).expand() if rest else Polynomial.one()
+    return Factorization(1, rest).expand() if rest else Polynomial.one()
 
 
 def rf_sums_to_one(items: Iterable[RationalFunction]) -> bool:
     """Whether *items* sum to exactly 1, decided without cancelling (module docstring)."""
     terms = [f for f in items if not f.is_zero]
+    lcm = math.lcm(*(f.den.coeff for f in terms))
     common: dict[int, int] = {}
     for f in terms:
         for h, e in f.den.factors:
@@ -341,11 +340,12 @@ def rf_sums_to_one(items: Iterable[RationalFunction]) -> bool:
             t[h] -= e
         for h, e in f.num.factors:
             t[h] = t.get(h, 0) + e
+        k = f.num.coeff * (lcm // f.den.coeff)
         if s.is_zero:
-            g, s = t, Polynomial.one()
+            g, s = t, Polynomial.const(k)
             continue
         shared = {h: min(e, t[h]) for h, e in g.items() if h in t}
-        s = s * _cofactor(g, shared) + _cofactor(t, shared)
+        s = s * _cofactor(g, shared) + _cofactor(t, shared).scale(k)
         g = shared
     shared = {h: min(e, common[h]) for h, e in g.items() if h in common}
-    return s * _cofactor(g, shared) == _cofactor(common, shared)
+    return s * _cofactor(g, shared) == _cofactor(common, shared).scale(lcm)

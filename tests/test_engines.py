@@ -24,7 +24,7 @@ from parmreach import (
 from parmreach.benchgen import brp, zeroconf
 from parmreach.elimination import ConservationBroken, SelfLoopProbabilityOne
 from parmreach.model import Pdtmc, parse_expression, predecessor_map, scc_components
-from parmreach.polycore import variable
+from parmreach.polycore import session, variable
 from parmreach.ratfun import rf_add, rf_const, rf_div, rf_mul, rf_one, rf_sub
 from parmreach.scc_mc import AbstractionInvariantBroken
 
@@ -272,6 +272,19 @@ def test_the_scc_engine_keeps_the_pool_small_on_an_acyclic_model():
     scc = _stored_polynomials(model_check, text)
     elim = _stored_polynomials(eliminate_all, text)
     assert scc <= 1.5 * elim, (scc, elim)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("model", ["fig2", "fuzz"])
+def test_no_pool_base_is_a_constant(fig2_text, model, engine):
+    # constants are a factorization's coefficient, never a pooled base
+    if model == "fig2":
+        m = preprocess(parse_model(fig2_text))
+    else:
+        m = random_preprocessed(random.Random(3), max_states=12)
+    ENGINES[engine](m)
+    assert session().stored_polynomials > 0
+    assert [p for p in session().polys.values() if p.is_constant] == []
 
 
 def test_every_input_of_every_solved_component_is_audited(fig2_text):

@@ -39,19 +39,19 @@ def F(p):
 
 def reduce_factorization(f):
     """The canonical form every operator returns."""
-    return f if f.is_zero else Factorization(fz._normalize(f.factors))
+    return Factorization(f.coeff, fz._normalize(f.factors))
 
 
 def fcd(f1, f2):
     """Factor-wise common divisor: the shared bases, as ``fadd`` and
     ``gcd_factored`` split them off."""
-    return Factorization(fz._split_shared(f1, f2)[0] or fz._ONE_FACTORS)
+    return Factorization(1, fz._split_shared(f1, f2)[0])
 
 
 def fdiv(f1, f2):
     """Factor-wise quotient, exponents clamped at zero: what is left of
     ``f1`` once the shared bases are split off."""
-    return Factorization(fz._split_shared(f1, f2)[1] or fz._ONE_FACTORS)
+    return Factorization(f1.coeff, fz._split_shared(f1, f2)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -60,30 +60,42 @@ def fdiv(f1, f2):
 
 
 def test_reduce_drops_unit_base():
+    # the unit is the coefficient 1, so it never enters the factor tuple
     X, _, _ = _xyz()
-    h1 = session().intern(Polynomial.one())
     hx = session().intern(X)
-    raw = Factorization(((h1, 1), (hx, 1)))
-    assert reduce_factorization(raw) == F(X)
+    raw = Factorization(1, ((hx, 1),))
+    assert F(Polynomial.one()) == Factorization(1, ())
+    assert reduce_factorization(raw) == F(X) == fmul(F(Polynomial.one()), F(X))
 
 
 def test_reduce_all_trivial_collapses_to_one():
+    # x^0 and the unit are both coefficient 1 with no bases
     X, _, _ = _xyz()
-    hx = session().intern(X)
-    h1 = session().intern(Polynomial.one())
-    raw = Factorization(((hx, 0), (h1, 1)))
-    assert reduce_factorization(raw).is_one
+    assert reduce_factorization(fpow(F(X), 0)).is_one
+    assert reduce_factorization(fmul(F(Polynomial.one()), fpow(F(X), 0))).is_one
 
 
 def test_reduce_is_identity_on_reduced_input():
     X, _, _ = _xyz()
     f = fmul(F(X), F(X))  # {x^2}
     assert reduce_factorization(f) == f
+    g = fmul(f, F(Polynomial.const(-3)))  # -3 {x^2}
+    assert reduce_factorization(g) == g
 
 
 def test_zero_factorization_is_empty():
     assert Factorization.zero().factors == ()
     assert F(Polynomial.zero()).is_zero
+
+
+def test_constants_are_coefficients_not_pool_bases():
+    X, _, _ = _xyz()
+    before = session().stored_polynomials
+    six = F(Polynomial.const(6))
+    assert (six.coeff, six.factors) == (6, ())
+    assert session().stored_polynomials == before
+    f = F(Polynomial.const(-6) * X)
+    assert f.coeff == -6 and f.factors == F(X).factors
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +265,25 @@ def test_pairs_the_pool_settles_make_no_kernel_call():
     assert F(lin * (Y * Y + X)) == fmul(F(lin), F(Y * Y + X))
 
 
-def test_termination_rank_assertions_pass(monkeypatch):
-    monkeypatch.setattr(fz, "CHECK_TERMINATION", True)
+@pytest.mark.parametrize(
+    "c1, c2",
+    [(-1, -1), (-6, -4), (-6, -6), (-1, 1), (6, -4), (-3, 5), (3, 5)],
+    ids=["both_minus_one", "both_negative", "equal_negative", "mixed_unit", "mixed_sign", "coprime_mixed", "coprime"],
+)
+def test_common_part_takes_the_positive_integer_gcd(c1, c2):
+    X, Y, _ = _xyz()
+    const = Polynomial.const
+    for p1, p2 in [(const(c1) * X, const(c2) * Y), (const(c1) * X, const(c2) * X), (const(c1), const(c2) * Y)]:
+        t = gcd_factored(F(p1), F(p2))
+        common = t.common.expand()
+        assert common == poly_gcd(p1, p2)
+        assert poly_mul(common, t.cofactor_left.expand()) == p1
+        assert poly_mul(common, t.cofactor_right.expand()) == p2
+
+
+def test_termination_rank_assertions_pass():
+    # each inner step pops a base of the right operand and puts back at
+    # most a divisor of it at a lower exponent, so the loops end
     X, Y, _ = _xyz()
     one = Polynomial.one()
     g1 = (X + one) * (Y + one) * (X + Y)
@@ -301,10 +330,8 @@ def test_gcd_triple_postconditions(f1, f2):
     assert poly_mul(t.common.expand(), t.cofactor_left.expand()) == p1
     assert poly_mul(t.common.expand(), t.cofactor_right.expand()) == p2
     assert poly_gcd(t.cofactor_left.expand(), t.cofactor_right.expand()).is_one
-    # the factored gcd agrees with the polynomial-level kernel up to sign
-    g = t.common.expand()
-    k = poly_gcd(p1, p2)
-    assert g == k or g == -k
+    # the factored gcd agrees with the polynomial-level kernel, sign included
+    assert t.common.expand() == poly_gcd(p1, p2)
 
 
 @settings(max_examples=50, deadline=None)

@@ -262,11 +262,16 @@ def _complement(fs):
 def rows(draw):
     """Lists of rational functions, zeros and constants among them, and
     whether the list was built to sum to 1."""
-    items = draw(st.lists(st.sampled_from(["ratfun", "zero", "const"]), max_size=4))
+    items = draw(st.lists(st.sampled_from(["ratfun", "scaled", "zero", "const"]), max_size=4))
     fs = []
     for kind in items:
         if kind == "ratfun":
             fs.append(draw(ratfuns()))
+        elif kind == "scaled":
+            # integer factors on both sides, so denominators differ in their coefficients
+            f = draw(ratfuns())
+            a, b = draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 12))
+            fs.append(rf_from_polys(f.numerator_poly().scale(a), f.denominator_poly().scale(b)))
         elif kind == "const":
             fs.append(rf_const(Fraction(draw(st.integers(-3, 4)), draw(st.integers(1, 4)))))
         else:
@@ -295,6 +300,15 @@ def test_sums_to_one_on_constant_rows_and_the_empty_row():
     assert not rf_sums_to_one([third, third])
     assert not rf_sums_to_one([rf_zero()])
     assert not rf_sums_to_one([])
+    # denominators whose lcm is not their product
+    quarter, sixth = rf_const(Fraction(1, 4)), rf_const(Fraction(1, 6))
+    assert rf_sums_to_one([quarter, sixth, rf_const(Fraction(7, 12))])
+    assert not rf_sums_to_one([quarter, sixth, rf_const(Fraction(1, 2))])
+    x = Polynomial.of_variable(variable("x"))
+    one, c = Polynomial.one(), Polynomial.const
+    row = [rf_from_polys(one, c(4) * (x + one)), rf_from_polys(one, c(6) * (x + one))]
+    assert rf_sums_to_one(row + [rf_from_polys(c(12) * x + c(7), c(12) * (x + one))])
+    assert not rf_sums_to_one(row + [rf_from_polys(c(2) * x + one, c(2) * (x + one))])
 
 
 def test_sums_to_one_leaves_the_session_as_it_was():
