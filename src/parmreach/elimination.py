@@ -12,6 +12,10 @@ No hierarchy is built, so states still on loops are removed and the
 checks that a component's interior is loop-free are skipped.  Instead
 every row a removal changed must still sum to exactly 1, which
 :func:`~parmreach.ratfun.rf_sums_to_one` decides without cancelling.
+Models built from repeated parts, such as brp, change the same rows
+again and again; a row the session has already found to sum to 1 is
+answered from the session's memo, so the audit costs arithmetic only
+for rows it has not seen.
 
 The result contract matches :func:`parmreach.scc_mc.model_check`
 exactly.  The engines share the removal step, the order and the

@@ -468,13 +468,17 @@ class _HandleTable(dict):
 
 class Session:
     """The state one analysis shares: the variable table, the gcd memo,
-    the factor pool and the expanded-product cache.
+    the factor pool, the expanded-product cache and the rows known to
+    sum to 1.
 
     The pool interns each non-constant factor base once: ``polys[h]`` is
     base ``h``, ``screens[h]`` its :func:`is_irreducible_heuristic`,
     ``memos[h]`` its finest known split.  Constants are not pooled (a
     factorization keeps them as its coefficient), and handles continue
-    after those of the session this one replaced.
+    after those of the session this one replaced.  ``sums_to_one`` holds
+    every row :func:`~parmreach.ratfun.rf_sums_to_one` has found to sum
+    to exactly 1, each as the sorted ``(num.coeff, num.factors,
+    den.coeff, den.factors)`` of its non-zero terms.
     """
 
     def __init__(self, first_handle: int = 0):
@@ -488,6 +492,7 @@ class Session:
         self.memos: dict[int, tuple[tuple[int, int], ...]] = {}
         self.gcd_kernel_calls = 0
         self.expanded: dict[tuple[tuple[int, int], ...], Polynomial] = {}
+        self.sums_to_one: set[tuple[tuple, ...]] = set()
 
     @property
     def stored_polynomials(self) -> int:

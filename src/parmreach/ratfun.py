@@ -35,7 +35,13 @@ exponent subtraction), ``sum(n_i/d_i) == 1`` exactly when
 ``sum(n_i*(D/d_i)) - D == 0``.  :func:`rf_sums_to_one` keeps that sum
 as ``G*S``, ``G`` the bases all terms so far share and ``S`` a
 polynomial, so it expands only cofactors, and it neither interns,
-refines nor calls the gcd kernel:
+refines nor calls the gcd kernel.  The rows it finds to sum to 1 are
+remembered in the session (``Session.sums_to_one``) under the multiset
+of their terms' factorizations, so a row seen again is answered without
+arithmetic.  That is exact: within a session a handle never changes
+meaning, so equal factorizations are equal functions; handles are not
+reused across sessions, so a row from an ended session never hits; and
+rows that do not sum to 1 are not remembered, so each is decided again:
 
 >>> from parmreach.polycore import variables
 >>> p = rf_of_variable(variables("p")[0])
@@ -58,7 +64,7 @@ from .factorizations import (
     fpow,
     gcd_factored,
 )
-from .polycore import Polynomial, Variable
+from .polycore import Polynomial, Variable, session
 
 __all__ = [
     "DivisionByZeroFunction",
@@ -139,7 +145,8 @@ class RationalFunction:
 
     @property
     def is_constant(self) -> bool:
-        return self.numerator_poly().is_constant and self.denominator_poly().is_constant
+        # no pool base is a constant, and over Z[x] neither is a product of bases
+        return not self.num.factors and not self.den.factors
 
     def numerator_poly(self) -> Polynomial:
         return self.num.expand()
@@ -326,8 +333,22 @@ def _cofactor(f: Mapping[int, int], shared: Mapping[int, int]) -> Polynomial:
 
 
 def rf_sums_to_one(items: Iterable[RationalFunction]) -> bool:
-    """Whether *items* sum to exactly 1, decided without cancelling (module docstring)."""
+    """Whether *items* sum to exactly 1, decided without cancelling and
+    remembered per session when it holds (module docstring)."""
     terms = [f for f in items if not f.is_zero]
+    row = tuple(sorted((f.num.coeff, f.num.factors, f.den.coeff, f.den.factors) for f in terms))
+    decided = session().sums_to_one
+    if row in decided:
+        return True
+    if not _sums_to_one(terms):
+        return False
+    decided.add(row)
+    return True
+
+
+def _sums_to_one(terms: list[RationalFunction]) -> bool:
+    """Whether the non-zero *terms* sum to exactly 1, decided over a
+    common multiple of their denominators."""
     lcm = math.lcm(*(f.den.coeff for f in terms))
     common: dict[int, int] = {}
     for f in terms:

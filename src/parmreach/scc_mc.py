@@ -536,10 +536,12 @@ def collect_constraints(r: ReachabilityResult, m: Pdtmc) -> str:
         num = divisor.numerator_poly()
         if not num.is_constant:
             emit(f"(assert (not (= {_smt_poly(_content_normalized(num), names)} 0)))")
+    rendered = set()  # (num, den) of the edge functions handled so far
     for row in m.trans.values():
         for f in row.values():
-            if f.is_constant:
+            if f.is_constant or (f.num, f.den) in rendered:
                 continue
+            rendered.add((f.num, f.den))
             num, den = f.numerator_poly(), f.denominator_poly()
             positive = _content_normalized(num * den)
             emit(f"(assert (< 0 {_smt_poly(positive, names)}))")

@@ -252,6 +252,22 @@ def test_both_engines_factor_an_acyclic_model_alike():
     assert _factored(model_check, text) == _factored(eliminate_all, text)
 
 
+def test_the_smt_export_renders_each_distinct_edge_function_once(monkeypatch):
+    # brp repeats a handful of edge functions hundreds of times
+    m = preprocess(parse_model(brp(16, 4)))
+    result = eliminate_all(m)
+    edges = [f for row in m.trans.values() for f in row.values() if not f.is_constant]
+    distinct = {(f.num, f.den) for f in edges}
+    assert (len(edges), len(distinct), len(result.constraints)) == (448, 4, 1)
+    rendered = []
+    smt_poly = scc_mc._smt_poly
+    monkeypatch.setattr(
+        scc_mc, "_smt_poly", lambda p, names: rendered.append(p) or smt_poly(p, names)
+    )
+    scc_mc.collect_constraints(result, m)
+    assert len(rendered) <= 2 * len(distinct) + len(result.constraints)
+
+
 @pytest.mark.parametrize("name, inputs", [("fig2", 1), ("two_inputs", 2)])
 def test_elim_audits_one_site_per_live_initial_state(name, inputs):
     text = (pathlib.Path(__file__).parent / "data" / f"{name}.pdtmc").read_text()

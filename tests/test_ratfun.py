@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parmreach import eliminate_all, elimination, parse_model, preprocess, ratfun, scc_mc
+from parmreach.benchgen import brp
 from parmreach.polycore import (
     Polynomial,
     StaleValue,
@@ -157,6 +159,12 @@ def ratfuns(draw):
     if draw(st.booleans()):
         num = -num
     return rf_from_polys(num, pick_poly())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(ratfuns(), st.fractions().map(rf_const)))
+def test_is_constant_agrees_with_the_expanded_check(f):
+    assert f.is_constant == (f.numerator_poly().is_constant and f.denominator_poly().is_constant)
 
 
 @settings(max_examples=50, deadline=None)
@@ -328,6 +336,83 @@ def test_sums_to_one_leaves_the_session_as_it_was():
     assert state() == before
     assert rf_sum(row).is_one
     assert state() != before  # the cancelled sum refines the pool
+
+
+def test_the_sums_to_one_memo_keys_a_row_by_the_multiset_of_its_terms():
+    half, third = rf_const(Fraction(1, 2)), rf_const(Fraction(1, 3))
+    assert rf_sums_to_one([half, half])
+    assert not rf_sums_to_one([half])
+    assert rf_sums_to_one([third, third, third])
+    assert not rf_sums_to_one([third, third])
+
+
+def test_the_sums_to_one_memo_keys_denominators_and_coefficients():
+    p = Polynomial.of_variable(variable("p"))
+    one, c = Polynomial.one(), Polynomial.const
+    # the same numerators over another denominator base
+    assert rf_sums_to_one([rf_from_polys(p, p + one), rf_from_polys(one, p + one)])
+    assert not rf_sums_to_one([rf_from_polys(p, p + c(2)), rf_from_polys(one, p + c(2))])
+    # the same numerators over another denominator coefficient
+    for k, sums in ((2, True), (3, False)):
+        den = c(k) * (p + one)
+        assert rf_sums_to_one([rf_from_polys(one, den), rf_from_polys(c(2) * p + one, den)]) == sums
+    # the same bases with a negated numerator coefficient
+    assert not rf_sums_to_one([rf_from_polys(-p, p + one), rf_from_polys(one, p + one)])
+
+
+def _counting_decisions(monkeypatch) -> list:
+    decisions = []
+    decide = ratfun._sums_to_one
+    monkeypatch.setattr(
+        ratfun, "_sums_to_one", lambda terms: decisions.append(terms) or decide(terms)
+    )
+    return decisions
+
+
+def _p_and_its_complement() -> list:
+    """``[p/(1 + p), 1/(1 + p)]``, a row that sums to 1."""
+    P = rf_of_variable(variable("p"))
+    return [rf_div(P, rf_add(rf_one(), P)), rf_div(rf_one(), rf_add(rf_one(), P))]
+
+
+def test_the_sums_to_one_memo_remembers_only_rows_that_sum_to_one(monkeypatch):
+    decisions = _counting_decisions(monkeypatch)
+    right = _p_and_its_complement()
+    wrong = [right[0], rf_add(right[1], right[1])]
+    assert not rf_sums_to_one(wrong)
+    assert not rf_sums_to_one(wrong)
+    assert len(decisions) == 2
+    assert rf_sums_to_one(right)
+    assert rf_sums_to_one(right[::-1])
+    assert len(decisions) == 3
+
+
+def test_a_planted_multiplication_bug_on_brp_breaks_the_elimination_audit(monkeypatch):
+    # brp's rows repeat, so every wrong row must still be decided anew
+    m = preprocess(parse_model(brp(16, 4)))
+    monkeypatch.setattr(scc_mc, "rf_mul", lambda a, b: rf_mul(a, rf_add(b, b)))
+    with pytest.raises(elimination.ConservationBroken, match="no longer sum to 1"):
+        eliminate_all(m)
+
+
+def test_a_row_remembered_in_an_ended_session_is_stale():
+    row = _p_and_its_complement()
+    assert rf_sums_to_one(row)
+    reset_session()
+    with pytest.raises(StaleValue):
+        rf_sums_to_one(row)
+
+
+def test_the_elimination_audit_decides_few_of_brps_rows_in_full(monkeypatch):
+    m = preprocess(parse_model(brp(16, 4)))
+    audits, audit = [], elimination.rf_sums_to_one
+    monkeypatch.setattr(
+        elimination, "rf_sums_to_one", lambda items: audits.append(1) or audit(items)
+    )
+    decisions = _counting_decisions(monkeypatch)
+    eliminate_all(m)
+    assert len(audits) >= 200
+    assert len(decisions) <= 40, (len(decisions), len(audits))
 
 
 # ---------------------------------------------------------------------------
