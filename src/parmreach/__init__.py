@@ -26,13 +26,12 @@ Typical use::
         print(source, "->", target, "=", f)
 """
 
-from .benchgen import BenchSpec, Family, SizeCapExceeded, generate
+from .benchgen import SizeCapExceeded
 from .elimination import SelfLoopProbabilityOne, eliminate_all
 from .errors import ParmreachError
 from .factorizations import Factorization, GcdTriple, gcd_factored
 from .model import (
     Dtmc,
-    Evaluation,
     ModelSyntaxError,
     NotWellDefined,
     Pdtmc,
@@ -48,7 +47,6 @@ from .oracle import SingularSystem, numeric_reachability
 from .polycore import (
     ExponentOverflow,
     Polynomial,
-    Rational,
     StaleValue,
     Variable,
     poly_gcd,
@@ -87,7 +85,6 @@ __all__ = [
     # model layer
     "Pdtmc",
     "Dtmc",
-    "Evaluation",
     "parse_model",
     "preprocess",
     "evaluate",
@@ -103,7 +100,6 @@ __all__ = [
     # symbolic layer
     "Polynomial",
     "Variable",
-    "Rational",
     "variable",
     "poly_gcd",
     "RationalFunction",
@@ -120,10 +116,6 @@ __all__ = [
     "Factorization",
     "GcdTriple",
     "gcd_factored",
-    # benchmarks
-    "BenchSpec",
-    "Family",
-    "generate",
     # errors
     "ParmreachError",
     "ModelSyntaxError",

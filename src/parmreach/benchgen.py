@@ -28,17 +28,11 @@ other tool's models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 from .errors import ParmreachError
 
 __all__ = [
     "SizeCapExceeded",
-    "Family",
-    "BenchSpec",
     "STATE_CAP",
-    "generate",
     "brp",
     "crowds",
     "zeroconf",
@@ -49,35 +43,6 @@ STATE_CAP = 5000
 
 class SizeCapExceeded(ParmreachError):
     """The requested instance would have more states than the cap allows."""
-
-
-class Family(Enum):
-    BRP = "brp"
-    CROWDS = "crowds"
-    ZEROCONF = "zeroconf"
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    """A benchmark instance request.
-
-    ``size`` is the primary size (chunks / crowd members / probes);
-    ``depth`` is the secondary one (retransmissions per chunk / routing
-    rounds) and is ignored for zeroconf.
-    """
-
-    family: Family
-    size: int
-    depth: int = 0
-
-
-def generate(spec: BenchSpec) -> str:
-    """Model-file text for ``spec``.  Raises :class:`SizeCapExceeded`."""
-    if spec.family is Family.BRP:
-        return brp(spec.size, spec.depth)
-    if spec.family is Family.CROWDS:
-        return crowds(spec.size, spec.depth)
-    return zeroconf(spec.size)
 
 
 def _check_cap(states: int) -> None:

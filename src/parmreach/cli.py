@@ -27,7 +27,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .benchgen import BenchSpec, Family, SizeCapExceeded, generate
+from .benchgen import SizeCapExceeded, brp, crowds, zeroconf
 from .elimination import eliminate_all
 from .errors import ParmreachError
 from .model import Pdtmc, parse_model, preprocess
@@ -149,17 +149,21 @@ def _peak_memory_mb() -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    family = Family(args.family)
-    depth = args.max if family is Family.BRP else args.rounds
-    smallest = 2 if family is Family.CROWDS else 1
+    family = args.family
+    smallest = 2 if family == "crowds" else 1
     if args.n < smallest:
-        raise _UsageError(f"--n must be at least {smallest} for {family.value}")
-    if family is Family.BRP and depth < 0:
+        raise _UsageError(f"--n must be at least {smallest} for {family}")
+    if family == "brp" and args.max < 0:
         raise _UsageError("--max must be at least 0")
-    if family is Family.CROWDS and depth < 1:
+    if family == "crowds" and args.rounds < 1:
         raise _UsageError("--rounds must be at least 1")
     try:
-        text = generate(BenchSpec(family, args.n, depth))
+        if family == "brp":
+            text = brp(args.n, args.max)
+        elif family == "crowds":
+            text = crowds(args.n, args.rounds)
+        else:
+            text = zeroconf(args.n)
     except SizeCapExceeded as exc:
         raise _UsageError(str(exc)) from exc
     if args.output:
@@ -212,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a benchmark model file")
     gen.add_argument(
         "--family",
-        choices=[f.value for f in Family],
+        choices=["brp", "crowds", "zeroconf"],
         required=True,
     )
     gen.add_argument("--n", type=int, required=True, help="primary size")

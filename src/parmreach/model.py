@@ -61,7 +61,6 @@ __all__ = [
     "NotWellDefined",
     "Pdtmc",
     "Dtmc",
-    "Evaluation",
     "parse_model",
     "parse_expression",
     "evaluate",
@@ -151,10 +150,11 @@ class Pdtmc:
             for t in row:
                 if t not in index:
                     raise ValueError(f"transition destination {t!r} is not a state")
-        tgt = tuple(sorted(set(targets), key=index.__getitem__))
-        for t in tgt:
+        targets = set(targets)
+        for t in targets:
             if t not in index:
                 raise ValueError(f"target {t!r} is not a state")
+        tgt = tuple(sorted(targets, key=index.__getitem__))
 
         object.__setattr__(self, "states", sts)
         object.__setattr__(self, "params", tuple(dict.fromkeys(params)))
@@ -217,29 +217,6 @@ class Dtmc:
     init: Mapping[str, Fraction]
     trans: Mapping[str, Mapping[str, Fraction]]
     targets: tuple[str, ...] = ()
-
-
-class Evaluation:
-    """A total assignment of rational values to the model parameters."""
-
-    __slots__ = ("assignment",)
-
-    def __init__(self, assignment: Mapping[Variable, Fraction | int]):
-        object.__setattr__(
-            self, "assignment", {v: Fraction(x) for v, x in assignment.items()}
-        )
-
-    def __setattr__(self, key, value):  # pragma: no cover - guard only
-        raise AttributeError("Evaluation is immutable")
-
-    def require_total(self, params: Iterable[Variable]) -> None:
-        missing = [v.name for v in params if v not in self.assignment]
-        if missing:
-            raise MissingAssignment(f"no value for parameter(s): {', '.join(missing)}")
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v.name}={x}" for v, x in self.assignment.items())
-        return f"Evaluation({inner})"
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +483,7 @@ def parse_model(text: str) -> Pdtmc:
 # ---------------------------------------------------------------------------
 
 
-def _coerce(u: "Evaluation | Mapping[Variable, Fraction | int]") -> Evaluation:
-    return u if isinstance(u, Evaluation) else Evaluation(u)
-
-
-def evaluate(m: Pdtmc, u: "Evaluation | Mapping[Variable, Fraction | int]") -> Dtmc:
+def evaluate(m: Pdtmc, u: Mapping[Variable, Fraction | int]) -> Dtmc:
     """Instantiate the parameters, checking the result is a DTMC.
 
     Entries whose denominator vanishes at *u* count as 0 (they are
@@ -518,9 +491,10 @@ def evaluate(m: Pdtmc, u: "Evaluation | Mapping[Variable, Fraction | int]") -> D
     stochasticity, :class:`NotWellDefined` reports every violated
     condition at once.
     """
-    ev = _coerce(u)
-    ev.require_total(m.params)
-    a = ev.assignment
+    missing = [v.name for v in m.params if v not in u]
+    if missing:
+        raise MissingAssignment(f"no value for parameter(s): {', '.join(missing)}")
+    a = {v: Fraction(x) for v, x in u.items()}
     violations: list[str] = []
 
     def num(f: RationalFunction, what: str) -> Fraction | None:
@@ -559,25 +533,18 @@ def evaluate(m: Pdtmc, u: "Evaluation | Mapping[Variable, Fraction | int]") -> D
     return Dtmc(m.states, init, trans, m.targets)
 
 
-def is_graph_preserving(
-    m: Pdtmc, u: "Evaluation | Mapping[Variable, Fraction | int]"
-) -> bool:
-    """True iff *u* yields a DTMC and keeps every nonzero edge positive."""
-    ev = _coerce(u)
-    ev.require_total(m.params)
-    a = ev.assignment
-    for row in m.trans.values():
-        for f in row.values():
-            try:
-                if rf_eval(f, a) <= 0:
-                    return False
-            except EvalDenominatorZero:
-                return False
+def is_graph_preserving(m: Pdtmc, u: Mapping[Variable, Fraction | int]) -> bool:
+    """True iff *u* yields a DTMC and keeps every nonzero edge positive.
+
+    :func:`evaluate` rejects negative values and vanishing denominators
+    and drops the entries that evaluate to 0, so the graph survives
+    exactly when it succeeds and every row keeps all its entries.
+    """
     try:
-        evaluate(m, ev)
+        d = evaluate(m, u)
     except NotWellDefined:
         return False
-    return True
+    return all(len(d.trans.get(s, ())) == len(row) for s, row in m.trans.items())
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,7 @@ from typing import Iterable, Mapping
 
 from .errors import ParmreachError
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Variable",
     "variable",
     "variables",
@@ -651,15 +648,6 @@ def poly_divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
         return _ZERO
     if b.is_one:
         return a
-    if b.is_constant:
-        c = b.constant_value()
-        terms = []
-        for k, coef in a.terms:
-            q, r = divmod(coef, c)
-            if r != 0:
-                raise NotDivisible(a, b)
-            terms.append((k, q))
-        return Polynomial(tuple(terms))
     k_lead, lead_c = b.terms[0]
     lead_fields = [(vid << 5, e) for vid, e in monomial_exponents(k_lead)]
     tail = b.terms[1:]

@@ -185,26 +185,6 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
 
-    # -- operator sugar (delegates to the rf_* functions) ---------------
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return rf_add(self, other)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return rf_sub(self, other)
-
-    def __neg__(self) -> "RationalFunction":
-        return rf_neg(self)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return rf_mul(self, other)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return rf_div(self, other)
-
-    def __pow__(self, k: int) -> "RationalFunction":
-        return rf_pow(self, k)
-
 
 def rf_zero() -> RationalFunction:
     return RationalFunction(Factorization.zero(), Factorization.one())

@@ -472,6 +472,19 @@ def model_check(m: Pdtmc) -> ReachabilityResult:
 # ---------------------------------------------------------------------------
 
 
+# SMT-LIB 2.6 reserved words and Core symbols that are also valid
+# parameter names; a quoted ``|and|`` still names the Core ``and``
+_SMT_TAKEN = frozenset(
+    "_ as let exists forall match par NUMERAL DECIMAL STRING BINARY HEXADECIMAL"
+    " assert push pop reset exit echo true false not and or xor ite distinct".split()
+)
+
+
+def _smt_symbol(name: str) -> str:
+    """``name`` as an SMT-LIB symbol; a taken name gets a ``'`` no parameter has."""
+    return f"|{name}'|" if name in _SMT_TAKEN else name
+
+
 def _smt_int(n: int) -> str:
     return str(n) if n >= 0 else f"(- {-n})"
 
@@ -517,13 +530,14 @@ def collect_constraints(r: ReachabilityResult, m: Pdtmc) -> str:
     parametric edge f = n/d of ``m``, in row order: ``0 < n*d`` (the
     edge keeps positive probability) and ``0 < (d-n)*d`` (it stays
     below one).  Constant conditions are trivially true and omitted;
-    duplicates are emitted once.  The script ends with (check-sat) and
-    performs no solving itself.
+    duplicates are emitted once.  A parameter named like an SMT-LIB
+    reserved word or Core symbol is declared as a quoted symbol.  The
+    script ends with (check-sat) and performs no solving itself.
     """
-    names = {v.id: v.name for v in m.params}
+    names = {v.id: _smt_symbol(v.name) for v in m.params}
     lines = ["(set-logic QF_NRA)"]
     for v in m.params:
-        lines.append(f"(declare-const {v.name} Real)")
+        lines.append(f"(declare-const {names[v.id]} Real)")
 
     seen: set[str] = set()
 

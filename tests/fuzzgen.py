@@ -4,74 +4,45 @@ Rows are built by repeatedly splitting a unit of probability mass with
 factors that lie strictly between 0 and 1 on the open unit box, so the
 symbolic row sums are exactly 1 by construction and *every* point with
 all parameters in (0, 1) is graph-preserving.  Numerator and
-denominator degrees of every edge stay at most 2.
+denominator degrees of every edge stay at most 2.  The rows are the
+texts of ``perfbench/gen.split_unit``, the benchmark's fuzz generator,
+parsed, so both draw the same rows from the same random stream.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
-from parmreach.model import Pdtmc, preprocess
+from parmreach.model import Pdtmc, parse_expression, preprocess
 from parmreach.polycore import Variable, variable
-from parmreach.ratfun import (
-    RationalFunction,
-    rf_add,
-    rf_const,
-    rf_div,
-    rf_mul,
-    rf_of_variable,
-    rf_one,
-    rf_sub,
-    rf_sum,
-)
-
-_CONSTS = [
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(2, 5),
-    Fraction(3, 10),
-    Fraction(7, 10),
-]
+from parmreach.ratfun import RationalFunction, rf_one, rf_sum
 
 
-def _pick_factor(
-    rng: random.Random, params: list[Variable], dn: int, dd: int
-) -> tuple[RationalFunction, int, int]:
-    """A factor g with 0 < g < 1 on the unit box, plus the degree cost
-    that multiplying by g (or 1 - g) adds to a weight."""
-    kinds = ["const"]
-    if params:
-        if dn + 1 <= 2:
-            kinds += ["lin", "lin"]
-        if dn + 2 <= 2:
-            kinds.append("quad")
-        if dn + 1 <= 2 and dd + 1 <= 2:
-            kinds.append("inv")
-    kind = rng.choice(kinds)
-    if kind == "const":
-        return rf_const(rng.choice(_CONSTS)), 0, 0
-    if kind == "lin":
-        return rf_of_variable(rng.choice(params)), 1, 0
-    if kind == "quad":
-        v, w = rng.choice(params), rng.choice(params)
-        return rf_mul(rf_of_variable(v), rf_of_variable(w)), 2, 0
-    v = rf_of_variable(rng.choice(params))
-    return rf_div(rf_one(), rf_add(rf_one(), v)), 1, 1
+def _load_bench_gen():
+    """``perfbench/gen.py``, loaded from its path: the benchmark's directory is no package."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_GEN = _load_bench_gen()
 
 
 def split_unit(
     rng: random.Random, k: int, params: list[Variable]
 ) -> list[RationalFunction]:
-    """``k`` positive functions summing to exactly 1 symbolically."""
-    weights = [(rf_one(), 0, 0)]
-    while len(weights) < k:
-        i = rng.randrange(len(weights))
-        w, dn, dd = weights.pop(i)
-        g, cn, cd = _pick_factor(rng, params, dn, dd)
-        weights.append((rf_mul(w, g), dn + cn, dd + cd))
-        weights.append((rf_mul(w, rf_sub(rf_one(), g)), dn + cn, dd + cd))
-    return [w for w, _, _ in weights]
+    """``k`` positive functions summing to exactly 1 symbolically: the
+    benchmark's ``split_unit`` texts, parsed."""
+    names = {v.name: v for v in params}
+    return [
+        parse_expression(text, names)
+        for text in BENCH_GEN.split_unit(rng, k, list(names))
+    ]
 
 
 def random_pdtmc(

@@ -4,8 +4,12 @@ Accepts exactly the command shape the exporter promises: one
 ``(set-logic QF_NRA)``, then ``declare-const``/``assert`` commands, then
 one final ``(check-sat)``.  Terms may use the QF_NRA core: arithmetic
 over declared Real constants and rational literals, comparisons,
-equality, and boolean connectives.  Every deviation is reported, so a
-passing script is well-formed SMT-LIB 2 by construction.
+equality, and boolean connectives.  A declared name may be a simple
+symbol or a quoted ``|...|`` symbol, which denotes the symbol between the
+bars; it may be neither a reserved word written unquoted nor, quoted or
+not, a symbol that the Core or Reals theory already defines.  Every
+deviation is reported, so a passing script is well-formed SMT-LIB 2 by
+construction.
 """
 
 from __future__ import annotations
@@ -14,12 +18,25 @@ import re
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<open>\()|(?P<close>\))|(?P<decimal>\d+\.\d+)|(?P<numeral>\d+)"
-    r"|(?P<symbol>[A-Za-z~!@$%^&*_+=<>.?/-][A-Za-z0-9~!@$%^&*_+=<>.?/-]*))"
+    r"|(?P<symbol>[A-Za-z~!@$%^&*_+=<>.?/-][A-Za-z0-9~!@$%^&*_+=<>.?/-]*)"
+    r"|\|(?P<quoted>[^|\\]*)\|)"
+)
+
+# the reserved words of SMT-LIB 2.6, command names included
+_RESERVED = set(
+    "! _ as BINARY DECIMAL exists HEXADECIMAL forall let match NUMERAL par STRING"
+    " assert check-sat check-sat-assuming declare-const declare-datatype"
+    " declare-datatypes declare-fun declare-sort define-fun define-fun-rec"
+    " define-funs-rec define-sort echo exit get-assertions get-assignment get-info"
+    " get-model get-option get-proof get-unsat-assumptions get-unsat-core"
+    " get-value pop push reset reset-assertions set-info set-logic set-option".split()
 )
 
 _NUM_OPS = {"+", "*", "-", "/"}
 _REL_OPS = {"<", "<=", ">", ">=", "="}
 _BOOL_OPS = {"not", "and", "or"}
+# the function symbols of the Core and Reals theories, which no script may redeclare
+_THEORY = {"true", "false", "=>", "xor", "distinct", "ite"} | _NUM_OPS | _REL_OPS | _BOOL_OPS
 
 
 def _tokenize(text: str, problems: list[str]) -> list[tuple[str, str]]:
@@ -69,6 +86,9 @@ def _check_term(term, declared: set[str], problems: list[str]) -> str:
         kind, value = term
         if kind in ("numeral", "decimal"):
             return "num"
+        if kind == "symbol" and value in _RESERVED:
+            problems.append(f"reserved word {value!r} used as a term")
+            return "bad"
         if value in declared:
             return "num"
         problems.append(f"undeclared symbol {value!r} in term")
@@ -125,6 +145,9 @@ def check_smtlib(text: str) -> list[str]:
     def sym(x) -> str | None:
         return x[1] if isinstance(x, tuple) and x[0] == "symbol" else None
 
+    def quoted(x) -> str | None:
+        return x[1] if isinstance(x, tuple) and x[0] == "quoted" else None
+
     first = forms[0]
     if not (
         isinstance(first, list)
@@ -148,9 +171,13 @@ def check_smtlib(text: str) -> list[str]:
             if len(form) != 3 or sym(form[2]) != "Real":
                 problems.append("declare-const must be (declare-const <name> Real)")
                 continue
-            name = sym(form[1])
+            name = sym(form[1]) or quoted(form[1])
             if name is None:
                 problems.append("declare-const name must be a symbol")
+            elif sym(form[1]) in _RESERVED:
+                problems.append(f"reserved word {name!r} declared unquoted")
+            elif name in _THEORY:
+                problems.append(f"declaration of {name!r} redefines a theory symbol")
             elif name in declared:
                 problems.append(f"duplicate declaration of {name!r}")
             else:

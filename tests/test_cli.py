@@ -81,6 +81,56 @@ def test_check_output_matches_golden(name, mode, tmp_path, capsys):
     assert check_smtlib(outputs[f"{name}.{mode}.smt2"]) == []
 
 
+RESERVED_NAMES = """\
+@params let and _
+@state s
+@state t
+@state u
+@state w
+@init s : 1
+@trans s -> s : let * and
+@trans s -> t : let * (1 - and)
+@trans s -> u : (1 - let) * _
+@trans s -> w : (1 - let) * (1 - _)
+@trans t -> t : 1
+@trans u -> u : 1
+@trans w -> w : 1
+@target t
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_constraints_quote_parameters_named_like_smtlib_words(mode, tmp_path, capsys):
+    model = tmp_path / "model.pdtmc"
+    model.write_text(RESERVED_NAMES, encoding="utf-8")
+    smt = tmp_path / "model.smt2"
+    argv = ["check", str(model), "--mode", mode, "--constraints-out", str(smt)]
+    code, _, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    text = smt.read_text(encoding="utf-8")
+    declared = [line for line in text.splitlines() if line.startswith("(declare-const")]
+    assert declared == [f"(declare-const |{v}'| Real)" for v in ("let", "and", "_")]
+    assert check_smtlib(text) == []
+
+
+@pytest.mark.parametrize(
+    "name, term, accepted",
+    [
+        ("p", "p", True),
+        ("|p|", "p", True),
+        ("|let|", "|let|", True),
+        ("let", "let", False),
+        ("|let|", "let", False),
+        ("_", "_", False),
+        ("and", "and", False),
+        ("|and|", "|and|", False),
+    ],
+)
+def test_checker_rejects_reserved_words_and_theory_symbols_as_names(name, term, accepted):
+    text = f"(set-logic QF_NRA)\n(declare-const {name} Real)\n(assert (< 0 {term}))\n(check-sat)\n"
+    assert (check_smtlib(text) == []) == accepted
+
+
 # ---------------------------------------------------------------------------
 # exit codes: 0 success, 1 model fault, 2 usage fault, bugs propagate
 # ---------------------------------------------------------------------------

@@ -1,24 +1,12 @@
 """Model layer: parsing, evaluation, graph utilities, preprocessing."""
 
-import importlib.util
-import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from parmreach.benchgen import (
-    STATE_CAP,
-    BenchSpec,
-    Family,
-    SizeCapExceeded,
-    brp,
-    crowds,
-    generate,
-    zeroconf,
-)
+from parmreach.benchgen import STATE_CAP, SizeCapExceeded, brp, crowds, zeroconf
 from parmreach.model import (
-    Evaluation,
     _ExprParser,
     ModelSyntaxError,
     NotWellDefined,
@@ -39,9 +27,9 @@ from parmreach.model import (
 )
 from parmreach.oracle import numeric_reachability
 from parmreach.polycore import MissingAssignment
-from parmreach.ratfun import rf_const, rf_one
+from parmreach.ratfun import EvalDenominatorZero, rf_const, rf_eval, rf_one
 
-from fuzzgen import graph_preserving_point, random_pdtmc
+from fuzzgen import BENCH_GEN, graph_preserving_point, random_pdtmc
 
 TINY = """
 @params p
@@ -212,11 +200,7 @@ def test_a_group_parsed_shallow_and_repeated_past_the_limit_is_still_an_error():
 
 def test_each_distinct_parenthesized_group_is_parsed_once(monkeypatch):
     # the first model of the benchmark's fuzz family (perfbench/gen.py)
-    path = pathlib.Path(__file__).parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    text = gen.fuzz_model(random.Random(13123979), 0)
+    text = BENCH_GEN.fuzz_model(random.Random(13123979), 0)
     groups = []
     expr = _ExprParser._expr
 
@@ -283,13 +267,6 @@ def test_evaluate_requires_total_assignment(fig2_text):
         evaluate(m, {p: Fraction(1, 2)})
 
 
-def test_evaluation_wrapper_repr():
-    m = parse_model(TINY)
-    ev = Evaluation({m.params[0]: Fraction(1, 3)})
-    assert repr(ev) == "Evaluation(p=1/3)"
-    ev.require_total(m.params)
-
-
 def test_graph_preserving_classification(fig2_text):
     m = parse_model(fig2_text)
     p, q = m.params
@@ -298,6 +275,40 @@ def test_graph_preserving_classification(fig2_text):
     assert not is_graph_preserving(m, {p: half, q: Fraction(0)})  # kills an edge
     assert not is_graph_preserving(m, {p: Fraction(1), q: half})  # kills an edge
     assert not is_graph_preserving(m, {p: Fraction(2), q: half})  # not a DTMC
+    with pytest.raises(MissingAssignment):
+        is_graph_preserving(m, {p: half})
+
+
+def _preserves_every_edge(m, point):
+    """The per-edge definition: every edge stays positive and *point* yields a DTMC."""
+    for row in m.trans.values():
+        for f in row.values():
+            try:
+                if rf_eval(f, point) <= 0:
+                    return False
+            except EvalDenominatorZero:
+                return False
+    try:
+        evaluate(m, point)
+    except NotWellDefined:
+        return False
+    return True
+
+
+def test_graph_preserving_matches_the_per_edge_definition():
+    # 0 and 1 kill edges, -1 zeroes the denominator of 1/(1 + v), and
+    # 2 and -1/2 leave [0, 1]
+    values = [Fraction(v) for v in ("0", "1", "1/2", "1/3", "2", "-1", "-1/2")]
+    rng = random.Random(7)
+    seen = set()
+    for seed in range(12):
+        m = random_pdtmc(random.Random(seed), max_states=10)
+        for _ in range(25):
+            point = {v: rng.choice(values) for v in m.params}
+            expected = _preserves_every_edge(m, point)
+            assert is_graph_preserving(m, point) == expected, (seed, point)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_evaluation_preserves_graph_structure(fig2_text):
@@ -496,15 +507,23 @@ def test_benchmark_sources_parse(source, states):
 @pytest.mark.parametrize(
     "at_cap, above",
     [
-        (BenchSpec(Family.BRP, 19, 87), BenchSpec(Family.BRP, 357, 4)),
-        (BenchSpec(Family.CROWDS, 3, 1250), BenchSpec(Family.CROWDS, 3, 1251)),
-        (BenchSpec(Family.ZEROCONF, 4997), BenchSpec(Family.ZEROCONF, 4998)),
+        ((brp, 19, 87), (brp, 357, 4)),
+        ((crowds, 3, 1250), (crowds, 3, 1251)),
+        ((zeroconf, 4997), (zeroconf, 4998)),
     ],
 )
 def test_generate_refuses_only_instances_above_the_state_cap(at_cap, above):
-    assert generate(at_cap).count("\n@state ") == STATE_CAP
+    make, *sizes = at_cap
+    assert make(*sizes).count("\n@state ") == STATE_CAP
+    make, *sizes = above
     with pytest.raises(SizeCapExceeded, match=f"cap {STATE_CAP}"):
-        generate(above)
+        make(*sizes)
+
+
+def test_pdtmc_rejects_an_unknown_target():
+    one = rf_one()
+    with pytest.raises(ValueError, match="target 'zz' is not a state"):
+        Pdtmc(["a"], [], {"a": one}, {"a": {"a": one}}, targets=["zz"])
 
 
 def test_repr_summarizes(fig2_text):

@@ -212,6 +212,20 @@ def test_divide_rejects_remainder(monkeypatch):
         printed.clear()
 
 
+@pytest.mark.parametrize("c", [2, -2, 3, -3, -1])
+def test_divide_by_a_constant(c):
+    X, Y, _ = _xyz()
+    k = Polynomial.const
+    q = X * X * Y + k(3) * X * Y - X + k(7)
+    b = k(c)
+    quotient = poly_divide_exact(q * b, b)
+    assert quotient == q
+    assert [key for key, _ in quotient.terms] == sorted((key for key, _ in q.terms), reverse=True)
+    if abs(c) > 1:
+        with pytest.raises(NotDivisible):
+            poly_divide_exact(q * b + X, b)
+
+
 def test_divide_by_zero_raises():
     (X, _, _) = _xyz()
     with pytest.raises(ZeroDivisionError):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import pathlib
 import random
@@ -35,6 +34,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from fuzzgen import BENCH_GEN as gen  # noqa: E402
 from parmreach import benchgen, cli, parse_model, preprocess  # noqa: E402
 
 FUZZ_FAMILY_SEEDS = (13123979, 20240601)
@@ -42,18 +42,8 @@ ENGINES = ("scc", "elim")
 DIAGNOSTIC_STATS = ("  time: ", "  peak memory: ")
 
 
-def _load_gen():
-    # loaded from its path so that nothing is added to the benchmark's directory
-    path = ROOT / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("usual_set_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def models() -> list[tuple[str, str]]:
     """``(name, model text)`` of every model of the usual set."""
-    gen = _load_gen()
     out = []
     for seed in FUZZ_FAMILY_SEEDS:
         rng = random.Random(seed)
