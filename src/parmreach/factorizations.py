@@ -134,6 +134,10 @@ class Factorization:
         cached per factor tuple, and the coefficient is applied after:
         pooled handles never change meaning within a session, and the
         same products come up over and over during state elimination.
+        Base powers come from :meth:`~parmreach.polycore.Session.power`,
+        which keeps each base's highest power so far, so the rising
+        powers of one base that elimination asks for cost one product
+        each.
         """
         if not self.factors:
             return Polynomial.const(self.coeff)
@@ -144,7 +148,7 @@ class Factorization:
             return hit.scale(self.coeff)
         heap = []
         for i, (h, e) in enumerate(self.factors):
-            p = s.polys[h] ** e
+            p = s.power(h, e)
             heap.append((len(p.terms), i, p))
         heapq.heapify(heap)
         tie = len(heap)

@@ -223,9 +223,11 @@ class Dtmc:
 # Expression parsing
 # ---------------------------------------------------------------------------
 
+# ASCII only: Unicode \w and \d would take names SMT-LIB cannot declare and digits like '١'.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))", re.ASCII
 )
+_NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)
 
 # Deeper parentheses are a syntax error, not a RecursionError: a level costs four frames.
 _MAX_NESTING = 100
@@ -414,12 +416,12 @@ def parse_model(text: str) -> Pdtmc:
             if not names:
                 raise ModelSyntaxError(f"{where}: @params needs at least one name")
             for name in names:
-                if not re.fullmatch(r"[A-Za-z_]\w*", name):
+                if not _NAME.fullmatch(name):
                     raise ModelSyntaxError(f"{where}: invalid parameter name {name!r}")
                 params.setdefault(name, variable(name))
         elif head == "@state":
             name = rest
-            if not re.fullmatch(r"[A-Za-z_]\w*", name):
+            if not _NAME.fullmatch(name):
                 raise ModelSyntaxError(f"{where}: @state takes exactly one identifier")
             if name in state_set:
                 raise ModelSyntaxError(f"{where}: duplicate state {name!r}")

@@ -11,8 +11,9 @@ polynomial terms are stored leading-first under that order.  No other
 module reads key fields.
 
 All mutable state of the package lives in one :class:`Session`: the
-variable table, the gcd memo, and the factor pool and product cache of
-:mod:`parmreach.factorizations`.  :func:`reset_session` replaces it.
+variable table, the gcd memo, the factor pool and product and power
+caches of :mod:`parmreach.factorizations`, and the operation memo of
+:mod:`parmreach.ratfun`.  :func:`reset_session` replaces it.
 
 Coefficients are plain Python ints; scalar results are
 :class:`fractions.Fraction`.  Decimal inputs are expected to have been
@@ -465,17 +466,22 @@ class _HandleTable(dict):
 
 class Session:
     """The state one analysis shares: the variable table, the gcd memo,
-    the factor pool, the expanded-product cache and the rows known to
-    sum to 1.
+    the factor pool, the expanded-product and base-power caches, the
+    operation memo and the rows known to sum to 1.
 
     The pool interns each non-constant factor base once: ``polys[h]`` is
     base ``h``, ``screens[h]`` its :func:`is_irreducible_heuristic`,
     ``memos[h]`` its finest known split.  Constants are not pooled (a
     factorization keeps them as its coefficient), and handles continue
-    after those of the session this one replaced.  ``sums_to_one`` holds
-    every row :func:`~parmreach.ratfun.rf_sums_to_one` has found to sum
-    to exactly 1, each as the sorted ``(num.coeff, num.factors,
-    den.coeff, den.factors)`` of its non-zero terms.
+    after those of the session this one replaced.  ``powers[h]`` is the
+    highest power of base ``h`` computed so far, as ``(t, base^t)``
+    (:meth:`power`).  ``ops`` maps the operands of
+    :func:`~parmreach.ratfun.rf_add` and :func:`~parmreach.ratfun.rf_mul`
+    to their results, and :meth:`remember` empties it, since a split
+    can refine a result.  ``sums_to_one`` holds every row
+    :func:`~parmreach.ratfun.rf_sums_to_one` has found to sum to exactly
+    1, each as the sorted ``(num.coeff, num.factors, den.coeff,
+    den.factors)`` of its non-zero terms.
     """
 
     def __init__(self, first_handle: int = 0):
@@ -489,6 +495,8 @@ class Session:
         self.memos: dict[int, tuple[tuple[int, int], ...]] = {}
         self.gcd_kernel_calls = 0
         self.expanded: dict[tuple[tuple[int, int], ...], Polynomial] = {}
+        self.powers: dict[int, tuple[int, Polynomial]] = {}
+        self.ops: dict[tuple, object] = {}  # values are RationalFunctions
         self.sums_to_one: set[tuple[tuple, ...]] = set()
 
     @property
@@ -505,9 +513,35 @@ class Session:
         return h
 
     def remember(self, h: int, factors: tuple[tuple[int, int], ...]) -> None:
-        """Record a split of base *h*; its trivial self-split teaches nothing."""
+        """Record a split of base *h*; its trivial self-split teaches nothing.
+
+        A split ends the operation memo: recomputing a stored result
+        now may yield a finer factorization.  The memo is replaced, not
+        cleared, so an operation under way when its own work records a
+        split stores its result in the dict no one reads any more.
+        """
         if factors != ((h, 1),):
             self.memos[h] = factors
+            self.ops = {}
+
+    def power(self, h: int, e: int) -> Polynomial:
+        """Base *h* raised to *e* >= 1, by one product from the highest
+        power of *h* computed so far when *e* is above it."""
+        p = self.polys[h]
+        if e == 1:
+            return p
+        top = self.powers.get(h)
+        if top is None:
+            out = p**e
+        else:
+            t, pt = top
+            if e == t:
+                return pt
+            if e < t:
+                return p**e
+            out = poly_mul(pt, p ** (e - t))
+        self.powers[h] = (e, out)
+        return out
 
     def is_irreducible(self, h: int) -> bool:
         """The cached :func:`is_irreducible_heuristic` of base *h*."""

@@ -27,6 +27,20 @@ irreducible factor of ``d1'`` can divide ``s``: it would divide
 The same holds for ``d2'``, so ``s/(g*d1'*d2')`` is fully reduced once
 ``s`` and ``g`` are.
 
+:func:`rf_add` and :func:`rf_mul` (and so :func:`rf_sub` and
+:func:`rf_div`) remember their results in the session (``Session.ops``)
+under the raw operand tuples ``(op, num.coeff, num.factors, den.coeff,
+den.factors)`` of both operands, so a repeated operand pair costs no
+arithmetic.  That is exact.  Within a session a handle never changes
+meaning, and both operations are deterministic functions of their
+operands and of the pool's refinement memos: interning a new base
+changes no existing handle, and the screens and the gcd memo only
+cache values.  Recording a split (``Session.remember``) is the one
+change that can make a recomputed result finer, so it empties the
+memo, and a result whose own computation recorded a split is not
+kept.  A hit skips the kernel calls a computation would repeat, so
+``gcd kernel calls`` can only fall; nothing else a run reports moves.
+
 Whether functions sum to exactly 1 needs no cancellation.  With ``D``
 the lcm ``L`` of the denominators' coefficients times every
 denominator base at its largest exponent, a common multiple of the
@@ -215,11 +229,33 @@ def rf_from_polys(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(n, d)
 
 
+_OPS_CAP = 65536
+
+
+def _memoized(op: str, a: RationalFunction, b: RationalFunction, compute) -> RationalFunction:
+    """``compute(a, b)``, remembered in the session's operation memo
+    under the raw operand tuples (module docstring)."""
+    ops = session().ops
+    key = (op, a.num.coeff, a.num.factors, a.den.coeff, a.den.factors,
+           b.num.coeff, b.num.factors, b.den.coeff, b.den.factors)
+    out = ops.get(key)
+    if out is None:
+        out = compute(a, b)
+        if len(ops) >= _OPS_CAP:
+            ops.clear()
+        ops[key] = out
+    return out
+
+
 def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
     if a.is_zero:
         return b
     if b.is_zero:
         return a
+    return _memoized("+", a, b, _add)
+
+
+def _add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
     if a.den == b.den:
         num = fadd(a.num, b.num)
         n, d = _cancel(num, a.den)
@@ -251,6 +287,10 @@ def rf_mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
         return b
     if b.is_one:
         return a
+    return _memoized("*", a, b, _mul)
+
+
+def _mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
     # cross-cancel: each numerator only against the opposite denominator
     ta = gcd_factored(a.num, b.den)
     tb = gcd_factored(b.num, a.den)

@@ -169,6 +169,27 @@ def test_exit_1_on_an_exponent_beyond_the_key_fields(tmp_path, capsys):
     assert err.startswith("error: ") and "2**31" in err
 
 
+_TWO_STATES = "@state a\n@state b\n@init a : 1\n@trans b -> b : 1\n@target b\n"
+
+
+def test_exit_1_on_a_non_ascii_parameter_name(tmp_path, capsys):
+    # SMT-LIB simple symbols are ASCII, so `pé` could not be declared
+    smt = tmp_path / "c.smt2"
+    model = _write(tmp_path, "@params pé\n" + _TWO_STATES + "@trans a -> b : 1\n")
+    code, out, err = _run(["check", model, "--constraints-out", str(smt)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: line 1: invalid parameter name 'pé'\n"
+    assert not smt.exists()
+
+
+def test_exit_1_on_a_non_ascii_digit(tmp_path, capsys):
+    # the Arabic-Indic digit one is not the weight 1
+    model = _write(tmp_path, "@params p\n" + _TWO_STATES + "@trans a -> b : \u0661\n")
+    code, out, err = _run(["check", model], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 7, column 1: unexpected character '\u0661'"), err
+
+
 def test_exit_2_on_an_unknown_eval_parameter(capsys):
     code, out, err = _run(["check", FIG2, "--eval", "p=1/2,z=1/3"], capsys)
     assert (code, out) == (2, "")

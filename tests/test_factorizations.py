@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmreach.factorizations as fz
+from parmreach import polycore
 from parmreach.factorizations import (
     Factorization,
     GcdTriple,
@@ -15,10 +16,12 @@ from parmreach.factorizations import (
     gcd_factored,
 )
 from parmreach.polycore import (
+    ExponentOverflow,
     Polynomial,
     poly_eval,
     poly_gcd,
     poly_mul,
+    reset_session,
     session,
     variables,
 )
@@ -382,3 +385,51 @@ def test_gcd_factored_splits_into_common_part_and_coprime_cofactors(ops):
     assert poly_mul(common, t.cofactor_left.expand()) == f1.expand()
     assert poly_mul(common, t.cofactor_right.expand()) == f2.expand()
     assert poly_gcd(t.cofactor_left.expand(), t.cofactor_right.expand()).is_one
+
+
+# ---------------------------------------------------------------------------
+# base powers
+# ---------------------------------------------------------------------------
+
+
+_EXPONENTS = st.lists(st.integers(1, 12), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.one_of(_EXPONENTS, _EXPONENTS.map(sorted), _EXPONENTS.map(lambda es: sorted(es)[::-1])),
+)
+def test_expand_matches_repeated_squaring_whatever_the_order_of_exponents(bases, exponents):
+    # each example starts with no powers stored; repeats and jumps come from the draw
+    reset_session()
+    X, Y, _ = _xyz()
+    one = Polynomial.one()
+    atoms = [X + one, X * Y + one, X - Y * Y + Polynomial.const(2), X + Y]
+    s = session()
+    for e in exponents:
+        f = Factorization.one()
+        for i in bases:
+            f = fmul(f, fpow(F(atoms[i]), e))
+        s.expanded.clear()  # so every product is built from the stored powers
+        expected = one
+        for i in bases:
+            expected = poly_mul(expected, atoms[i] ** e)
+        assert f.expand() == expected
+
+
+def test_a_power_beyond_the_key_fields_overflows_after_a_smaller_one(monkeypatch):
+    X, _, _ = _xyz()
+    f = F(X)
+    assert fpow(f, 3).expand() == X**3
+    # square-and-multiply, not a ladder of 2**31 products
+    products, mul = [], polycore.poly_mul
+
+    def counted(a, b):
+        products.append(1)
+        assert len(products) <= 200, "the power took more than 200 products"
+        return mul(a, b)
+
+    monkeypatch.setattr(polycore, "poly_mul", counted)
+    with pytest.raises(ExponentOverflow):
+        fpow(f, 2**31).expand()

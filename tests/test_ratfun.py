@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from parmreach import eliminate_all, elimination, parse_model, preprocess, ratfun, scc_mc
 from parmreach.benchgen import brp
+from parmreach.factorizations import Factorization, gcd_factored
 from parmreach.polycore import (
     Polynomial,
     StaleValue,
@@ -440,3 +441,70 @@ def test_values_from_an_ended_session_raise():
     # zero and one are the same in every session
     assert rf_add(zero, g) == g
     assert str(rf_add(one, g)) == "(q^2 + q - 4)/(q - 7)"
+
+
+# ---------------------------------------------------------------------------
+# the operation memo
+# ---------------------------------------------------------------------------
+
+
+def test_a_split_after_an_addition_refines_the_repeated_addition():
+    # x^2 - 1 is one pool base until a gcd with x + 1 splits it
+    def run(split_first: bool) -> list[str]:
+        x = Polynomial.of_variable(variable("x"))
+        one = Polynomial.one()
+        a, b = rf_of_poly(x * x), rf_const(-1)
+        texts = [] if split_first else [rf_add(a, b).factored_str()]
+        gcd_factored(Factorization.of(x * x - one), Factorization.of(x + one))
+        return texts + [rf_add(a, b).factored_str()]
+
+    coarse, refined = run(split_first=False)
+    reset_session()
+    (fresh,) = run(split_first=True)
+    assert coarse == "(x^2 - 1)"
+    assert refined == fresh == "(x + 1)*(x - 1)"
+
+
+def test_a_result_remembered_in_an_ended_session_is_never_returned():
+    X = rf_of_variable(variable("x"))
+    a = rf_div(X, rf_add(X, rf_one()))
+    b = rf_div(rf_one(), rf_add(X, rf_const(2)))
+    ops = (rf_add, rf_sub, rf_mul, rf_div)
+    for op in ops:
+        op(a, b)
+    reset_session()
+    for op in ops:
+        with pytest.raises(StaleValue):
+            op(a, b)
+
+
+def test_the_operation_memo_answers_most_additions_and_products_on_brp(monkeypatch):
+    m = preprocess(parse_model(brp(16, 4)))
+    calls = {"rf_add": [], "rf_mul": [], "_add": [], "_mul": []}
+
+    def counted(name, fn):
+        return lambda a, b: calls[name].append(1) or fn(a, b)
+
+    for name in ("rf_add", "rf_mul"):
+        wrapped = counted(name, getattr(ratfun, name))
+        for module in (ratfun, scc_mc):
+            monkeypatch.setattr(module, name, wrapped)
+    for name in ("_add", "_mul"):
+        monkeypatch.setattr(ratfun, name, counted(name, getattr(ratfun, name)))
+    eliminate_all(m)
+    for op, computed in (("rf_add", "_add"), ("rf_mul", "_mul")):
+        assert len(calls[op]) >= 200
+        assert len(calls[computed]) <= 0.2 * len(calls[op]), (op, len(calls[computed]), len(calls[op]))
+
+
+def test_a_result_whose_computation_split_a_base_is_not_remembered():
+    # the gcd of the denominators splits x^2 - 1 on the way
+    X = rf_of_variable(variable("x"))
+    one = rf_one()
+    a = rf_div(one, rf_sub(rf_mul(X, X), one))
+    b = rf_div(one, rf_add(X, one))
+    session().ops.clear()  # forget how a and b were built
+    total = rf_add(a, b)
+    assert str(total) == "(x)/(x^2 - 1)"
+    assert total.factored_str() == "[(x)] / [(x + 1)*(x - 1)]"
+    assert not session().ops
