@@ -81,14 +81,16 @@ def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(acc.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """An integer coefficient times a multiset of (pool handle, exponent) factors.
 
     The represented polynomial is ``coeff`` times the product of
     ``base^exponent`` over all factors; the coefficient is 0 only for
     zero, whose factor tuple is empty.  Instances are immutable; all
-    algebra lives in the module-level operators.
+    algebra lives in the module-level operators.  They have slots, not
+    a ``__dict__``: the session's caches and operation memo keep many
+    of them alive.
     """
 
     coeff: int
