@@ -22,6 +22,7 @@ and exempt.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -57,6 +58,11 @@ def _open_output(path: str) -> TextIO:
         raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
+# the model parser's number syntax with a sign, or a ratio of integers;
+# ASCII only, since Fraction would also read digits like '١'
+_EVAL_VALUE = re.compile(r"[-+]?\d+(?:\.\d+|/\d+)?", re.ASCII)
+
+
 def _parse_eval(text: str, m: Pdtmc) -> dict:
     point: dict = {}
     names = {str(v): v for v in m.params}
@@ -72,9 +78,14 @@ def _parse_eval(text: str, m: Pdtmc) -> dict:
             raise _UsageError(f"--eval names unknown parameter {name!r}")
         if names[name] in point:
             raise _UsageError(f"--eval sets {name!r} twice")
+        value = value.strip()
+        if not _EVAL_VALUE.fullmatch(value):
+            raise _UsageError(
+                f"--eval value for {name!r}: {value!r} is not a number like 3/10 or 0.25"
+            )
         try:
-            point[names[name]] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            point[names[name]] = Fraction(value)
+        except ZeroDivisionError as exc:
             raise _UsageError(f"--eval value for {name!r}: {exc}") from exc
     return point
 

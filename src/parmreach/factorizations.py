@@ -317,6 +317,13 @@ def _settle_pair(p: Session, r1: Polynomial, irr1: bool, h2: int) -> tuple | Non
     return None if g.is_one else (g, poly_divide_exact(r1, g), poly_divide_exact(r2, g))
 
 
+def _look_up(p: Session, factors: tuple[tuple[int, int], ...]) -> None:
+    """Read each base of *factors*, so that a value from an ended session
+    raises :class:`~parmreach.polycore.StaleValue` at the call that used it."""
+    for h, _ in factors:
+        p.polys[h]
+
+
 def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     """gcd of two factored polynomials, refining as it goes.
 
@@ -345,10 +352,13 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
     if f1.is_zero or f2.is_zero:
         raise ValueError("gcd undefined for the zero factorization")
     c = math.gcd(f1.coeff, f2.coeff)
+    p = session()
     if c == 1 and not (f1.factors and f2.factors):  # nothing to pair, nothing shared
+        _look_up(p, f1.factors or f2.factors)
         return GcdTriple(f1, f2, _F_ONE)
     shared, rest1, rest2 = _split_shared(f1, f2)
-    p = session()
+    if not rest1:  # the loop below reads no base
+        _look_up(p, f2.factors)
     # Bases are taken smallest handle first, and every base added later is
     # a nontrivial gcd or quotient.
     common_acc, work1, work2 = dict(shared), dict(rest1), dict(rest2)

@@ -5,22 +5,36 @@ model by its *abstraction*: direct edges from the input states of ``K``
 to its output states, labeled with the exact probabilities of
 eventually crossing from input to output.  Loops are handled innermost
 first, so by the time a component is solved, everything strictly inside
-it is already loop-free.
+it is loop-free, except for the components the hierarchy left (below).
 
 The components come from :func:`~parmreach.model.scc_components`,
-innermost first, and all of them are solved in place on one working
-copy of the transition rows: a component's inputs come with it, its
-outputs are read off the working rows, and :func:`substitute` deletes
-the non-input states and rewrites each input's row.  One solver,
-:func:`solve_multi_input`, serves every component.  It checks that the
-component's interior is loop-free, then :func:`reduce_component`
+innermost first, and are handled in place on one working copy of the
+transition rows: a component's inputs come with it, its outputs are
+read off the working rows, and :func:`substitute` deletes the
+non-input states and rewrites each input's row.
+
+Only components with exactly one input are abstracted.  Abstracting a
+component with several inputs means eliminating its inputs again, per
+target input, on a copy of its rows.  On the benchmark's fuzz models
+that re-elimination made the hierarchy slower than plain elimination:
+it took about 0.33 s of the engine's 0.46 s (in-process, 2-core x86-64
+VM), and leaving these components removes two thirds of the gcd
+kernel calls.  Such a component is *left*: its remaining states stay in
+the working rows, and the enclosing component, or the final pass over
+the live states, removes them with the same elimination step.  The
+rule is fixed; nothing configures it.
+
+:func:`solve_multi_input` solves every abstracted component and the
+final pass.  It checks that each loop left in the interior is exactly
+the remaining states of a left component, then :func:`reduce_component`
 applies the classic state-elimination step, :func:`eliminate`, in the
 greedy order of :func:`removal_order`: first to the interior, then,
 per target input, to the other inputs; with a single input this
 reduces to dividing out the first-return probability.  The
 elimination engine is that reduction applied to the whole live model
-without a hierarchy, so the two engines agreeing checks the hierarchy,
-and the exact oracle (:mod:`parmreach.oracle`) checks the arithmetic.
+without a hierarchy, so the two engines agreeing checks the hierarchy
+on every model with a single-input component, and the exact oracle
+(:mod:`parmreach.oracle`) checks the arithmetic.
 
 Every divisor used along the way is recorded, so the final result can
 be exported as an SMT query characterizing the parameter region where
@@ -41,7 +55,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .errors import ParmreachError
 from .model import Pdtmc, looping, predecessor_map, scc_components, tarjan_sccs
@@ -266,16 +280,27 @@ def solve_single_input(
 
 
 def solve_multi_input(
-    rows: _Rows, inputs: Sequence[str], outputs: Sequence[str], interior: Sequence[str]
+    rows: _Rows,
+    inputs: Sequence[str],
+    outputs: Sequence[str],
+    interior: Sequence[str],
+    left: Collection[frozenset[str]] = frozenset(),
 ) -> AbstractionResult:
-    """Abstraction of a component whose interior is loop-free.
+    """Abstraction of a component whose interior loops only through
+    components the hierarchy left.
 
-    Every interior and input row is first checked for edges that escape
-    the component, reached or not.  :func:`~parmreach.model.tarjan_sccs`
-    on the working rows, limited to the interior, then gives the
-    interior's components; a looping one means the innermost-first
-    order was violated.  Otherwise :func:`reduce_component` eliminates
-    the component with :func:`eliminate`.  With one output no
+    ``left`` holds the remaining states of every component left
+    unabstracted so far (module docstring).  Every interior and input
+    row is first checked for edges that escape the component, reached
+    or not.  :func:`~parmreach.model.tarjan_sccs` on the working rows,
+    limited to the interior, then gives the interior's components; a
+    looping one is accepted only if its states are exactly one of the
+    ``left`` sets, and any other loop means the innermost-first order
+    was violated.  The check is exact because substituting a solved
+    component keeps reachability among the remaining states, so a left
+    component is still one strongly connected component of the working
+    rows.  Then :func:`reduce_component` eliminates the component, left
+    ones included, with :func:`eliminate`.  With one output no
     computation is needed at all: the crossing probability is 1.
     """
     if len(outputs) == 1:
@@ -294,7 +319,7 @@ def solve_multi_input(
                     f"edge {s!r} -> {t!r} escapes the component being solved"
                 )
     for comp in tarjan_sccs(rows, interior):
-        if looping(rows, comp):
+        if looping(rows, comp) and frozenset(comp) not in left:
             raise AbstractionInvariantBroken(
                 f"interior {list(interior)} still contains a loop through {comp[0]!r}"
             )
@@ -379,42 +404,49 @@ def _solve(
     K: Sequence[str],
     inputs: Sequence[str],
     constraints: list[RationalFunction],
+    left: Collection[frozenset[str]],
 ) -> int:
-    """Replace component K, whose interior is loop-free by now, by
-    direct edges from its inputs to its outputs; return the number of
-    abstraction sites audited."""
+    """Replace component K, whose interior loops only through ``left``
+    components by now, by direct edges from its inputs to its outputs;
+    return the number of abstraction sites audited."""
     outputs, interior = induced(m, rows, K, inputs)
-    result = solve_multi_input(rows, inputs, outputs, interior)
+    result = solve_multi_input(rows, inputs, outputs, interior, left)
     constraints.extend(result.constraints)
     substitute(m, rows, K, inputs, result)
     return result.sites
 
 
 def _abstract(m: Pdtmc) -> tuple[_Rows, list[RationalFunction], int]:
-    """Abstract every looping component of ``m`` (initial states
-    excluded), each after the components nested in it, then the rest.
+    """Abstract every single-input looping component of ``m`` (initial
+    states excluded), each after the components nested in it, then the
+    rest.
 
-    All components are solved on one working copy of the rows, in the
-    order :func:`~parmreach.model.scc_components` yields them.  When a
-    component's turn comes, its nested components have already been
-    replaced by direct edges, which leaves its interior loop-free.
-    The rest is the live (non-absorbing) states; its inputs are the
-    live initial states.  Returns the rows, the constraints and the
-    number of abstraction sites audited.
+    All components are handled on one working copy of the rows, in the
+    order :func:`~parmreach.model.scc_components` yields them.  A
+    component with one input is replaced by direct edges; one with
+    several inputs is left in the rows (module docstring), and its
+    remaining states are recorded for the loop check of the component
+    that removes them.  The rest is the live (non-absorbing) states;
+    its inputs are the live initial states.  Returns the rows, the
+    constraints and the number of abstraction sites audited.
     """
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
     constraints: list[RationalFunction] = []
+    left: set[frozenset[str]] = set()
     sites = 0
     for states, inputs in scc_components(m, [s for s in m.states if s not in m.init]):
-        # nested components left only their input states behind
+        # abstracted nested components left only their input states behind
         K = [s for s in states if s in rows]
-        sites += _solve(m, rows, K, inputs, constraints)
+        if len(inputs) == 1:
+            sites += _solve(m, rows, K, inputs, constraints, left)
+        else:
+            left.add(frozenset(K))
 
     # solving never makes a state absorbing or changes an absorbing row
     live = [s for s in m.states if s in rows and not m.is_absorbing(s)]
     if live:
         entries = [s for s in m.initial_states if not m.is_absorbing(s)]
-        sites += _solve(m, rows, live, entries, constraints)
+        sites += _solve(m, rows, live, entries, constraints, left)
     return rows, constraints, sites
 
 

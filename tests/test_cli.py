@@ -196,6 +196,20 @@ def test_exit_2_on_an_unknown_eval_parameter(capsys):
     assert err.startswith("usage error: ") and "'z'" in err
 
 
+@pytest.mark.parametrize("value", ["\u0661/3", "1/\u0663", "1e-3", ".5", "1_0", "1.5/2"])
+def test_exit_2_on_an_eval_value_outside_the_ascii_number_syntax(value, capsys):
+    # Fraction reads all but the last; the model parser's number syntax none
+    code, out, err = _run(["check", FIG2, "--eval", f"p={value},q=2/5"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --eval value for 'p': "), err
+
+
+def test_eval_values_may_carry_a_sign_and_a_decimal_point(capsys):
+    code, out, err = _run(["check", FIG2, "--eval", "p=+0.25, q=-1/2"], capsys)
+    assert code == 0, err
+    assert "at p=1/4, q=-1/2: " in out
+
+
 def test_exit_1_naming_the_line_on_parentheses_nested_too_deep(tmp_path, capsys):
     deep = "(" * 1200 + "p" + ")" * 1200
     model = _write(

@@ -138,6 +138,97 @@ def test_a_self_loop_left_in_the_interior_is_caught():
         scc_mc.solve_multi_input(rows, ["i"], ["o1", "o2"], ["a"])
 
 
+def test_a_loop_no_left_component_accounts_for_is_caught():
+    half = rf_const(Fraction(1, 2))
+    rows = {
+        "i": {"a": half, "b": half},
+        "a": {"a": half, "o1": half},
+        "b": {"c": half, "o2": half},
+        "c": {"b": half, "o1": half},
+    }
+    args = (["i"], ["o1", "o2"], ["a", "b", "c"])
+    # {b, c} was left by the hierarchy; the self-loop on a was not
+    with pytest.raises(AbstractionInvariantBroken, match="still contains a loop through 'a'"):
+        scc_mc.solve_multi_input(rows, *args, {frozenset({"b", "c"})})
+    # a left set must match the loop exactly, not contain it
+    with pytest.raises(AbstractionInvariantBroken, match="still contains a loop through 'b'"):
+        scc_mc.solve_multi_input(rows, *args, {frozenset("a"), frozenset("abc")})
+    result = scc_mc.solve_multi_input(rows, *args, {frozenset("a"), frozenset({"b", "c"})})
+    assert rf_add(result.abs_probs[("i", "o1")], result.abs_probs[("i", "o2")]) == rf_one()
+
+
+NESTED = {
+    # {a, b} has inputs a and b, inside {i, a, b}, whose one input is i
+    "left_in_solved": """@params p q
+@state s
+@state i
+@state a
+@state b
+@state goal
+@state fail
+@init s : 1
+@trans s -> i : 1
+@trans i -> a : p
+@trans i -> b : 1 - p
+@trans a -> b : 1/2
+@trans a -> fail : 1/2
+@trans b -> a : q
+@trans b -> i : (1 - q) / 2
+@trans b -> goal : (1 - q) / 2
+@trans goal -> goal : 1
+@trans fail -> fail : 1
+@target goal
+""",
+    # {a, b} has inputs a and b, inside {u, v, a, b}, whose inputs are u and v
+    "left_in_left": """@params p q
+@state s
+@state u
+@state v
+@state a
+@state b
+@state goal
+@state fail
+@init s : 1
+@trans s -> u : 1/2
+@trans s -> v : 1/2
+@trans u -> a : p
+@trans u -> b : 1 - p
+@trans v -> a : 1/2
+@trans v -> goal : 1/2
+@trans a -> b : q
+@trans a -> v : 1 - q
+@trans b -> a : 1/2
+@trans b -> u : 1/4
+@trans b -> fail : 1/4
+@trans goal -> goal : 1
+@trans fail -> fail : 1
+@target goal
+""",
+}
+
+# per model: (states, inputs) of each component, innermost first, and
+# the sites audited (one per abstracted input, one for the final pass)
+NESTING = {
+    "left_in_solved": ([(("a", "b"), ("a", "b")), (("i", "a", "b"), ("i",))], 2),
+    "left_in_left": ([(("a", "b"), ("a", "b")), (("u", "v", "a", "b"), ("u", "v"))], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_a_left_component_is_removed_by_the_one_enclosing_it(name):
+    m = preprocess(parse_model(NESTED[name]))
+    components, sites = NESTING[name]
+    assert list(scc_components(m, [s for s in m.states if s not in m.init])) == components
+    scc, elim = model_check(m), eliminate_all(m)
+    assert scc.stats.abstraction_sites == sites
+    assert scc.per_pair == elim.per_pair
+
+    point = {v: Fraction(k, 7) for k, v in zip((2, 3), m.params)}
+    exact = numeric_reachability(evaluate(m, point), m.initial_states, m.targets)
+    for pair, f in scc.per_pair.items():
+        assert rf_eval(f, point) == exact[pair], pair
+
+
 def test_an_edge_escaping_the_component_is_caught():
     half = rf_const(Fraction(1, 2))
     rows = {"i": {"a": half, "o1": half}, "a": {"o2": half, "x": half}}
@@ -307,8 +398,10 @@ def test_every_input_of_every_solved_component_is_audited(fig2_text):
     m = preprocess(parse_model(fig2_text))
     region = [s for s in m.states if s not in m.initial_states]
     final_pass = [s for s in m.initial_states if not m.is_absorbing(s)]
-    expected = sum(len(inputs) for _, inputs in scc_components(m, region)) + len(final_pass)
-    assert expected == 5  # s6, s7, s2 and s3, then s1
+    # a component with several inputs is left to the component enclosing it
+    solved = [inputs for _, inputs in scc_components(m, region) if len(inputs) == 1]
+    expected = sum(len(inputs) for inputs in solved) + len(final_pass)
+    assert expected == 3  # s7, s6, then s1; {s2, s3, s4} is left
     assert model_check(m).stats.abstraction_sites == expected
 
 

@@ -443,6 +443,17 @@ def test_values_from_an_ended_session_raise():
     assert str(rf_add(one, g)) == "(q^2 + q - 4)/(q - 7)"
 
 
+def test_a_product_with_a_value_from_an_ended_session_raises_at_the_call():
+    # no gcd here pairs two bases, so only a look-up can find the stale ones
+    P, Q = (rf_of_variable(variable(name)) for name in ("p", "q"))
+    stale = [(P, rf_add(Q, rf_one())), (P, Q), (rf_div(P, Q), rf_div(Q, P))]
+    reset_session()
+    fresh = rf_add(rf_of_variable(variable("r")), rf_one())
+    for a, b in [*stale, (P, fresh), (fresh, P)]:
+        with pytest.raises(StaleValue):
+            rf_mul(a, b)
+
+
 # ---------------------------------------------------------------------------
 # the operation memo
 # ---------------------------------------------------------------------------

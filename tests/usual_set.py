@@ -20,6 +20,16 @@ two checkouts; their outputs are byte-identical when ``diff -r`` of the
 two directories prints nothing.  The script runs the ``parmreach`` under
 ``src/`` of the checkout it sits in, and only reads ``perfbench/gen.py``.
 pytest does not collect it.
+
+To compare two such directories::
+
+    python3 tests/usual_set.py --compare DIR_A DIR_B
+
+prints the files that differ, grouped as result lines (a ``.out`` file
+above its ``stats:`` line), ``--stats`` counters (from that line on),
+``--factored`` and SMT; a file only one directory has differs in each
+of its groups.  It exits 1 when a result line or a ``--factored`` text
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -98,7 +108,47 @@ def write_outputs(outdir: pathlib.Path) -> None:
             fh.write(f"{hashlib.sha256((outdir / f).read_bytes()).hexdigest()}  {f}\n")
 
 
+RESULTS, COUNTERS, FACTORED, SMT = "result lines", "--stats counters", "--factored", "SMT"
+
+
+def _parts(name: str, text: str) -> dict[str, str]:
+    """The text of output file *name* by comparison group."""
+    if name.endswith(".factored.out"):
+        return {FACTORED: text}
+    if name.endswith(".smt2"):
+        return {SMT: text}
+    results, _, counters = text.partition("stats:\n")
+    return {RESULTS: results, COUNTERS: counters}
+
+
+def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> int:
+    """Print the output files that differ between two directories, by
+    group; 1 if a result line or a ``--factored`` text differs, else 0."""
+    differ: dict[str, list[str]] = {g: [] for g in (RESULTS, COUNTERS, FACTORED, SMT)}
+    names = {p.name for d in (dir_a, dir_b) for p in d.iterdir()}
+    for name in sorted(n for n in names if n.endswith((".out", ".smt2"))):
+        a, b = (d / name for d in (dir_a, dir_b))
+        if not (a.exists() and b.exists()):
+            for group in _parts(name, ""):
+                differ[group].append(name)
+            continue
+        parts_b = _parts(name, b.read_text(encoding="utf-8"))
+        for group, text in _parts(name, a.read_text(encoding="utf-8")).items():
+            if text != parts_b[group]:
+                differ[group].append(name)
+    for group, files in differ.items():
+        print(f"{group}: {len(files)} files differ")
+        for name in files:
+            print(f"  {name}")
+    return 1 if differ[RESULTS] or differ[FACTORED] else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: python3 tests/usual_set.py OUTDIR")
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(pathlib.Path(sys.argv[2]), pathlib.Path(sys.argv[3])))
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        raise SystemExit(
+            "usage: python3 tests/usual_set.py OUTDIR\n"
+            "       python3 tests/usual_set.py --compare DIR_A DIR_B"
+        )
     write_outputs(pathlib.Path(sys.argv[1]))
