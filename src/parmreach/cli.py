@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import nullcontext
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence, TextIO
@@ -113,9 +114,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if point is not None
         else ""
     )
-    if args.constraints_out:
-        _open_output(args.constraints_out).close()  # fail before the engine runs
-    result = model_check(m) if args.mode == "scc" else eliminate_all(m)
+    # opened before the engine runs, so an unwritable path fails first
+    with _open_output(args.constraints_out) if args.constraints_out else nullcontext() as smt:
+        result = model_check(m) if args.mode == "scc" else eliminate_all(m)
+        if smt is not None:
+            smt.write(collect_constraints(result, m) + "\n")
 
     def render(f: RationalFunction) -> str:
         return f.factored_str() if args.factored else str(f)
@@ -131,10 +134,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if t in wanted:
                 show(f"f({s}, {t})", result.per_pair[(s, t)])
     show("total", result.total)
-
-    if args.constraints_out:
-        with _open_output(args.constraints_out) as fh:
-            fh.write(collect_constraints(result, m) + "\n")
 
     if args.stats:
         stats = result.stats

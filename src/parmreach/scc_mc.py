@@ -25,20 +25,24 @@ the live states, removes them with the same elimination step.  The
 rule is fixed; nothing configures it.
 
 :func:`solve_multi_input` solves every abstracted component and the
-final pass.  It checks that each loop left in the interior is exactly
-the remaining states of a left component, then :func:`reduce_component`
-applies the classic state-elimination step, :func:`eliminate`, in the
-greedy order of :func:`removal_order`: first to the interior, then,
-per target input, to the other inputs; with a single input this
-reduces to dividing out the first-return probability.  The
-elimination engine is that reduction applied to the whole live model
-without a hierarchy, so the two engines agreeing checks the hierarchy
-on every model with a single-input component, and the exact oracle
+final pass.  A component with one output that each of its states
+reaches is left through that output with probability 1
+(:func:`single_output`), and nothing is eliminated.  Otherwise it
+checks that each loop left in the interior is exactly the remaining
+states of a left component, then :func:`reduce_component` applies the
+classic state-elimination step, :func:`eliminate`, in the greedy order
+of :func:`removal_order`: first to the interior, then, per target
+input, to the other inputs; with a single input this reduces to
+dividing out the first-return probability.  The elimination engine is
+the shortcut and that reduction applied to the whole live model without
+a hierarchy, so the two engines agreeing checks the hierarchy on every
+model with a single-input component, and the exact oracle
 (:mod:`parmreach.oracle`) checks the arithmetic.
 
 Every divisor used along the way is recorded, so the final result can
 be exported as an SMT query characterizing the parameter region where
-the closed forms are valid (:func:`collect_constraints`).
+the closed forms are valid (:func:`collect_constraints`).  Where the
+shortcut answers, nothing is divided, so no divisor is recorded.
 
 Internal invariants are checked unconditionally: at every abstraction
 site the outgoing abstracted probabilities must sum to exactly 1, and
@@ -85,6 +89,7 @@ __all__ = [
     "induced",
     "solve_single_input",
     "solve_multi_input",
+    "single_output",
     "reduce_component",
     "substitute",
     "model_check",
@@ -300,15 +305,17 @@ def solve_multi_input(
     component keeps reachability among the remaining states, so a left
     component is still one strongly connected component of the working
     rows.  Then :func:`reduce_component` eliminates the component, left
-    ones included, with :func:`eliminate`.  With one output no
-    computation is needed at all: the crossing probability is 1.
+    ones included, with :func:`eliminate`.
+
+    All of this is skipped when :func:`single_output` answers (one
+    output, which every state of the component reaches): the crossing
+    probability is 1 and no divisor is recorded.  When some state cannot
+    reach the one output, the checks and the reduction run, and raise as
+    the elimination engine does on the same rows instead of answering 1.
     """
-    if len(outputs) == 1:
-        abs_probs: dict[tuple[str, str], RationalFunction] = {}
-        for s in inputs:
-            _audit_site(f"{s} (single output)", {outputs[0]: rf_one()})
-            abs_probs[(s, outputs[0])] = rf_one()
-        return AbstractionResult(abs_probs, (), len(inputs))
+    shortcut = single_output(rows, inputs, outputs, interior)
+    if shortcut is not None:
+        return shortcut
 
     inside = set(interior)
     terminals = set(outputs) | set(inputs)
@@ -324,6 +331,47 @@ def solve_multi_input(
                 f"interior {list(interior)} still contains a loop through {comp[0]!r}"
             )
     return reduce_component(rows, inputs, outputs, interior, eliminate)
+
+
+def single_output(
+    rows: _Rows, inputs: Sequence[str], outputs: Sequence[str], interior: Sequence[str]
+) -> AbstractionResult | None:
+    """The abstraction of a component left surely through its one
+    output, or None when the component has several outputs or that is
+    not shown.
+
+    If no row of the component leads elsewhere and every input and
+    interior state reaches the output along the working rows, a finite
+    chain leaves through it with probability 1.  Each input then gets
+    probability 1, audited as one site, with no division and so no
+    divisor.  The check is one backward search over the component's
+    edges.
+    """
+    if len(outputs) != 1:
+        return None
+    (out,) = outputs
+    members = {*inputs, *interior}
+    preds: dict[str, list[str]] = {}
+    for s in members:
+        for t in rows[s]:
+            if t != out and t not in members:
+                return None
+            preds.setdefault(t, []).append(s)
+    reaching = {out}
+    stack = [out]
+    while stack:
+        for u in preds.get(stack.pop(), ()):
+            if u not in reaching:
+                reaching.add(u)
+                stack.append(u)
+    if not members <= reaching:
+        return None
+
+    abs_probs: dict[tuple[str, str], RationalFunction] = {}
+    for s in inputs:
+        _audit_site(f"{s} (single output)", {out: rf_one()})
+        abs_probs[(s, out)] = rf_one()
+    return AbstractionResult(abs_probs, (), len(inputs))
 
 
 def reduce_component(

@@ -243,6 +243,21 @@ def test_exit_2_on_a_bad_flag_before_the_engine_runs(flag, mode, monkeypatch, ca
     assert err.startswith("usage error: ")
 
 
+def test_the_constraints_file_is_opened_once(monkeypatch, tmp_path, capsys):
+    smt = tmp_path / "c.smt2"
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, _, _ = _run(["check", FIG2, "--constraints-out", str(smt)], capsys)
+    assert code == 0
+    assert opened.count(str(smt)) == 1
+    assert check_smtlib(smt.read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -11,6 +11,7 @@ import pytest
 
 from fuzzgen import graph_preserving_point, random_preprocessed
 from parmreach import (
+    elimination,
     eliminate_all,
     evaluate,
     model_check,
@@ -464,3 +465,94 @@ def test_a_loop_of_probability_one_cannot_be_eliminated(succ, message):
     m = Pdtmc([*succ, "t"], [], {"a": rf_one()}, trans, ["t"])
     with pytest.raises(SelfLoopProbabilityOne, match=message):
         eliminate_all(m)
+
+
+def _sure_exit(isolated_target: bool) -> str:
+    """{a, b} is left only through goal, and so is the final pass; the
+    isolated target, when there is one, is fed by no state."""
+    other = "@state other\n@trans other -> other : 1\n@target other\n"
+    return f"""@params p
+@state s
+@state a
+@state b
+@state goal
+@init s : 1
+@trans s -> s : 1/2
+@trans s -> a : 1/2
+@trans a -> b : p
+@trans a -> goal : 1 - p
+@trans b -> a : 1
+@trans goal -> goal : 1
+@target goal
+{other if isolated_target else ""}"""
+
+
+@pytest.mark.parametrize("isolated_target", [False, True])
+def test_a_model_surely_left_through_one_output_eliminates_nothing(monkeypatch, isolated_target):
+    m = preprocess(parse_model(_sure_exit(isolated_target)))
+
+    def refuse(*args):
+        raise AssertionError("a state was eliminated")
+
+    for module in (scc_mc, elimination):
+        monkeypatch.setattr(module, "eliminate", refuse)
+    scc, elim = model_check(m), eliminate_all(m)
+    assert scc.per_pair == elim.per_pair
+    point = {m.params[0]: Fraction(2, 7)}
+    exact = numeric_reachability(evaluate(m, point), m.initial_states, m.targets)
+    for result in (scc, elim):
+        assert result.constraints == ()
+        for pair, f in result.per_pair.items():
+            assert rf_eval(f, point) == exact[pair], pair
+
+
+SELF_LOOP_START = """@params p
+@state s
+@state goal
+@state other
+@init s : 1
+@trans s -> s : p
+@trans s -> goal : 1 - p
+@trans goal -> goal : 1
+@trans other -> other : 1
+@target goal
+@target other
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [SELF_LOOP_START, TWO_INPUTS, brp(16, 4)], ids=["self_loop_start", "two_inputs", "brp"]
+)
+def test_without_a_looping_component_both_engines_record_the_same_divisors(text):
+    # then scc's final pass is all of elim: same inputs, outputs and interior
+    m = preprocess(parse_model(text))
+    assert list(scc_components(m, [s for s in m.states if s not in m.init])) == []
+    assert model_check(m).constraints == eliminate_all(m).constraints
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_loop_that_never_reaches_the_one_output_is_not_answered_1(engine):
+    # built by hand: c and d pass control back and forth forever, so t
+    # is the only output but c does not reach it
+    half = rf_const(Fraction(1, 2))
+    trans = {
+        "a": {"t": rf_one()},
+        "c": {"d": rf_one()},
+        "d": {"c": rf_one()},
+        "t": {"t": rf_one()},
+    }
+    m = Pdtmc(["a", "c", "d", "t"], [], {"a": half, "c": half}, trans, ["t"])
+    with pytest.raises(SelfLoopProbabilityOne, match="state 'c' has self-loop probability 1"):
+        ENGINES[engine](m)
+
+
+def test_an_edge_escaping_a_component_with_one_output_is_caught():
+    half = rf_const(Fraction(1, 2))
+    rows = {"i": {"a": half, "o": half}, "a": {"o": half, "x": half}}
+    with pytest.raises(AbstractionInvariantBroken, match="'a' -> 'x' escapes"):
+        scc_mc.solve_multi_input(rows, ["i"], ["o"], ["a"])
+
+
+def test_the_shortcut_reads_no_row_of_a_component_with_several_outputs():
+    # no rows at all: any search would fail with a KeyError
+    assert scc_mc.single_output({}, ["i"], ["o1", "o2"], ["a"]) is None

@@ -28,7 +28,9 @@ To compare two such directories::
 prints the files that differ, grouped as result lines (a ``.out`` file
 above its ``stats:`` line), ``--stats`` counters (from that line on),
 ``--factored`` and SMT; a file only one directory has differs in each
-of its groups.  It exits 1 when a result line or a ``--factored`` text
+of its groups.  Then, for each ``--stats`` counter that changed, it
+prints in how many files it went down and in how many up from DIR_A to
+DIR_B.  It exits 1 when a result line or a ``--factored`` text
 differs, else 0.
 """
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import pathlib
 import random
 import sys
@@ -121,10 +124,23 @@ def _parts(name: str, text: str) -> dict[str, str]:
     return {RESULTS: results, COUNTERS: counters}
 
 
+def _counters(text: str) -> dict[str, int]:
+    """The integer ``--stats`` counters of a ``.out`` file's counter part, by label."""
+    counters = {}
+    for line in text.splitlines():
+        label, _, value = line.strip().partition(": ")
+        if value.isdigit():
+            counters[label] = int(value)
+    return counters
+
+
 def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> int:
     """Print the output files that differ between two directories, by
-    group; 1 if a result line or a ``--factored`` text differs, else 0."""
+    group, and per ``--stats`` counter label the number of files in
+    which it went down and up from A to B; 1 if a result line or a
+    ``--factored`` text differs, else 0."""
     differ: dict[str, list[str]] = {g: [] for g in (RESULTS, COUNTERS, FACTORED, SMT)}
+    moved: dict[str, list[int]] = {}  # label -> [files down, files up]
     names = {p.name for d in (dir_a, dir_b) for p in d.iterdir()}
     for name in sorted(n for n in names if n.endswith((".out", ".smt2"))):
         a, b = (d / name for d in (dir_a, dir_b))
@@ -132,20 +148,33 @@ def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> int:
             for group in _parts(name, ""):
                 differ[group].append(name)
             continue
-        parts_b = _parts(name, b.read_text(encoding="utf-8"))
-        for group, text in _parts(name, a.read_text(encoding="utf-8")).items():
+        parts_a, parts_b = (_parts(name, d.read_text(encoding="utf-8")) for d in (a, b))
+        for group, text in parts_a.items():
             if text != parts_b[group]:
                 differ[group].append(name)
+        if COUNTERS in parts_a:
+            before, after = _counters(parts_a[COUNTERS]), _counters(parts_b[COUNTERS])
+            for label in before.keys() & after.keys():
+                if before[label] != after[label]:
+                    moved.setdefault(label, [0, 0])[before[label] < after[label]] += 1
     for group, files in differ.items():
         print(f"{group}: {len(files)} files differ")
         for name in files:
             print(f"  {name}")
+    for label, (down, up) in sorted(moved.items()):
+        print(f"counter {label!r}: down in {down} files, up in {up}")
     return 1 if differ[RESULTS] or differ[FACTORED] else 0
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        sys.exit(compare(pathlib.Path(sys.argv[2]), pathlib.Path(sys.argv[3])))
+        try:
+            sys.exit(compare(pathlib.Path(sys.argv[2]), pathlib.Path(sys.argv[3])))
+        except BrokenPipeError:
+            # the reader (say, ``head``) stopped early; leave quietly, and
+            # keep the interpreter's final flush from raising again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
     if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
         raise SystemExit(
             "usage: python3 tests/usual_set.py OUTDIR\n"
