@@ -5,7 +5,10 @@ Two subcommands:
 * ``check`` — parse a model file, compute the reachability function for
   every (initial state, target) pair with the chosen engine, optionally
   evaluate at a parameter point, export the SMT-LIB 2 validity
-  constraints, and print statistics.
+  constraints, and print statistics.  Each distinct function is
+  rendered and evaluated once per query and its text printed under
+  every label that shows it: with one initial state and one target,
+  ``total`` is the pair's function.
 * ``gen`` — emit a benchmark model file.
 
 Exit codes: 0 on success, 1 when the model itself is at fault (syntax,
@@ -120,14 +123,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if smt is not None:
             smt.write(collect_constraints(result, m) + "\n")
 
-    def render(f: RationalFunction) -> str:
-        return f.factored_str() if args.factored else str(f)
+    # text and value line of each distinct function, by its factorizations:
+    # within a session they fix both, and ``total`` is often a pair's function
+    texts: dict[tuple, str] = {}
+    values: dict[tuple, str] = {}
 
     def show(label: str, f: RationalFunction) -> None:
-        print(f"{label} = {render(f)}")
+        key = (f.num, f.den)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = f.factored_str() if args.factored else str(f)
+        print(f"{label} = {text}")
         if point is not None:
-            value = rf_eval(f, point)
-            print(f"  at {at}: {value} (approx. {_approx(value)})")
+            line = values.get(key)
+            if line is None:
+                value = rf_eval(f, point)
+                line = values[key] = f"  at {at}: {value} (approx. {_approx(value)})"
+            print(line)
 
     for s in m.initial_states:
         for t in m.targets:

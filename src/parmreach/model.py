@@ -706,6 +706,12 @@ def preprocess(m: Pdtmc) -> Pdtmc:
     reachability values are preserved); states unreachable from the
     initial distribution are dropped, except targets, which are kept as
     isolated absorbing states so result tables stay total.
+
+    Bottom components and their inputs are found on the working rows,
+    after the targets are absorbed, in one pass over the edges: an
+    edge between two components makes its source's component no bottom
+    one and its destination an input, and so does initial mass.  The
+    rows change only once that pass is done.
     """
     one = rf_one()
     trans: dict[str, dict[str, RationalFunction]] = {
@@ -714,13 +720,18 @@ def preprocess(m: Pdtmc) -> Pdtmc:
     for t in m.targets:
         trans[t] = {t: one}
 
-    tmp = Pdtmc(m.states, m.params, m.init, trans, m.targets)
-    for scc in tarjan_sccs(trans, m.states):
-        if len(scc) < 2:
-            continue
-        if out(tmp, scc):
-            continue
-        for s in inp(tmp, scc):
+    sccs = tarjan_sccs(trans, m.states)
+    comp = {s: i for i, scc in enumerate(sccs) for s in scc}
+    bottom = [len(scc) > 1 for scc in sccs]
+    entered = set(m.init)
+    for u, row in trans.items():
+        cu = comp[u]
+        for v in row:
+            if comp[v] != cu:
+                bottom[cu] = False
+                entered.add(v)
+    for s in entered:
+        if bottom[comp[s]]:
             trans[s] = {s: one}
 
     reachable: set[str] = set()

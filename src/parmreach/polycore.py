@@ -215,15 +215,6 @@ def _key_gcd(a: int, b: int) -> int:
     return g
 
 
-def _key_str(key: int) -> str:
-    parts = []
-    names = _session.names
-    for vid, e in monomial_exponents(key):
-        name = names[vid] if vid < len(names) else f"_v{vid}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
 def _check_exponents(bits: int) -> None:
     """Raise :class:`ExponentOverflow` when *bits*, the OR of new keys,
     has the top bit of any field set."""
@@ -421,21 +412,37 @@ class Polynomial:
         return bool(self.terms)
 
     def __str__(self) -> str:
+        """Terms leading-first, each as its coefficient's magnitude (left
+        out when it is 1 on a non-constant monomial) times its factors
+        ``name`` or ``name^e`` joined by ``*``; ``-`` before a negative
+        leading term, ``+``/``-`` between terms.  A variable id beyond
+        the session's names prints as ``_v<id>``.  Each key is decoded
+        field by field in place, with no intermediate pairs."""
         if not self.terms:
             return "0"
+        names = _session.names
+        known = len(names)
         parts: list[str] = []
-        for i, (k, c) in enumerate(self.terms):
-            mag = abs(c)
-            if not k:
-                body = str(mag)
-            elif mag == 1:
-                body = _key_str(k)
+        for k, c in self.terms:
+            if k:
+                factors = []
+                vid = 0
+                while k:
+                    e = k & _FIELD_MASK
+                    if e:
+                        name = names[vid] if vid < known else f"_v{vid}"
+                        factors.append(name if e == 1 else f"{name}^{e}")
+                    k >>= 32
+                    vid += 1
+                body = "*".join(factors)
+                if c != 1 and c != -1:
+                    body = f"{abs(c)}*{body}"
             else:
-                body = f"{mag}*{_key_str(k)}"
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
+                body = str(abs(c))
+            if parts:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            else:
+                parts.append(body if c > 0 else f"-{body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -196,7 +196,8 @@ def eliminate(
         row_u = rows[u]
         weight = row_u.pop(s)
         for v, f in row_s.items():
-            combined = rf_add(row_u.get(v, rf_zero()), rf_mul(weight, f))
+            old = row_u.get(v)
+            combined = rf_mul(weight, f) if old is None else rf_add(old, rf_mul(weight, f))
             if combined.is_zero:
                 row_u.pop(v, None)
                 preds[v].discard(u)

@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 from parmreach import cli
+from parmreach.ratfun import RationalFunction
 from smtlib_checker import check_smtlib
 
 HERE = pathlib.Path(__file__).parent
@@ -256,6 +257,34 @@ def test_the_constraints_file_is_opened_once(monkeypatch, tmp_path, capsys):
     assert code == 0
     assert opened.count(str(smt)) == 1
     assert check_smtlib(smt.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name, labels, distinct", [("brp", 2, 1), ("two_inputs", 3, 3)])
+def test_each_distinct_function_is_rendered_and_evaluated_once(
+    name, labels, distinct, monkeypatch, tmp_path, capsys
+):
+    # brp has one initial state and one target, so total is the pair's
+    # function; two_inputs' total differs from both of its pairs
+    rendered, evaluated = [], []
+    to_text, evaluate = RationalFunction.__str__, cli.rf_eval
+
+    def counting_str(f):
+        rendered.append((f.num, f.den))
+        return to_text(f)
+
+    def counting_eval(f, point):
+        evaluated.append((f.num, f.den))
+        return evaluate(f, point)
+
+    monkeypatch.setattr(RationalFunction, "__str__", counting_str)
+    monkeypatch.setattr(cli, "rf_eval", counting_eval)
+    model = str(_model_path(name, tmp_path))
+    code, out, err = _run(["check", model, "--eval", MODELS[name][1]], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.scc.out").read_text(encoding="utf-8")
+    assert len(rendered) == len(set(rendered)) == distinct
+    assert evaluated == rendered
+    assert sum(" = " in line for line in out.splitlines()) == labels
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Model layer: parsing, evaluation, graph utilities, preprocessing."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from parmreach.polycore import MissingAssignment
 from parmreach.ratfun import EvalDenominatorZero, rf_const, rf_eval, rf_one
 
 from fuzzgen import BENCH_GEN, graph_preserving_point, random_pdtmc
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 TINY = """
 @params p
@@ -488,6 +491,109 @@ def test_preprocess_preserves_numeric_reachability():
             rb = numeric_reachability(db, sources=m2.initial_states)
             for key, val in rb.items():
                 assert ra[key] == val
+
+
+def _reference_preprocess(m: Pdtmc) -> Pdtmc:
+    """Preprocessing with the bottom components and their inputs read by
+    ``out`` and ``inp`` from a model of the target-absorbed rows."""
+    one = rf_one()
+    trans = {s: dict(row) for s, row in m.trans.items()}
+    for t in m.targets:
+        trans[t] = {t: one}
+    absorbed = Pdtmc(m.states, m.params, m.init, trans, m.targets)
+    for scc in tarjan_sccs(trans, m.states):
+        if len(scc) > 1 and not out(absorbed, scc):
+            for s in inp(absorbed, scc):
+                trans[s] = {s: one}
+    reachable: set[str] = set()
+    frontier = list(m.init)
+    while frontier:
+        s = frontier.pop()
+        if s not in reachable:
+            reachable.add(s)
+            frontier.extend(trans.get(s, {}))
+    reachable.update(m.targets)
+    keep = [s for s in m.states if s in reachable]
+    rows = {s: {t: f for t, f in trans[s].items() if t in reachable} for s in keep if s in trans}
+    return Pdtmc(keep, m.params, m.init, rows, m.targets)
+
+
+def _layout(m: Pdtmc) -> tuple:
+    """States, rows, initial distribution and targets, in their order,
+    each function by its factorizations."""
+
+    def entries(row):
+        return [(t, f.num, f.den) for t, f in row.items()]
+
+    return (
+        m.states,
+        [(s, entries(row)) for s, row in m.trans.items()],
+        entries(m.init),
+        m.targets,
+    )
+
+
+# a bottom cycle a -> b -> c -> a entered at a and b, and holding initial
+# mass at c; a second one, d <-> e, entered at d only; and a target
+SEVERAL_INPUTS = """
+@state s
+@state a
+@state b
+@state c
+@state d
+@state e
+@state t
+@init s : 1/2
+@init c : 1/2
+@trans s -> a : 1/4
+@trans s -> b : 1/4
+@trans s -> d : 1/4
+@trans s -> t : 1/4
+@trans a -> b : 1
+@trans b -> c : 1
+@trans c -> a : 1
+@trans d -> e : 1
+@trans e -> d : 1
+@trans t -> t : 1
+@target t
+"""
+
+
+def _hand_models(fig2_text: str) -> list[Pdtmc]:
+    texts = [fig2_text, TINY, CHAIN, CYCLE, SEVERAL_INPUTS]
+    texts += [(DATA / name).read_text() for name in ("three.pdtmc", "two_inputs.pdtmc")]
+    texts.append(
+        "@state s\n@state a\n@state b\n@init s : 1\n"
+        "@trans s -> a : 1\n@trans a -> b : 1\n@trans b -> a : 1\n"
+    )
+    texts.append(
+        "@state a\n@state t\n@init a : 1\n@trans a -> a : 1\n@trans t -> t : 1\n@target t\n"
+    )
+    one, half = rf_one(), rf_const(Fraction(1, 2))
+    leaky_target = Pdtmc(
+        states=("a", "t"),
+        params=(),
+        init={"a": one},
+        trans={"a": {"t": one}, "t": {"a": half, "t": half}},
+        targets=("t",),
+    )
+    return [parse_model(text) for text in texts] + [leaky_target]
+
+
+def test_preprocess_matches_the_reference_on_hand_and_random_models(fig2_text):
+    rng = random.Random(2323)
+    models = _hand_models(fig2_text)
+    models += [random_pdtmc(rng, min_states=4, max_states=14) for _ in range(30)]
+    family = random.Random(13123979)  # the benchmark's fuzz models
+    models += [parse_model(BENCH_GEN.fuzz_model(family, i)) for i in range(BENCH_GEN.FUZZ_MODELS)]
+    for m in models:
+        assert _layout(preprocess(m)) == _layout(_reference_preprocess(m))
+
+
+def test_every_input_of_a_bottom_component_is_absorbed():
+    m = preprocess(parse_model(SEVERAL_INPUTS))
+    assert m.states == ("s", "a", "b", "c", "d", "t")
+    assert [s for s in m.states if m.is_absorbing(s)] == ["a", "b", "c", "d", "t"]
 
 
 # ---------------------------------------------------------------------------

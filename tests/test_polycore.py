@@ -13,6 +13,7 @@ from parmreach.polycore import (
     Polynomial,
     is_irreducible_heuristic,
     monomial,
+    monomial_exponents,
     poly_add,
     poly_divide_exact,
     poly_eval,
@@ -494,3 +495,71 @@ def test_eval_matches_term_by_term_fractions(p, pt):
     got = poly_eval(p, pt)
     assert isinstance(got, Fraction)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# printing
+# ---------------------------------------------------------------------------
+
+
+def _reference_str(p: Polynomial) -> str:
+    """The printer term by term: each key decoded on its own."""
+    names = polycore.session().names
+
+    def key_str(key: int) -> str:
+        parts = []
+        for vid, e in monomial_exponents(key):
+            name = names[vid] if vid < len(names) else f"_v{vid}"
+            parts.append(name if e == 1 else f"{name}^{e}")
+        return "*".join(parts)
+
+    if not p.terms:
+        return "0"
+    parts = []
+    for i, (k, c) in enumerate(p.terms):
+        mag = abs(c)
+        if not k:
+            body = str(mag)
+        elif mag == 1:
+            body = key_str(k)
+        else:
+            body = f"{mag}*{key_str(k)}"
+        if i == 0:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+@st.composite
+def printable_polys(draw):
+    """Terms over ids 0-3, of which only x and y (ids 0 and 1) are
+    named; exponents 0-3 or 2**31 - 1, coefficients of both signs with
+    units twice as likely."""
+    acc = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = 0
+        for vid in range(4):
+            e = draw(st.sampled_from([0, 0, 1, 1, 2, 3, 2**31 - 1]))
+            key |= e << (vid << 5)
+        c = draw(st.sampled_from([1, -1, 1, -1]) | st.integers(-40, 40).filter(bool))
+        acc[key] = c
+    return Polynomial.from_dict(acc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(printable_polys())
+def test_str_matches_the_term_by_term_printer(p):
+    variables("x", "y")
+    assert str(p) == _reference_str(p)
+
+
+def test_str_of_a_mixed_polynomial():
+    x, y = variables("x", "y")
+    X, Y = Polynomial.of_variable(x), Polynomial.of_variable(y)
+    unnamed = Polynomial.from_dict({1 << 96: 1})  # id 3, beyond the names
+    p = Polynomial.const(-3) * X * X * unnamed + X * Y - Y - Polynomial.const(7) + X * unnamed
+    assert str(p) == "-3*x^2*_v3 + x*_v3 + x*y - y - 7"
+    assert str(-p) == "3*x^2*_v3 - x*_v3 - x*y + y + 7"
+    assert str(Polynomial.const(-5)) == "-5"
+    assert str(Polynomial.zero()) == "0"
