@@ -13,9 +13,10 @@ Two subcommands:
 
 Exit codes: 0 on success, 1 when the model itself is at fault (syntax,
 probability sums, absorbing-target violations, …), 2 on usage errors
-(unreadable input or unwritable output, malformed flags, unknown
-parameter or target names, ``gen`` sizes out of range or above the
-state cap).  Any other exception is a bug and is not reported as either.
+(unreadable input, a model file that is not UTF-8 text included, or
+unwritable output, malformed flags, unknown parameter or target names,
+``gen`` sizes out of range or above the state cap).  Any other
+exception is a bug and is not reported as either.
 
 Result output is byte-deterministic for a fixed input and mode;
 the optional ``--stats`` block (wall time, peak memory) is diagnostic
@@ -53,6 +54,11 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise _UsageError(
+            f"cannot read {path!r}: not UTF-8 text (byte {byte:#04x} at offset {exc.start})"
+        ) from exc
 
 
 def _open_output(path: str) -> TextIO:

@@ -20,6 +20,10 @@ Every state's outgoing row must sum to one *symbolically*; so must the
 initial distribution.  Targets must already be absorbing in the file --
 :func:`preprocess` is the programmatic way to absorb them.
 
+Text is validated once, by :func:`parse_model`, which also sorts each
+row once; a hand-built model is checked by the public :class:`Pdtmc`
+constructor.  :func:`preprocess` shares the rows it leaves unchanged.
+
 The graph routines (:func:`predecessor_map`, :func:`tarjan_sccs`,
 :func:`looping`) work on plain row tables, mappings from a state to its
 successors: ``m.trans`` or an engine's working rows alike.
@@ -122,9 +126,11 @@ class Pdtmc:
 
     ``init`` and ``trans`` store only nonzero entries; iteration over
     states, rows, and row entries always follows state declaration
-    order.  The constructor normalizes ordering and drops zero entries
-    but performs no stochasticity checks -- the parser (and internal
-    constructions, by design) establish those.
+    order.  The public constructor checks that every name is a state,
+    normalizes ordering and drops zero entries, but performs no
+    stochasticity checks -- the parser (and internal constructions, by
+    design) establish those.  The parser and :func:`preprocess` check
+    and order their parts themselves and build with :meth:`_trusted`.
     """
 
     __slots__ = ("states", "params", "init", "trans", "targets", "_index")
@@ -154,15 +160,6 @@ class Pdtmc:
         for t in targets:
             if t not in index:
                 raise ValueError(f"target {t!r} is not a state")
-        tgt = tuple(sorted(targets, key=index.__getitem__))
-
-        object.__setattr__(self, "states", sts)
-        object.__setattr__(self, "params", tuple(dict.fromkeys(params)))
-        object.__setattr__(
-            self,
-            "init",
-            {s: init[s] for s in sts if s in init and not init[s].is_zero},
-        )
         norm_trans: dict[str, dict[str, RationalFunction]] = {}
         for s in sts:
             row = trans.get(s)
@@ -171,9 +168,35 @@ class Pdtmc:
             entries = {t: row[t] for t in sorted(row, key=index.__getitem__) if not row[t].is_zero}
             if entries:
                 norm_trans[s] = entries
-        object.__setattr__(self, "trans", norm_trans)
-        object.__setattr__(self, "targets", tgt)
-        object.__setattr__(self, "_index", index)
+        self._fill(
+            sts,
+            tuple(dict.fromkeys(params)),
+            {s: init[s] for s in sts if s in init and not init[s].is_zero},
+            norm_trans,
+            tuple(sorted(targets, key=index.__getitem__)),
+            index,
+        )
+
+    @classmethod
+    def _trusted(
+        cls,
+        states: tuple[str, ...],
+        params: tuple[Variable, ...],
+        init: dict[str, RationalFunction],
+        trans: dict[str, dict[str, RationalFunction]],
+        targets: tuple[str, ...],
+        index: dict[str, int],
+    ) -> Pdtmc:
+        """A model of parts already checked and normalized as the public
+        constructor leaves them, ``index`` mapping each state to its
+        position; the parts are kept, not copied."""
+        m = object.__new__(cls)
+        m._fill(states, params, init, trans, targets, index)
+        return m
+
+    def _fill(self, *parts) -> None:
+        for name, value in zip(self.__slots__, parts):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, key, value):  # pragma: no cover - guard only
         raise AttributeError("Pdtmc is immutable")
@@ -376,108 +399,136 @@ def parse_expression(
 def parse_model(text: str) -> Pdtmc:
     """Parse model source text into a validated :class:`Pdtmc`.
 
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, as in an editor.
+    Each line is checked as it is read, each distinct weight text parsed
+    once and each distinct row (the same weight objects) summed once;
+    the rows, sorted once, make the model with no second check.
+
     Raises :class:`ModelSyntaxError`, :class:`UnknownState`,
     :class:`RowSumNotOne`, or :class:`TargetNotAbsorbing`.
     """
     params: dict[str, Variable] = {}
     states: list[str] = []
-    state_set: set[str] = set()
+    index: dict[str, int] = {}  # state -> declaration position
+    # every @init state and @trans pair seen, zero weights included (dropped at the end)
     init: dict[str, RationalFunction] = {}
     trans: dict[str, dict[str, RationalFunction]] = {}
-    targets: list[str] = []
-    # every @init state and @trans pair seen, zero weights included
-    # (init and trans store only the nonzero ones)
-    declared: set[tuple[str, ...]] = set()
+    targets: dict[str, None] = {}  # in order of first mention
     # weight text or a group's token texts -> function; successes only (errors keep their place)
     parsed: dict[str, RationalFunction] = {}
     groups: dict[tuple[str, ...], RationalFunction] = {}
+    zeros = False  # whether some weight is zero
 
-    def weight(expr: str, where: str) -> RationalFunction:
-        f = parsed.get(expr.strip())
-        if f is None:
-            f = parsed[expr.strip()] = _ExprParser(expr, params, where, groups).parse()
-        return f
-
-    def known(name: str, lineno: int) -> str:
-        if name not in state_set:
-            raise UnknownState(f"line {lineno}: state {name!r} has not been declared")
-        return name
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        bits = raw.split(None, 1)
+        if not bits:
             continue
-        bits = line.split(None, 1)
         head = bits[0]
-        rest = bits[1].strip() if len(bits) > 1 else ""
-        where = f"line {lineno}"
-        if head == "@params":
-            names = rest.split()
-            if not names:
-                raise ModelSyntaxError(f"{where}: @params needs at least one name")
-            for name in names:
-                if not _NAME.fullmatch(name):
-                    raise ModelSyntaxError(f"{where}: invalid parameter name {name!r}")
-                params.setdefault(name, variable(name))
-        elif head == "@state":
-            name = rest
-            if not _NAME.fullmatch(name):
-                raise ModelSyntaxError(f"{where}: @state takes exactly one identifier")
-            if name in state_set:
-                raise ModelSyntaxError(f"{where}: duplicate state {name!r}")
-            states.append(name)
-            state_set.add(name)
+        rest = bits[1].rstrip() if len(bits) > 1 else ""
+        if head == "@trans":
+            lhs, sep, expr = rest.partition(":")
+            src, arrow, dst = lhs.partition("->")
+            if not sep or not arrow:
+                raise ModelSyntaxError(
+                    f"line {lineno}: expected '@trans <state> -> <state> : <expr>'"
+                )
+            s = src.strip()
+            t = dst.strip()
+            if s not in index or t not in index:
+                name = s if s not in index else t
+                raise UnknownState(f"line {lineno}: state {name!r} has not been declared")
+            row = trans.get(s)
+            if row is None:
+                row = trans[s] = {}
+            elif t in row:
+                raise ModelSyntaxError(f"line {lineno}: duplicate transition {s!r} -> {t!r}")
         elif head == "@init":
             lhs, sep, expr = rest.partition(":")
             if not sep:
-                raise ModelSyntaxError(f"{where}: expected '@init <state> : <expr>'")
-            s = known(lhs.strip(), lineno)
-            if (s,) in declared:
-                raise ModelSyntaxError(f"{where}: duplicate @init for {s!r}")
-            declared.add((s,))
-            f = weight(expr, where)
-            if not f.is_zero:
-                init[s] = f
-        elif head == "@trans":
-            lhs, sep, expr = rest.partition(":")
-            if not sep or "->" not in lhs:
-                raise ModelSyntaxError(f"{where}: expected '@trans <state> -> <state> : <expr>'")
-            src_txt, _, dst_txt = lhs.partition("->")
-            s = known(src_txt.strip(), lineno)
-            t = known(dst_txt.strip(), lineno)
-            if (s, t) in declared:
-                raise ModelSyntaxError(f"{where}: duplicate transition {s!r} -> {t!r}")
-            declared.add((s, t))
-            f = weight(expr, where)
-            if not f.is_zero:
-                trans.setdefault(s, {})[t] = f
+                raise ModelSyntaxError(f"line {lineno}: expected '@init <state> : <expr>'")
+            t = lhs.strip()
+            if t not in index:
+                raise UnknownState(f"line {lineno}: state {t!r} has not been declared")
+            if t in init:
+                raise ModelSyntaxError(f"line {lineno}: duplicate @init for {t!r}")
+            row = init
+        elif head == "@state":
+            if not _NAME.fullmatch(rest):
+                raise ModelSyntaxError(f"line {lineno}: @state takes exactly one identifier")
+            if rest in index:
+                raise ModelSyntaxError(f"line {lineno}: duplicate state {rest!r}")
+            index[rest] = len(states)
+            states.append(rest)
+            continue
+        elif head == "@params":
+            names = rest.split()
+            if not names:
+                raise ModelSyntaxError(f"line {lineno}: @params needs at least one name")
+            for name in names:
+                if not _NAME.fullmatch(name):
+                    raise ModelSyntaxError(f"line {lineno}: invalid parameter name {name!r}")
+                params.setdefault(name, variable(name))
+            continue
         elif head == "@target":
             names = rest.split()
             if not names:
-                raise ModelSyntaxError(f"{where}: @target needs at least one state")
+                raise ModelSyntaxError(f"line {lineno}: @target needs at least one state")
             for name in names:
-                s = known(name, lineno)
-                if s not in targets:
-                    targets.append(s)
+                if name not in index:
+                    raise UnknownState(f"line {lineno}: state {name!r} has not been declared")
+                targets[name] = None
+            continue
         else:
-            raise ModelSyntaxError(f"{where}: unknown directive {head!r}")
+            raise ModelSyntaxError(f"line {lineno}: unknown directive {head!r}")
+        # an @init or @trans weight, stored under t in row
+        key = expr.strip()
+        f = parsed.get(key)
+        if f is None:
+            f = parsed[key] = _ExprParser(expr, params, f"line {lineno}", groups).parse()
+            zeros = zeros or f.is_zero
+        row[t] = f
 
     if not states:
         raise ModelSyntaxError("model declares no states")
+    position = index.__getitem__
+
+    def ordered(row: dict[str, RationalFunction]) -> dict[str, RationalFunction]:
+        """*row* in declaration order, without its zero weights."""
+        return {t: row[t] for t in sorted(row, key=position) if not (zeros and row[t].is_zero)}
+
+    init = ordered(init)
     if not init:
         raise ModelSyntaxError("model declares no initial distribution (@init)")
+    rows = {s: row for s in sorted(trans, key=position) if (row := ordered(trans[s]))}
 
-    for s, row in (("@init", init), *((s, trans.get(s, {})) for s in states)):
+    # rows holding the same weight objects have the same sum, so each is decided once
+    summed: set[tuple[int, ...]] = set()
+    for s, row in (("@init", init), *((s, rows.get(s, {})) for s in states)):
+        key = tuple(sorted(map(id, row.values())))
+        if key in summed:
+            continue
         if not rf_sums_to_one(row.values()):
             raise RowSumNotOne(s, rf_sub(rf_one(), rf_sum(row.values())))
+        summed.add(key)
     for t in targets:
-        row = trans.get(t, {})
+        row = rows.get(t, {})
         if not (len(row) == 1 and t in row and row[t].is_one):
             raise TargetNotAbsorbing(
                 f"target {t!r} must carry exactly a self-loop with probability 1"
             )
 
-    return Pdtmc(states, tuple(params.values()), init, trans, targets)
+    return Pdtmc._trusted(
+        tuple(states),
+        tuple(params.values()),
+        init,
+        rows,
+        tuple(sorted(targets, key=position)),
+        index,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +668,6 @@ def tarjan_sccs(
         on_stack.add(root)
         while work:
             s, it = work[-1]
-            advanced = False
             for t in it:
                 if t not in position:
                     continue
@@ -626,24 +676,28 @@ def tarjan_sccs(
                     stack.append(t)
                     on_stack.add(t)
                     work.append((t, iter(rows.get(t, ()))))
-                    advanced = True
                     break
-                if t in on_stack:
-                    low[s] = min(low[s], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[s])
-            if low[s] == index[s]:
-                comp = []
-                while True:
+                if t in on_stack and index[t] < low[s]:
+                    low[s] = index[t]
+            else:  # every successor of s is done
+                work.pop()
+                lows = low[s]
+                if work:
+                    parent = work[-1][0]
+                    if lows < low[parent]:
+                        low[parent] = lows
+                if lows != index[s]:
+                    continue
+                t = stack.pop()
+                on_stack.discard(t)
+                if t == s:  # a singleton: nothing to order
+                    sccs.append((s,))
+                    continue
+                comp = [t]
+                while t != s:
                     t = stack.pop()
                     on_stack.discard(t)
                     comp.append(t)
-                    if t == s:
-                        break
                 sccs.append(tuple(sorted(comp, key=position.__getitem__)))
     return sccs
 
@@ -712,13 +766,17 @@ def preprocess(m: Pdtmc) -> Pdtmc:
     edge between two components makes its source's component no bottom
     one and its destination an input, and so does initial mass.  The
     rows change only once that pass is done.
+
+    The result shares ``init`` and every unchanged row with ``m`` (a
+    changed row is replaced, never edited).  No kept row loses a
+    successor: those of reachable states are reachable, and a kept
+    unreachable state is a target with its self-loop.
     """
     one = rf_one()
-    trans: dict[str, dict[str, RationalFunction]] = {
-        s: dict(row) for s, row in m.trans.items()
-    }
+    trans = dict(m.trans)
     for t in m.targets:
-        trans[t] = {t: one}
+        if not m.is_absorbing(t):
+            trans[t] = {t: one}
 
     sccs = tarjan_sccs(trans, m.states)
     comp = {s: i for i, scc in enumerate(sccs) for s in scc}
@@ -741,13 +799,12 @@ def preprocess(m: Pdtmc) -> Pdtmc:
         if s in reachable:
             continue
         reachable.add(s)
-        frontier.extend(trans.get(s, {}))
+        frontier.extend(trans.get(s, ()))
     reachable.update(m.targets)
-    keep = [s for s in m.states if s in reachable]
-    keep_set = set(keep)
-    final_trans = {
-        s: {t: f for t, f in trans.get(s, {}).items() if t in keep_set}
-        for s in keep
-        if s in trans
-    }
-    return Pdtmc(keep, m.params, m.init, final_trans, m.targets)
+    if len(reachable) == len(m.states):
+        states, index = m.states, m._index
+    else:
+        states = tuple(s for s in m.states if s in reachable)
+        index = {s: i for i, s in enumerate(states)}
+    rows = {s: trans[s] for s in states if s in trans}
+    return Pdtmc._trusted(states, m.params, m.init, rows, m.targets, index)

@@ -191,6 +191,18 @@ def test_exit_1_on_a_non_ascii_digit(tmp_path, capsys):
     assert err.startswith("error: line 7, column 1: unexpected character '\u0661'"), err
 
 
+def test_exit_2_on_a_model_file_that_is_not_utf8(tmp_path, capsys):
+    # a comment in Latin-1 whose first 'é' follows 91 bytes of valid text
+    head = "@state a\n@init a : 1\n@trans a -> a : 1\n@target a\n# "
+    head += "x" * (91 - len(head))
+    path = tmp_path / "latin1.pdtmc"
+    path.write_bytes(head.encode() + b"\xe9t\xe9\n")
+    code, out, err = _run(["check", str(path)], capsys)
+    assert (code, out) == (2, "")
+    reason = "not UTF-8 text (byte 0xe9 at offset 91)"
+    assert err == f"usage error: cannot read {str(path)!r}: {reason}\n"
+
+
 def test_exit_2_on_an_unknown_eval_parameter(capsys):
     code, out, err = _run(["check", FIG2, "--eval", "p=1/2,z=1/3"], capsys)
     assert (code, out) == (2, "")

@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from parmreach import model
 from parmreach.benchgen import STATE_CAP, SizeCapExceeded, brp, crowds, zeroconf
 from parmreach.model import (
     _ExprParser,
@@ -20,6 +22,7 @@ from parmreach.model import (
     is_graph_preserving,
     looping,
     out,
+    parse_expression,
     parse_model,
     predecessor_map,
     preprocess,
@@ -27,8 +30,8 @@ from parmreach.model import (
     tarjan_sccs,
 )
 from parmreach.oracle import numeric_reachability
-from parmreach.polycore import MissingAssignment
-from parmreach.ratfun import EvalDenominatorZero, rf_const, rf_eval, rf_one
+from parmreach.polycore import MissingAssignment, variable
+from parmreach.ratfun import EvalDenominatorZero, rf_const, rf_eval, rf_one, rf_sums_to_one
 
 from fuzzgen import BENCH_GEN, graph_preserving_point, random_pdtmc
 
@@ -237,6 +240,235 @@ def test_comments_and_blank_lines_ignored():
     assert m.states == ("a",)
 
 
+# lines 1-5: a comment, a blank line, parameters, and two states (one
+# with a trailing comment); each case's directives start on line 6
+_ERROR_HEAD = "# model\n\n@params p\n@state a  # first\n@state b\n"
+
+_LINE_ERRORS = [
+    ("@params", ModelSyntaxError, "line 6: @params needs at least one name"),
+    ("@params 1x", ModelSyntaxError, "line 6: invalid parameter name '1x'"),
+    ("@params q pé", ModelSyntaxError, "line 6: invalid parameter name 'pé'"),
+    ("@state", ModelSyntaxError, "line 6: @state takes exactly one identifier"),
+    ("@state c d", ModelSyntaxError, "line 6: @state takes exactly one identifier"),
+    ("@state 9", ModelSyntaxError, "line 6: @state takes exactly one identifier"),
+    ("@state a", ModelSyntaxError, "line 6: duplicate state 'a'"),
+    ("@init a 1", ModelSyntaxError, "line 6: expected '@init <state> : <expr>'"),
+    ("@init", ModelSyntaxError, "line 6: expected '@init <state> : <expr>'"),
+    ("@init zz : 1", UnknownState, "line 6: state 'zz' has not been declared"),
+    ("@init a : 1\n@init a : 0", ModelSyntaxError, "line 7: duplicate @init for 'a'"),
+    ("@trans a b : 1", ModelSyntaxError, "line 6: expected '@trans <state> -> <state> : <expr>'"),
+    ("@trans a -> b 1", ModelSyntaxError, "line 6: expected '@trans <state> -> <state> : <expr>'"),
+    ("@trans", ModelSyntaxError, "line 6: expected '@trans <state> -> <state> : <expr>'"),
+    ("@trans zz -> a : 1", UnknownState, "line 6: state 'zz' has not been declared"),
+    ("@trans a -> zz : 1", UnknownState, "line 6: state 'zz' has not been declared"),
+    ("@trans ->  : 1", UnknownState, "line 6: state '' has not been declared"),
+    (
+        "@trans a -> b : 1\n@trans a -> b : 1",
+        ModelSyntaxError,
+        "line 7: duplicate transition 'a' -> 'b'",
+    ),
+    ("@target", ModelSyntaxError, "line 6: @target needs at least one state"),
+    ("@target a zz", UnknownState, "line 6: state 'zz' has not been declared"),
+    ("@bogus x", ModelSyntaxError, "line 6: unknown directive '@bogus'"),
+    ("state a", ModelSyntaxError, "line 6: unknown directive 'state'"),
+    ("@trans a -> b : p +", ModelSyntaxError, "line 6, column 5: unexpected end of expression"),
+    ("@trans a -> b :", ModelSyntaxError, "line 6, column 1: unexpected end of expression"),
+    ("@trans a -> b : (p", ModelSyntaxError, "line 6, column 4: unexpected end of expression"),
+    (
+        "@trans a -> b : q",
+        ModelSyntaxError,
+        "line 6, column 2: unknown parameter 'q' (declare it with @params)",
+    ),
+    (
+        "@trans a -> b : 1/(p-p)",
+        ModelSyntaxError,
+        "line 6, column 3: division by an identically zero expression",
+    ),
+    (
+        "@trans a -> b : p^0.5",
+        ModelSyntaxError,
+        "line 6, column 4: exponent must be a non-negative integer",
+    ),
+    (
+        "@trans a->b:p^-1",
+        ModelSyntaxError,
+        "line 6, column 3: exponent must be a non-negative integer",
+    ),
+    ("@trans a -> b : p $", ModelSyntaxError, "line 6, column 3: unexpected character '$'"),
+    ("@trans a -> b : p p", ModelSyntaxError, "line 6, column 4: unexpected 'p'"),
+    ("@trans a -> b : )", ModelSyntaxError, "line 6, column 2: unexpected ')'"),
+    ("@init a : 1 :", ModelSyntaxError, "line 6, column 3: unexpected character ':'"),
+    # comments and blank lines count as lines
+    (
+        "@init a : 1\n\n# c\n@trans a -> b : 1 -",
+        ModelSyntaxError,
+        "line 9, column 5: unexpected end of expression",
+    ),
+    # a zero weight is not stored, but a later line still fails on its own
+    (
+        "@init a : 1\n@trans a -> b : 0\n@target b\n@trans a -> zz : 1",
+        UnknownState,
+        "line 9: state 'zz' has not been declared",
+    ),
+    # every line is read before any row is summed
+    ("@init a : 1/2\n@bogus", ModelSyntaxError, "line 7: unknown directive '@bogus'"),
+    ("@target a\n@state c", ModelSyntaxError, "model declares no initial distribution (@init)"),
+]
+
+
+@pytest.mark.parametrize(
+    "directives, error, message", _LINE_ERRORS, ids=[case[0] for case in _LINE_ERRORS]
+)
+def test_each_parse_error_names_its_line(directives, error, message):
+    with pytest.raises(error) as exc:
+        parse_model(f"{_ERROR_HEAD}{directives}\n@trans b -> b : 1\n")
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+_MODEL_ERRORS = [
+    ("", ModelSyntaxError, "model declares no states"),
+    ("# c\n\n", ModelSyntaxError, "model declares no states"),
+    ("@state a\n@trans a -> a : 1", ModelSyntaxError, "model declares no initial distribution (@init)"),
+    (
+        "@state a\n@init a : 0\n@trans a -> a : 1",
+        ModelSyntaxError,
+        "model declares no initial distribution (@init)",
+    ),
+    (
+        "@state a\n@state b\n@init a : 1/2\n@init b : 1/3\n@trans a -> a : 1\n@trans b -> b : 1",
+        RowSumNotOne,
+        "probabilities leaving '@init' sum to 1 - ((1)/(6)), not 1",
+    ),
+    (
+        "@params p\n@state a\n@state b\n@init a : 1\n@trans a -> b : p\n@trans b -> b : 1",
+        RowSumNotOne,
+        "probabilities leaving 'a' sum to 1 - (-p + 1), not 1",
+    ),
+    (
+        "@state a\n@state b\n@init a : 1\n@trans a -> b : 1\n@target b",
+        RowSumNotOne,
+        "probabilities leaving 'b' sum to 1 - (1), not 1",
+    ),
+    (
+        "@state a\n@state b\n@init a : 1\n@trans a -> b : 1\n@trans b -> a : 1\n@target b",
+        TargetNotAbsorbing,
+        "target 'b' must carry exactly a self-loop with probability 1",
+    ),
+    # Windows and old Mac line ends break lines as a newline does
+    ("# c\r\n\r\n@state a\r\n@bogus\r\n", ModelSyntaxError, "line 4: unknown directive '@bogus'"),
+    ("# c\r\r@state a\r@bogus\r", ModelSyntaxError, "line 4: unknown directive '@bogus'"),
+    (
+        "# c\n\r\n@state a\r@init a : 1\n\n@trans a -> a : 1 +\n",
+        ModelSyntaxError,
+        "line 6, column 5: unexpected end of expression",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _MODEL_ERRORS)
+def test_each_whole_model_error_keeps_its_message(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_model(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_newline_carriage_return_and_their_pair_end_a_line(char):
+    # an editor shows each of these inside its line, so the line count skips them
+    text = f"@state a\n@init a : 1\n# page {char} here\n@trans a -> a : 1\n"
+    assert parse_model(text).states == ("a",)
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text + "@bogus\n")
+    assert str(exc.value) == "line 5: unknown directive '@bogus'"
+
+
+def test_each_distinct_row_is_audited_once(monkeypatch):
+    audited = []
+
+    def counting(row):
+        row = list(row)
+        audited.append(row)
+        return rf_sums_to_one(row)
+
+    monkeypatch.setattr(model, "rf_sums_to_one", counting)
+    m = parse_model(brp(16, 4))
+    # the parser shares one object per distinct weight text, so a row is
+    # told apart by the objects it holds
+    rows = [m.init, *(m.row(s) for s in m.states)]
+    distinct = {tuple(sorted(map(id, row.values()))) for row in rows}
+    assert len(audited) == len(distinct) < len(rows) // 10
+    assert {tuple(sorted(map(id, row))) for row in audited} == distinct
+
+
+def test_a_wrong_row_after_repeated_valid_rows_is_still_reported():
+    valid = "".join(
+        f"@state s{i}\n" for i in range(6)
+    ) + "@state t\n@init s0 : 1\n@trans t -> t : 1\n@target t\n"
+    valid += "".join(f"@trans s{i} -> s{i + 1} : p\n@trans s{i} -> t : 1 - p\n" for i in range(3))
+    wrong = "@trans s3 -> s4 : p\n@trans s3 -> t : p\n"
+    rest = "".join(f"@trans s{i} -> t : 1\n" for i in (4, 5))
+    with pytest.raises(RowSumNotOne) as exc:
+        parse_model("@params p\n" + valid + wrong + rest)
+    assert exc.value.state == "s3"
+    assert str(exc.value) == "probabilities leaving 's3' sum to 1 - (-2*p + 1), not 1"
+
+
+def _constructed(text: str) -> Pdtmc:
+    """The model the public constructor builds from the directives of
+    *text* in file order, each weight parsed on its own."""
+    params, states, init, trans, targets = {}, [], {}, {}, []
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        head, _, rest = line.partition(" ")
+        if head == "@params":
+            for name in rest.split():
+                params.setdefault(name, variable(name))
+        elif head == "@state":
+            states.append(rest.strip())
+        elif head == "@init":
+            s, _, expr = rest.partition(":")
+            init[s.strip()] = parse_expression(expr, params)
+        elif head == "@trans":
+            lhs, _, expr = rest.partition(":")
+            s, _, t = lhs.partition("->")
+            trans.setdefault(s.strip(), {})[t.strip()] = parse_expression(expr, params)
+        elif head == "@target":
+            targets += rest.split()
+    return Pdtmc(states, params.values(), init, trans, targets)
+
+
+def _text_of(m: Pdtmc, rng: random.Random) -> str:
+    """Model text for *m*, with its weight and target lines shuffled."""
+    lines = [f"@params {' '.join(v.name for v in m.params)}"] if m.params else []
+    lines += [f"@state {s}" for s in m.states]
+    body = [f"@init {s} : {f}" for s, f in m.init.items()]
+    body += [f"@trans {s} -> {t} : {f}" for s, row in m.trans.items() for t, f in row.items()]
+    rng.shuffle(body)
+    targets = list(m.targets)
+    rng.shuffle(targets)
+    return "\n".join([*lines, *body, f"@target {' '.join(targets)}"]) + "\n"
+
+
+def _fields(m: Pdtmc) -> tuple:
+    """Every field of *m* in its order, each function by its factorizations."""
+    return (*_layout(m), m.params, [m.index(s) for s in m.states], m._index)
+
+
+def test_the_parser_builds_the_model_the_public_constructor_builds(fig2_text):
+    rng = random.Random(2424)
+    texts = [_text_of(random_pdtmc(rng, max_states=14), rng) for _ in range(30)]
+    family = random.Random(13123979)  # the benchmark's fuzz models
+    texts += [BENCH_GEN.fuzz_model(family, i) for i in range(BENCH_GEN.FUZZ_MODELS)]
+    texts += [brp(16, 4), brp(4, 2), crowds(3, 2), zeroconf(4), fig2_text]
+    texts += [(DATA / name).read_text() for name in ("three.pdtmc", "two_inputs.pdtmc")]
+    for text in texts:
+        assert _fields(parse_model(text)) == _fields(_constructed(text))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -383,6 +615,95 @@ def test_a_row_table_is_walked_in_region_order():
     # roots in region order, states of a component in region order
     assert sccs == [("y",), ("b", "c", "a"), ("d",), ("e",)]
     assert [looping(rows, scc) for scc in sccs] == [False, True, False, True]
+
+
+def _reference_tarjan(rows, region):
+    """The iterative Tarjan walk as first written: every component sorted
+    into region order, lowlinks lowered with ``min``."""
+    position = {s: i for i, s in enumerate(region)}
+    index, low, on_stack, stack, sccs = {}, {}, set(), [], []
+    for root in region:
+        if root in index:
+            continue
+        work = [(root, iter(rows.get(root, ())))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            s, it = work[-1]
+            advanced = False
+            for t in it:
+                if t not in position:
+                    continue
+                if t not in index:
+                    index[t] = low[t] = len(index)
+                    stack.append(t)
+                    on_stack.add(t)
+                    work.append((t, iter(rows.get(t, ()))))
+                    advanced = True
+                    break
+                if t in on_stack:
+                    low[s] = min(low[s], index[t])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[s])
+            if low[s] == index[s]:
+                comp = []
+                while True:
+                    t = stack.pop()
+                    on_stack.discard(t)
+                    comp.append(t)
+                    if t == s:
+                        break
+                sccs.append(tuple(sorted(comp, key=position.__getitem__)))
+    return sccs
+
+
+@st.composite
+def _graphs(draw):
+    """A row table over up to 12 states, some without a row, whose rows
+    may lead outside it, and a region: some of its states in any order,
+    possibly with states that have no row."""
+    names = [f"s{i}" for i in range(draw(st.integers(1, 12)))]
+    succ = st.sampled_from([*names, "x", "y"])
+    rows = {
+        s: draw(st.lists(succ, max_size=4, unique=True))
+        for s in names
+        if draw(st.integers(0, 5))
+    }
+    region = draw(st.permutations([*names, "y"]))
+    return rows, region[: draw(st.integers(1, len(region)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_tarjan_matches_the_reference_walk(graph):
+    rows, region = graph
+    assert tarjan_sccs(rows, region) == _reference_tarjan(rows, region)
+
+
+def test_tarjan_matches_the_reference_on_long_chains_and_nested_cycles():
+    n = 5000
+    names = [f"s{i}" for i in range(n)]
+    chain = {s: [t] for s, t in zip(names, names[1:])}
+    # every tenth state also loops back to the start of its block of
+    # 100 and every hundredth to the start: cycles nested in a cycle
+    nested = {s: list(row) for s, row in chain.items()}
+    for i in range(0, n - 1, 10):
+        nested[names[i]].append(names[i - i % 100])
+    nested[names[n - 50]].append(names[0])
+    selfloops = {s: [s, *row] for s, row in chain.items()}
+    for rows in (chain, nested, selfloops):
+        for region in (names, names[::-1], names[::2], names[: n - 50] + names[n - 49 :]):
+            assert tarjan_sccs(rows, region) == _reference_tarjan(rows, region)
+    assert len(tarjan_sccs(chain, names)) == n
+    assert [len(c) for c in tarjan_sccs(nested, names)] == [1] * 9 + [n - 9]
+    # without the outer back edge's source, each block of 100 is a component
+    blocks = tarjan_sccs(nested, names[: n - 50] + names[n - 49 :])
+    assert sum(len(c) == 91 for c in blocks) == n // 100 - 1
 
 
 def test_relabeling_invariance(fig2_text):
@@ -588,6 +909,16 @@ def test_preprocess_matches_the_reference_on_hand_and_random_models(fig2_text):
     models += [parse_model(BENCH_GEN.fuzz_model(family, i)) for i in range(BENCH_GEN.FUZZ_MODELS)]
     for m in models:
         assert _layout(preprocess(m)) == _layout(_reference_preprocess(m))
+
+
+def test_preprocess_shares_the_rows_it_leaves_unchanged():
+    m = parse_model(SEVERAL_INPUTS)
+    m2 = preprocess(m)
+    assert m2.init is m.init
+    # s and t keep their rows; a, b, c and d became absorbing
+    assert [s for s in m2.states if m2.trans[s] is m.trans[s]] == ["s", "t"]
+    # and the input model's rows were replaced in the result, not edited
+    assert _layout(m) == _layout(parse_model(SEVERAL_INPUTS))
 
 
 def test_every_input_of_a_bottom_component_is_absorbed():
