@@ -1,17 +1,15 @@
 """Baseline state-elimination engine: the SCC engine's final pass alone.
 
 :func:`eliminate_all` solves the whole live model as the SCC engine's
-final pass does: the live initial states are the inputs, the absorbing
-states the live rows feed are the outputs (in declaration order), and
-every other live state is interior.  It first tries
-:func:`parmreach.scc_mc.single_output`, the shortcut every SCC
-component tries: with one output that every live state reaches, each
-input reaches it with probability 1, and nothing is removed.  Otherwise
-it hands the model to :func:`parmreach.scc_mc.reduce_component`, the
-reduction every SCC component is solved with, which removes the interior
-(:func:`~parmreach.scc_mc.eliminate`) in the shared greedy order, fewest
-new transitions first.  The order does not change the final (canceled)
-functions, only the amount of intermediate work.
+final pass does: the live initial states are the inputs,
+:func:`parmreach.scc_mc.induced` gives the outputs and the interior, and
+:func:`parmreach.scc_mc.reduce_component`, which solves every SCC
+component, answers.  With one output that every live state reaches,
+each input reaches it with probability 1 and nothing is removed;
+otherwise the interior is removed (:func:`~parmreach.scc_mc.eliminate`)
+in the shared greedy order, fewest new transitions first.  The order
+does not change the final (canceled) functions, only the amount of
+intermediate work.
 
 No hierarchy is built, so states still on loops are removed and the
 checks that a component's interior is loop-free are skipped.  Instead
@@ -23,12 +21,12 @@ answered from the session's memo, so the audit costs arithmetic only
 for rows it has not seen.
 
 The result contract matches :func:`parmreach.scc_mc.model_check`
-exactly.  The engines share the shortcut, the removal step, the order
-and the reduction, so their agreement checks the SCC hierarchy; the
-exact numeric oracle (:mod:`parmreach.oracle`) remains the independent
-check of the arithmetic.  Only divisions are recorded as constraints:
-where the shortcut answers, nothing is divided and no divisor enters
-the SMT export.
+exactly.  The engines share the component boundaries, the solve, the
+removal step and the order, so their agreement checks the SCC
+hierarchy; the exact numeric oracle (:mod:`parmreach.oracle`) remains
+the independent check of the arithmetic.  Only divisions are recorded
+as constraints: where the shortcut answers, nothing is divided and no
+divisor enters the SMT export.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ from .scc_mc import (
     SelfLoopProbabilityOne,
     assemble_result,
     eliminate,
+    induced,
     reduce_component,
-    single_output,
     substitute,
 )
 
@@ -81,10 +79,10 @@ def eliminate_all(m: Pdtmc) -> ReachabilityResult:
 
     The model must be preprocessed (absorbing targets, no multi-state
     bottom components).  The final pass is the SCC engine's: the same
-    fed outputs, and the same guarded single-output shortcut before the
-    reduction (module docstring).  If the live rows feed no absorbing
-    state, the reduction runs with no outputs, and a live input, which
-    then surely returns to itself, raises :class:`SelfLoopProbabilityOne`.
+    component boundaries and the same solve, guarded single-output
+    shortcut included (module docstring).  If the live rows feed no
+    absorbing state, a live input surely returns to itself and raises
+    :class:`SelfLoopProbabilityOne`.
     """
     if not m.targets:
         raise NoTargets("model has no target states")
@@ -93,11 +91,7 @@ def eliminate_all(m: Pdtmc) -> ReachabilityResult:
     rows = {s: dict(m.row(s)) for s in m.states}
     live = [s for s in m.states if not m.is_absorbing(s)]
     inputs = [s for s in m.initial_states if not m.is_absorbing(s)]
-    # the absorbing states the live rows feed, as scc's final pass has them
-    outputs = m.sort_states({t for s in live for t in rows[s] if m.is_absorbing(t)})
-    interior = [s for s in live if s not in m.init]
-    result = single_output(rows, inputs, outputs, interior)
-    if result is None:
-        result = reduce_component(rows, inputs, outputs, interior, _remove_state)
-    substitute(m, rows, live, inputs, result)
+    outputs, interior = induced(m, rows, live, inputs)
+    result = reduce_component(rows, inputs, outputs, interior, _remove_state)
+    substitute(rows, live, result)
     return assemble_result(m, rows, result.constraints, started, result.sites)

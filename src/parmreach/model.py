@@ -17,8 +17,9 @@ The text format is line-oriented (``#`` starts a comment)::
 Expressions support ``+ - * / ^`` with integer and decimal literals
 (decimals are exact: ``0.4`` is 2/5) and declared parameter names.
 Every state's outgoing row must sum to one *symbolically*; so must the
-initial distribution.  Targets must already be absorbing in the file --
-:func:`preprocess` is the programmatic way to absorb them.
+initial distribution, and a constant weight must lie in [0, 1].
+Targets must already be absorbing in the file -- :func:`preprocess` is
+the programmatic way to absorb them.
 
 Text is validated once, by :func:`parse_model`, which also sorts each
 row once; a hand-built model is checked by the public :class:`Pdtmc`
@@ -401,7 +402,8 @@ def parse_model(text: str) -> Pdtmc:
 
     Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, as in an editor.
     Each line is checked as it is read, each distinct weight text parsed
-    once and each distinct row (the same weight objects) summed once;
+    once (a constant one also range-checked) and each distinct row (the
+    same weight objects) summed once;
     the rows, sorted once, make the model with no second check.
 
     Raises :class:`ModelSyntaxError`, :class:`UnknownState`,
@@ -489,6 +491,8 @@ def parse_model(text: str) -> Pdtmc:
         f = parsed.get(key)
         if f is None:
             f = parsed[key] = _ExprParser(expr, params, f"line {lineno}", groups).parse()
+            if f.is_constant and not 0 <= f.num.coeff <= f.den.coeff:
+                raise ModelSyntaxError(f"line {lineno}: probability {key} is outside [0, 1]")
             zeros = zeros or f.is_zero
         row[t] = f
 
@@ -719,8 +723,9 @@ def scc_components(
     in the order of :func:`tarjan_sccs`; the components nested in one
     are the looping components of its states minus its input states.
     Acyclic pieces and bottom components have nothing to abstract and
-    are left out.  Walked with an explicit stack, so nesting depth is
-    bounded by memory rather than by the recursion limit.
+    are left out, and one that nothing enters is yielded with no inputs
+    and not decomposed.  Walked with an explicit stack, so nesting depth
+    is bounded by memory rather than by the recursion limit.
     """
 
     def nested(states: Sequence[str]) -> list[tuple[str, ...]]:
@@ -739,6 +744,9 @@ def scc_components(
         if pending:
             scc = pending.pop()
             inputs = inp(m, scc)
+            if not inputs:
+                yield scc, inputs
+                continue
             entries = set(inputs)
             stack.append((nested([s for s in scc if s not in entries]), (scc, inputs)))
             continue

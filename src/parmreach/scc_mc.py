@@ -25,19 +25,19 @@ the live states, removes them with the same elimination step.  The
 rule is fixed; nothing configures it.
 
 :func:`solve_multi_input` solves every abstracted component and the
-final pass.  A component with one output that each of its states
-reaches is left through that output with probability 1
-(:func:`single_output`), and nothing is eliminated.  Otherwise it
-checks that each loop left in the interior is exactly the remaining
-states of a left component, then :func:`reduce_component` applies the
-classic state-elimination step, :func:`eliminate`, in the greedy order
-of :func:`removal_order`: first to the interior, then, per target
-input, to the other inputs; with a single input this reduces to
-dividing out the first-return probability.  The elimination engine is
-the shortcut and that reduction applied to the whole live model without
-a hierarchy, so the two engines agreeing checks the hierarchy on every
-model with a single-input component, and the exact oracle
-(:mod:`parmreach.oracle`) checks the arithmetic.
+final pass.  It checks that no row escapes the component and that each
+loop left in the interior is exactly the remaining states of a left
+component; then :func:`reduce_component` solves it.  A component with
+one output that each of its states reaches is left through that output
+with probability 1, and nothing is eliminated.  Otherwise the classic
+state-elimination step, :func:`eliminate`, runs in the greedy order of
+:func:`removal_order`: first on the interior, then, per target input,
+on the other inputs; with a single input this reduces to dividing out
+the first-return probability.  The elimination engine is that solve
+applied to the whole live model without a hierarchy, so the two engines
+agreeing checks the hierarchy on every model with a single-input
+component, and the exact oracle (:mod:`parmreach.oracle`) checks the
+arithmetic.
 
 Every divisor used along the way is recorded, so the final result can
 be exported as an SMT query characterizing the parameter region where
@@ -77,7 +77,6 @@ from .ratfun import (
 )
 
 __all__ = [
-    "AbsorbingSubset",
     "NoTargets",
     "AbstractionInvariantBroken",
     "SelfLoopProbabilityOne",
@@ -89,17 +88,12 @@ __all__ = [
     "induced",
     "solve_single_input",
     "solve_multi_input",
-    "single_output",
     "reduce_component",
     "substitute",
     "model_check",
     "assemble_result",
     "collect_constraints",
 ]
-
-
-class AbsorbingSubset(ParmreachError):
-    """The chosen state set has no output states; it cannot be abstracted."""
 
 
 class NoTargets(ParmreachError):
@@ -121,12 +115,13 @@ class SelfLoopProbabilityOne(ParmreachError):
 
 @dataclass(frozen=True)
 class AbstractionResult:
-    """Abstraction of one component: ``abs_probs`` maps (input, output)
-    to the normalized crossing probability; ``constraints`` are the
-    divisors used, each of which must stay nonzero; ``sites`` counts the
-    abstraction sites audited on the way (one per input)."""
+    """Abstraction of one component: ``rows`` maps each input to its
+    abstracted row, the normalized crossing probability to each output
+    it reaches, in output order; ``constraints`` are the divisors used,
+    each of which must stay nonzero; ``sites`` counts the abstraction
+    sites audited on the way (one per input)."""
 
-    abs_probs: Mapping[tuple[str, str], RationalFunction]
+    rows: Mapping[str, Mapping[str, RationalFunction]]
     constraints: tuple[RationalFunction, ...]
     sites: int
 
@@ -246,15 +241,10 @@ def induced(
     m: Pdtmc, rows: _Rows, K: Sequence[str], inputs: Sequence[str]
 ) -> tuple[tuple[str, ...], list[str]]:
     """The outputs of component ``K`` (states outside K fed by its rows,
-    in declaration order) and its interior (K minus ``inputs``)."""
-    if not K:
-        raise ValueError("empty state set")
+    in declaration order) and its interior (K minus ``inputs``).  Either
+    may be empty: :func:`reduce_component` decides what that means."""
     ks = set(K)
     outputs = m.sort_states({t for s in K for t in rows[s] if t not in ks})
-    if not outputs:
-        raise AbsorbingSubset(f"state set {list(K)} has no output states")
-    if not inputs:
-        raise ValueError(f"state set {list(K)} has no input states; it is unreachable")
     entries = set(inputs)
     return outputs, [s for s in K if s not in entries]
 
@@ -305,24 +295,13 @@ def solve_multi_input(
     was violated.  The check is exact because substituting a solved
     component keeps reachability among the remaining states, so a left
     component is still one strongly connected component of the working
-    rows.  Then :func:`reduce_component` eliminates the component, left
-    ones included, with :func:`eliminate`.
-
-    All of this is skipped when :func:`single_output` answers (one
-    output, which every state of the component reaches): the crossing
-    probability is 1 and no divisor is recorded.  When some state cannot
-    reach the one output, the checks and the reduction run, and raise as
-    the elimination engine does on the same rows instead of answering 1.
+    rows.  Then :func:`reduce_component` solves the component, left
+    ones included.
     """
-    shortcut = single_output(rows, inputs, outputs, interior)
-    if shortcut is not None:
-        return shortcut
-
-    inside = set(interior)
-    terminals = set(outputs) | set(inputs)
+    allowed = {*interior, *inputs, *outputs}
     for s in (*interior, *inputs):
         for t in rows[s]:
-            if t not in inside and t not in terminals:
+            if t not in allowed:
                 raise AbstractionInvariantBroken(
                     f"edge {s!r} -> {t!r} escapes the component being solved"
                 )
@@ -334,47 +313,6 @@ def solve_multi_input(
     return reduce_component(rows, inputs, outputs, interior, eliminate)
 
 
-def single_output(
-    rows: _Rows, inputs: Sequence[str], outputs: Sequence[str], interior: Sequence[str]
-) -> AbstractionResult | None:
-    """The abstraction of a component left surely through its one
-    output, or None when the component has several outputs or that is
-    not shown.
-
-    If no row of the component leads elsewhere and every input and
-    interior state reaches the output along the working rows, a finite
-    chain leaves through it with probability 1.  Each input then gets
-    probability 1, audited as one site, with no division and so no
-    divisor.  The check is one backward search over the component's
-    edges.
-    """
-    if len(outputs) != 1:
-        return None
-    (out,) = outputs
-    members = {*inputs, *interior}
-    preds: dict[str, list[str]] = {}
-    for s in members:
-        for t in rows[s]:
-            if t != out and t not in members:
-                return None
-            preds.setdefault(t, []).append(s)
-    reaching = {out}
-    stack = [out]
-    while stack:
-        for u in preds.get(stack.pop(), ()):
-            if u not in reaching:
-                reaching.add(u)
-                stack.append(u)
-    if not members <= reaching:
-        return None
-
-    abs_probs: dict[tuple[str, str], RationalFunction] = {}
-    for s in inputs:
-        _audit_site(f"{s} (single output)", {out: rf_one()})
-        abs_probs[(s, out)] = rf_one()
-    return AbstractionResult(abs_probs, (), len(inputs))
-
-
 def reduce_component(
     rows: _Rows,
     inputs: Sequence[str],
@@ -382,27 +320,45 @@ def reduce_component(
     interior: Sequence[str],
     remove: Callable[[_Rows, dict[str, set[str]], str, list[RationalFunction]], object],
 ) -> AbstractionResult:
-    """Abstraction of a component by state elimination, unchecked.
+    """Abstraction of a component, unchecked: no row may lead elsewhere.
 
-    ``remove`` is the removal step: :func:`eliminate` or an audited
-    wrapper of it.  The interior is removed from a copy of the input
-    and interior rows in :func:`removal_order`, which leaves each input
+    With one output that every input and interior state reaches, a
+    finite chain leaves through it with probability 1: each input gets
+    probability 1, audited as one site, with no division and so no
+    divisor.  Otherwise ``remove`` (:func:`eliminate` or an audited
+    wrapper of it) removes the interior from a copy of the input and
+    interior rows in :func:`removal_order`, which leaves each input
     with direct edges to the outputs and to the inputs.  Then, per
     target input, the other inputs are removed from a copy of those
     rows: the target's edges to the outputs are its unnormalized
     crossing functions, their sum ``escape`` is recorded as a nonzero
     divisor, and its self-loop is the first-return probability.  If
-    ``escape`` cancels to zero the input surely returns to itself.
-    Both identities are audited at every input (one site each).
+    ``escape`` cancels to zero (always, with no outputs) the input
+    surely returns to itself.  Both identities are audited at every
+    input (one site each).
     """
     local: _Rows = {s: dict(rows[s]) for s in (*inputs, *interior)}
     local.update((t, {}) for t in outputs)
     preds = predecessor_map(local)
+    if len(outputs) == 1:
+        reaching = set(outputs)
+        stack = list(outputs)
+        while stack:
+            for u in preds[stack.pop()]:
+                if u not in reaching:
+                    reaching.add(u)
+                    stack.append(u)
+        if len(reaching) == len(local):
+            (out,) = outputs
+            for s in inputs:
+                _audit_site(f"{s} (single output)", {out: rf_one()})
+            return AbstractionResult({s: {out: rf_one()} for s in inputs}, (), len(inputs))
+
     constraints: list[RationalFunction] = []
     for s in removal_order(local, preds, interior):
         remove(local, preds, s, constraints)
 
-    abs_probs: dict[tuple[str, str], RationalFunction] = {}
+    abstracted: dict[str, dict[str, RationalFunction]] = {}
     for target in inputs:
         work = {u: dict(row) for u, row in local.items()}
         work_preds = {u: set(ps) for u, ps in preds.items()}
@@ -420,26 +376,19 @@ def reduce_component(
         constraints.append(escape)
         row = {t: rf_div(v, escape) for t, v in raw_row.items()}
         _audit_site(f"input {target!r}", row, raw_row, self_loop)
-        abs_probs.update(((target, t), v) for t, v in row.items())
+        abstracted[target] = row
 
-    return AbstractionResult(abs_probs, tuple(constraints), len(inputs))
+    return AbstractionResult(abstracted, tuple(constraints), len(inputs))
 
 
-def substitute(
-    m: Pdtmc, rows: _Rows, K: Sequence[str], inputs: Sequence[str], result: AbstractionResult
-) -> None:
+def substitute(rows: _Rows, K: Sequence[str], result: AbstractionResult) -> None:
     """Replace component K in ``rows`` by direct input-to-output edges:
-    the non-input states go, each input's row becomes its abstracted row
-    in declaration order."""
-    entries = set(inputs)
+    the non-input states go, each input's row becomes its abstracted
+    row."""
     for s in K:
-        if s not in entries:
+        if s not in result.rows:
             del rows[s]
-    for s in inputs:
-        rows[s] = {}
-    for (s, t), f in sorted(result.abs_probs.items(), key=lambda kv: m.index(kv[0][1])):
-        if not f.is_zero:
-            rows[s][t] = f
+    rows.update(result.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +410,7 @@ def _solve(
     outputs, interior = induced(m, rows, K, inputs)
     result = solve_multi_input(rows, inputs, outputs, interior, left)
     constraints.extend(result.constraints)
-    substitute(m, rows, K, inputs, result)
+    substitute(rows, K, result)
     return result.sites
 
 
@@ -473,9 +422,9 @@ def _abstract(m: Pdtmc) -> tuple[_Rows, list[RationalFunction], int]:
     All components are handled on one working copy of the rows, in the
     order :func:`~parmreach.model.scc_components` yields them.  A
     component with one input is replaced by direct edges; one with
-    several inputs is left in the rows (module docstring), and its
-    remaining states are recorded for the loop check of the component
-    that removes them.  The rest is the live (non-absorbing) states;
+    several inputs or none is left in the rows (module docstring), and
+    its remaining states are recorded for the loop check of the
+    component that removes them.  The rest is the live (non-absorbing) states;
     its inputs are the live initial states.  Returns the rows, the
     constraints and the number of abstraction sites audited.
     """
@@ -493,9 +442,8 @@ def _abstract(m: Pdtmc) -> tuple[_Rows, list[RationalFunction], int]:
 
     # solving never makes a state absorbing or changes an absorbing row
     live = [s for s in m.states if s in rows and not m.is_absorbing(s)]
-    if live:
-        entries = [s for s in m.initial_states if not m.is_absorbing(s)]
-        sites += _solve(m, rows, live, entries, constraints, left)
+    entries = [s for s in m.initial_states if not m.is_absorbing(s)]
+    sites += _solve(m, rows, live, entries, constraints, left)
     return rows, constraints, sites
 
 

@@ -173,6 +173,14 @@ def test_exit_1_on_an_exponent_beyond_the_key_fields(tmp_path, capsys):
 _TWO_STATES = "@state a\n@state b\n@init a : 1\n@trans b -> b : 1\n@target b\n"
 
 
+def test_exit_1_naming_the_line_on_a_constant_weight_outside_0_1(tmp_path, capsys):
+    # the row sums to 1, but 2 can never be a probability
+    model = _write(tmp_path, _TWO_STATES + "@trans a -> b : 2\n@trans a -> a : -1\n")
+    code, out, err = _run(["check", model], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: line 6: probability 2 is outside [0, 1]\n"
+
+
 def test_exit_1_on_a_non_ascii_parameter_name(tmp_path, capsys):
     # SMT-LIB simple symbols are ASCII, so `pé` could not be declared
     smt = tmp_path / "c.smt2"

@@ -298,6 +298,15 @@ _LINE_ERRORS = [
     ("@trans a -> b : p p", ModelSyntaxError, "line 6, column 4: unexpected 'p'"),
     ("@trans a -> b : )", ModelSyntaxError, "line 6, column 2: unexpected ')'"),
     ("@init a : 1 :", ModelSyntaxError, "line 6, column 3: unexpected character ':'"),
+    # a constant weight outside [0, 1] is a fault even in a row summing to 1
+    (
+        "@trans a -> b : 2\n@trans a -> a : -1",
+        ModelSyntaxError,
+        "line 6: probability 2 is outside [0, 1]",
+    ),
+    ("@init a : 1\n@trans a -> b : 1/2 - 1", ModelSyntaxError,
+     "line 7: probability 1/2 - 1 is outside [0, 1]"),
+    ("@init a : 3/2\n@init b : -1/2", ModelSyntaxError, "line 6: probability 3/2 is outside [0, 1]"),
     # comments and blank lines count as lines
     (
         "@init a : 1\n\n# c\n@trans a -> b : 1 -",
@@ -324,6 +333,16 @@ def test_each_parse_error_names_its_line(directives, error, message):
         parse_model(f"{_ERROR_HEAD}{directives}\n@trans b -> b : 1\n")
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_a_parametric_weight_is_range_checked_where_it_is_evaluated():
+    m = parse_model(
+        "@params p\n@state a\n@state b\n@init a : 1\n"
+        "@trans a -> b : 2*p\n@trans a -> a : 1 - 2*p\n@trans b -> b : 1\n@target b\n"
+    )
+    (p,) = m.params
+    with pytest.raises(NotWellDefined, match="value 3/2 outside"):
+        evaluate(m, {p: Fraction(3, 4)})
 
 
 _MODEL_ERRORS = [
