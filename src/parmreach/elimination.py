@@ -80,9 +80,11 @@ def eliminate_all(m: Pdtmc) -> ReachabilityResult:
     The model must be preprocessed (absorbing targets, no multi-state
     bottom components).  The final pass is the SCC engine's: the same
     component boundaries and the same solve, guarded single-output
-    shortcut included (module docstring).  If the live rows feed no
-    absorbing state, a live input surely returns to itself and raises
-    :class:`SelfLoopProbabilityOne`.
+    shortcut included (module docstring).  On a model that is not, a
+    closed class (a bottom component other than an absorbing state)
+    raises :class:`SelfLoopProbabilityOne`: at its first state if no
+    live initial state is in it, else at one of those.  So if the live
+    rows feed no absorbing state: a live input surely returns to itself.
     """
     if not m.targets:
         raise NoTargets("model has no target states")

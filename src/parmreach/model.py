@@ -28,6 +28,8 @@ constructor.  :func:`preprocess` shares the rows it leaves unchanged.
 The graph routines (:func:`predecessor_map`, :func:`tarjan_sccs`,
 :func:`looping`) work on plain row tables, mappings from a state to its
 successors: ``m.trans`` or an engine's working rows alike.
+:func:`scc_components` builds the SCC hierarchy of a model from them,
+each component with its inputs.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ __all__ = [
     "evaluate",
     "is_graph_preserving",
     "predecessor_map",
-    "inp",
-    "out",
     "tarjan_sccs",
     "looping",
     "scc_components",
@@ -622,24 +622,6 @@ def predecessor_map(rows: Mapping[str, Iterable[str]]) -> dict[str, set[str]]:
     return preds
 
 
-def inp(m: Pdtmc, K: Iterable[str]) -> tuple[str, ...]:
-    """Input states of K: initial probability mass or an edge from outside."""
-    ks = set(K)
-    entered = {t for s, row in m.trans.items() if s not in ks for t in row if t in ks}
-    return m.sort_states(entered | ks.intersection(m.init))
-
-
-def out(m: Pdtmc, K: Iterable[str]) -> tuple[str, ...]:
-    """Output states of K: outside states fed by an edge from inside K."""
-    ks = set(K)
-    result: set[str] = set()
-    for s in ks:
-        for t in m.trans.get(s, {}):
-            if t not in ks:
-                result.add(t)
-    return m.sort_states(result)
-
-
 def tarjan_sccs(
     rows: Mapping[str, Iterable[str]], region: Sequence[str]
 ) -> list[tuple[str, ...]]:
@@ -722,33 +704,40 @@ def scc_components(
     The top-level components are the looping components of the region
     in the order of :func:`tarjan_sccs`; the components nested in one
     are the looping components of its states minus its input states.
-    Acyclic pieces and bottom components have nothing to abstract and
-    are left out, and one that nothing enters is yielded with no inputs
-    and not decomposed.  Walked with an explicit stack, so nesting depth
-    is bounded by memory rather than by the recursion limit.
+    The inputs of a component are its states with initial mass or a
+    predecessor outside it, read off one :func:`predecessor_map` of the
+    model, in the component's order.  Acyclic pieces and absorbing
+    states have nothing to abstract and are left out.  A component that
+    nothing enters, or whose rows lead nowhere outside it (a closed
+    class), is yielded with no inputs and not decomposed.  Walked with
+    an explicit stack, so nesting depth is bounded by memory rather than
+    by the recursion limit.
     """
 
     def nested(states: Sequence[str]) -> list[tuple[str, ...]]:
         found = [
             scc
             for scc in tarjan_sccs(m.trans, states)
-            if looping(m.trans, scc) and out(m, scc)
+            if looping(m.trans, scc) and not m.is_absorbing(scc[0])
         ]
         return found[::-1]  # popped from the end, so the first comes first
 
+    top = nested(region)
+    preds = predecessor_map(m.trans) if top else {}  # an acyclic model needs none
     # one frame per open component: (components still to decompose,
     # the open component and its inputs)
-    stack = [(nested(region), None)]
+    stack = [(top, None)]
     while stack:
         pending, owner = stack[-1]
         if pending:
             scc = pending.pop()
-            inputs = inp(m, scc)
-            if not inputs:
-                yield scc, inputs
-                continue
-            entries = set(inputs)
-            stack.append((nested([s for s in scc if s not in entries]), (scc, inputs)))
+            ks = set(scc)
+            inputs = tuple(s for s in scc if s in m.init or not preds[s] <= ks)
+            if inputs and any(t not in ks for s in scc for t in m.trans[s]):
+                entries = set(inputs)
+                stack.append((nested([s for s in scc if s not in entries]), (scc, inputs)))
+            else:
+                yield scc, ()
             continue
         stack.pop()
         if owner is not None:

@@ -313,12 +313,6 @@ class Polynomial:
         return self.terms[0][1]
 
     @property
-    def leading_monomial(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
-
-    @property
     def leading_coefficient(self) -> int:
         if not self.terms:
             return 0

@@ -21,8 +21,10 @@ it took about 0.33 s of the engine's 0.46 s (in-process, 2-core x86-64
 VM), and leaving these components removes two thirds of the gcd
 kernel calls.  Such a component is *left*: its remaining states stay in
 the working rows, and the enclosing component, or the final pass over
-the live states, removes them with the same elimination step.  The
-rule is fixed; nothing configures it.
+the live states, removes them with the same elimination step.  So is a
+component with no inputs, which nothing enters or whose rows lead
+nowhere outside it (a closed class, only in an unpreprocessed model).
+The rule is fixed; nothing configures it.
 
 :func:`solve_multi_input` solves every abstracted component and the
 final pass.  It checks that no row escapes the component and that each
@@ -30,14 +32,16 @@ loop left in the interior is exactly the remaining states of a left
 component; then :func:`reduce_component` solves it.  A component with
 one output that each of its states reaches is left through that output
 with probability 1, and nothing is eliminated.  Otherwise the classic
-state-elimination step, :func:`eliminate`, runs in the greedy order of
-:func:`removal_order`: first on the interior, then, per target input,
-on the other inputs; with a single input this reduces to dividing out
-the first-return probability.  The elimination engine is that solve
-applied to the whole live model without a hierarchy, so the two engines
-agreeing checks the hierarchy on every model with a single-input
-component, and the exact oracle (:mod:`parmreach.oracle`) checks the
-arithmetic.
+state-elimination step, :func:`eliminate`, runs on the interior, then,
+per target input, on the other inputs; with a single input this
+reduces to dividing out the first-return probability.  The interior
+goes in the greedy order of :func:`removal_order`, after any interior
+states that reach no output: those lead into a closed class, whose
+removal fails at its first state in both engines.  The elimination
+engine is that solve applied to the whole live model without a
+hierarchy, so the two engines agreeing checks the hierarchy on every
+model with a single-input component, and the exact oracle
+(:mod:`parmreach.oracle`) checks the arithmetic.
 
 Every divisor used along the way is recorded, so the final result can
 be exported as an SMT query characterizing the parameter region where
@@ -327,8 +331,13 @@ def reduce_component(
     probability 1, audited as one site, with no division and so no
     divisor.  Otherwise ``remove`` (:func:`eliminate` or an audited
     wrapper of it) removes the interior from a copy of the input and
-    interior rows in :func:`removal_order`, which leaves each input
-    with direct edges to the outputs and to the inputs.  Then, per
+    interior rows, which leaves each input with direct edges to the
+    outputs and to the inputs.  The interior states that reach no
+    output go first, last first in the interior's order, and the rest
+    in :func:`removal_order`.  Such states lead into a closed class
+    (only in an unpreprocessed model), and removing a class fails at
+    the last of its states removed; in this order that is its first
+    state, whatever other rows lead into it.  Then, per
     target input, the other inputs are removed from a copy of those
     rows: the target's edges to the outputs are its unnormalized
     crossing functions, their sum ``escape`` is recorded as a nonzero
@@ -340,22 +349,23 @@ def reduce_component(
     local: _Rows = {s: dict(rows[s]) for s in (*inputs, *interior)}
     local.update((t, {}) for t in outputs)
     preds = predecessor_map(local)
-    if len(outputs) == 1:
-        reaching = set(outputs)
-        stack = list(outputs)
-        while stack:
-            for u in preds[stack.pop()]:
-                if u not in reaching:
-                    reaching.add(u)
-                    stack.append(u)
-        if len(reaching) == len(local):
-            (out,) = outputs
-            for s in inputs:
-                _audit_site(f"{s} (single output)", {out: rf_one()})
-            return AbstractionResult({s: {out: rf_one()} for s in inputs}, (), len(inputs))
+    reaching = set(outputs)
+    stack = list(outputs)
+    while stack:
+        for u in preds[stack.pop()]:
+            if u not in reaching:
+                reaching.add(u)
+                stack.append(u)
+    if len(outputs) == 1 and len(reaching) == len(local):
+        (out,) = outputs
+        for s in inputs:
+            _audit_site(f"{s} (single output)", {out: rf_one()})
+        return AbstractionResult({s: {out: rf_one()} for s in inputs}, (), len(inputs))
 
     constraints: list[RationalFunction] = []
-    for s in removal_order(local, preds, interior):
+    for s in [s for s in interior if s not in reaching][::-1]:
+        remove(local, preds, s, constraints)
+    for s in removal_order(local, preds, [s for s in interior if s in reaching]):
         remove(local, preds, s, constraints)
 
     abstracted: dict[str, dict[str, RationalFunction]] = {}
@@ -422,11 +432,12 @@ def _abstract(m: Pdtmc) -> tuple[_Rows, list[RationalFunction], int]:
     All components are handled on one working copy of the rows, in the
     order :func:`~parmreach.model.scc_components` yields them.  A
     component with one input is replaced by direct edges; one with
-    several inputs or none is left in the rows (module docstring), and
-    its remaining states are recorded for the loop check of the
-    component that removes them.  The rest is the live (non-absorbing) states;
-    its inputs are the live initial states.  Returns the rows, the
-    constraints and the number of abstraction sites audited.
+    several inputs or none (nothing enters it, or it has no outputs) is
+    left in the rows (module docstring), and its remaining states are
+    recorded for the loop check of the component that removes them.
+    The rest is the live (non-absorbing) states; its inputs are the live
+    initial states.  Returns the rows, the constraints and the number of
+    abstraction sites audited.
     """
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
     constraints: list[RationalFunction] = []
@@ -486,8 +497,11 @@ def model_check(m: Pdtmc) -> ReachabilityResult:
     """Exact reachability functions for every (initial, target) pair.
 
     The model must be preprocessed (absorbing targets, no multi-state
-    bottom components).  ``total`` weights each initial state's target
-    mass by its initial probability.
+    bottom components).  On a model that is not, the final pass meets
+    a closed class and raises :class:`SelfLoopProbabilityOne`, with
+    the message :func:`~parmreach.elimination.eliminate_all` gives.
+    ``total`` weights each initial state's target mass by its initial
+    probability.
     """
     if not m.targets:
         raise NoTargets("model has no target states")

@@ -18,13 +18,10 @@ from parmreach.model import (
     TargetNotAbsorbing,
     UnknownState,
     evaluate,
-    inp,
     is_graph_preserving,
     looping,
-    out,
     parse_expression,
     parse_model,
-    predecessor_map,
     preprocess,
     scc_components,
     tarjan_sccs,
@@ -32,6 +29,7 @@ from parmreach.model import (
 from parmreach.oracle import numeric_reachability
 from parmreach.polycore import MissingAssignment, variable
 from parmreach.ratfun import EvalDenominatorZero, rf_const, rf_eval, rf_one, rf_sums_to_one
+from parmreach.scc_mc import induced
 
 from fuzzgen import BENCH_GEN, graph_preserving_point, random_pdtmc
 
@@ -575,27 +573,33 @@ def test_evaluation_preserves_graph_structure(fig2_text):
 
 
 # ---------------------------------------------------------------------------
-# input/output state sets
+# input/output state sets: inputs as scc_components yields them, outputs
+# as scc_mc.induced reads them off the rows
 # ---------------------------------------------------------------------------
 
 
-def test_inp_out_whole_state_space(fig2_text):
+def _rows(m: Pdtmc) -> dict:
+    return {s: dict(m.row(s)) for s in m.states}
+
+
+def test_the_whole_state_space_is_entered_only_at_the_initial_state(fig2_text):
     m = parse_model(fig2_text)
-    assert out(m, m.states) == ()
-    assert inp(m, m.states) == ("s1",)  # only the initial state
+    outer = ("s1", "s2", "s3", "s4", "s6", "s7", "s8")
+    assert dict(scc_components(m, m.states))[outer] == ("s1",)
+    assert induced(m, _rows(m), m.states, ("s1",))[0] == ()
 
 
-def test_inp_out_single_target(fig2_text):
+def test_an_absorbing_target_is_no_component_and_has_no_output(fig2_text):
     m = parse_model(fig2_text)
-    assert inp(m, ["s5"]) == ("s5",)
-    assert out(m, ["s5"]) == ()  # absorbing
+    assert all("s5" not in states for states, _ in scc_components(m, m.states))
+    assert induced(m, _rows(m), ["s5"], ["s5"]) == ((), [])
 
 
-def test_inp_out_inner_component(fig2_text):
+def test_boundaries_of_an_inner_component(fig2_text):
     m = parse_model(fig2_text)
-    K = ["s2", "s3", "s4"]
-    assert inp(m, K) == ("s2", "s3")
-    assert out(m, K) == ("s5", "s6")
+    K = ("s2", "s3", "s4")
+    assert dict(scc_components(m, m.states))[K] == ("s2", "s3")
+    assert induced(m, _rows(m), K, ("s2", "s3")) == (("s5", "s6"), ["s4"])
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +743,15 @@ def test_relabeling_invariance(fig2_text):
 @pytest.mark.parametrize("seed", range(40))
 def test_inputs_are_the_states_entered_from_outside(seed):
     m = random_pdtmc(random.Random(seed))
-    preds = predecessor_map(m.trans)
-    for scc in tarjan_sccs(m.trans, m.states):
-        entered = [s for s in scc if s in m.init or not preds[s] <= set(scc)]
-        assert inp(m, scc) == tuple(entered), scc
+    for region in (m.states, [s for s in m.states if s not in m.init]):
+        # nested components included
+        for scc, inputs in scc_components(m, region):
+            ks = set(scc)
+            entered = {t for s, row in m.trans.items() if s not in ks for t in row if t in ks}
+            leaves = any(t not in ks for s in scc for t in m.trans[s])
+            # a closed class is yielded with no inputs
+            expected = m.sort_states(entered | ks.intersection(m.init)) if leaves else ()
+            assert inputs == expected, scc
 
 
 def test_acyclic_model_has_empty_tree():
@@ -753,7 +762,7 @@ def test_acyclic_model_has_empty_tree():
 def test_cycle_tree_single_node():
     m = parse_model(CYCLE)
     assert list(scc_components(m, m.states)) == [(("a", "b", "c"), ("a",))]
-    assert out(m, ("a", "b", "c")) == ("d",)
+    assert induced(m, _rows(m), ("a", "b", "c"), ("a",))[0] == ("d",)
 
 
 def test_golden_model_nested_tree(fig2_text):
@@ -765,7 +774,8 @@ def test_golden_model_nested_tree(fig2_text):
         (("s2", "s3", "s4"), ("s2", "s3")),
         (("s1", "s2", "s3", "s4", "s6", "s7", "s8"), ("s1",)),
     ]
-    assert out(m, ("s1", "s2", "s3", "s4", "s6", "s7", "s8")) == ("s5", "s9")
+    outer = ("s1", "s2", "s3", "s4", "s6", "s7", "s8")
+    assert induced(m, _rows(m), outer, ("s1",))[0] == ("s5", "s9")
 
 
 # ---------------------------------------------------------------------------
@@ -834,16 +844,17 @@ def test_preprocess_preserves_numeric_reachability():
 
 
 def _reference_preprocess(m: Pdtmc) -> Pdtmc:
-    """Preprocessing with the bottom components and their inputs read by
-    ``out`` and ``inp`` from a model of the target-absorbed rows."""
+    """Preprocessing with the bottom components and their inputs read off
+    the target-absorbed rows by a scan of every edge."""
     one = rf_one()
     trans = {s: dict(row) for s, row in m.trans.items()}
     for t in m.targets:
         trans[t] = {t: one}
-    absorbed = Pdtmc(m.states, m.params, m.init, trans, m.targets)
     for scc in tarjan_sccs(trans, m.states):
-        if len(scc) > 1 and not out(absorbed, scc):
-            for s in inp(absorbed, scc):
+        ks = set(scc)
+        if len(scc) > 1 and {t for s in scc for t in trans[s]} <= ks:
+            entered = {t for s, row in trans.items() if s not in ks for t in row if t in ks}
+            for s in entered | ks.intersection(m.init):
                 trans[s] = {s: one}
     reachable: set[str] = set()
     frontier = list(m.init)

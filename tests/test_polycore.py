@@ -452,7 +452,7 @@ def test_exact_division_roundtrip(a, b):
 def test_monomial_order_compatible_with_multiplication(a, b, c):
     if a.is_zero or b.is_zero or c.is_zero:
         return
-    la, lb, lc = a.leading_monomial, b.leading_monomial, c.leading_monomial
+    la, lb, lc = a.terms[0][0], b.terms[0][0], c.terms[0][0]
     if la < lb:
         assert la + lc < lb + lc
 

@@ -19,7 +19,8 @@ and ``SHA256SUMS`` over all of them, in ``sha256sum`` format.  Run it in
 two checkouts; their outputs are byte-identical when ``diff -r`` of the
 two directories prints nothing.  The script runs the ``parmreach`` under
 ``src/`` of the checkout it sits in, and only reads ``perfbench/gen.py``.
-pytest does not collect it.
+pytest does not collect it; ``tests/test_usual_set.py`` compares its
+``SHA256SUMS`` with the committed ``tests/data/usual_set.SHA256SUMS``.
 
 To compare two such directories::
 
@@ -114,7 +115,7 @@ def write_outputs(outdir: pathlib.Path) -> None:
 RESULTS, COUNTERS, FACTORED, SMT = "result lines", "--stats counters", "--factored", "SMT"
 
 
-def _parts(name: str, text: str) -> dict[str, str]:
+def parts(name: str, text: str) -> dict[str, str]:
     """The text of output file *name* by comparison group."""
     if name.endswith(".factored.out"):
         return {FACTORED: text}
@@ -145,10 +146,10 @@ def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> int:
     for name in sorted(n for n in names if n.endswith((".out", ".smt2"))):
         a, b = (d / name for d in (dir_a, dir_b))
         if not (a.exists() and b.exists()):
-            for group in _parts(name, ""):
+            for group in parts(name, ""):
                 differ[group].append(name)
             continue
-        parts_a, parts_b = (_parts(name, d.read_text(encoding="utf-8")) for d in (a, b))
+        parts_a, parts_b = (parts(name, d.read_text(encoding="utf-8")) for d in (a, b))
         for group, text in parts_a.items():
             if text != parts_b[group]:
                 differ[group].append(name)
