@@ -16,6 +16,12 @@ kernel work is shared across the whole analysis.  All such state lives
 in one :class:`~parmreach.polycore.Session`; :func:`reset_session` starts
 a new one, and values from an ended session raise :class:`StaleValue`.
 
+Three exported names load on first use: :func:`numeric_reachability`
+and :class:`SingularSystem` (from :mod:`parmreach.oracle`) and
+:class:`SizeCapExceeded` (from :mod:`parmreach.benchgen`).  A
+``parmreach check`` runs neither the oracle nor the generators, so
+importing the package, and every query with it, does not pay for them.
+
 Typical use::
 
     from parmreach import parse_model, preprocess, model_check
@@ -26,7 +32,6 @@ Typical use::
         print(source, "->", target, "=", f)
 """
 
-from .benchgen import SizeCapExceeded
 from .elimination import SelfLoopProbabilityOne, eliminate_all
 from .errors import ParmreachError
 from .factorizations import Factorization, GcdTriple, gcd_factored
@@ -43,7 +48,6 @@ from .model import (
     parse_model,
     preprocess,
 )
-from .oracle import SingularSystem, numeric_reachability
 from .polycore import (
     ExponentOverflow,
     Polynomial,
@@ -79,6 +83,18 @@ from .scc_mc import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Serve the names that load on first use (see the module docstring)."""
+    if name in ("SingularSystem", "numeric_reachability"):
+        from . import oracle as home
+    elif name == "SizeCapExceeded":
+        from . import benchgen as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)
+
 
 __all__ = [
     "__version__",

@@ -9,7 +9,8 @@ Two subcommands:
   rendered and evaluated once per query and its text printed under
   every label that shows it: with one initial state and one target,
   ``total`` is the pair's function.
-* ``gen`` — emit a benchmark model file.
+* ``gen`` — emit a benchmark model file.  The generators are imported
+  when ``gen`` runs, so a ``check`` never loads them.
 
 Exit codes: 0 on success, 1 when the model itself is at fault (syntax,
 probability sums, absorbing-target violations, …), 2 on usage errors
@@ -33,7 +34,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .benchgen import SizeCapExceeded, brp, crowds, zeroconf
 from .elimination import eliminate_all
 from .errors import ParmreachError
 from .model import Pdtmc, parse_model, preprocess
@@ -177,6 +177,8 @@ def _peak_memory_mb() -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .benchgen import SizeCapExceeded, brp, crowds, zeroconf
+
     family = args.family
     smallest = 2 if family == "crowds" else 1
     if args.n < smallest:

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .polycore import (
     NotDivisible,
@@ -81,20 +80,36 @@ def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(acc.items()))
 
 
-@dataclass(frozen=True, slots=True)
 class Factorization:
     """An integer coefficient times a multiset of (pool handle, exponent) factors.
 
     The represented polynomial is ``coeff`` times the product of
     ``base^exponent`` over all factors; the coefficient is 0 only for
-    zero, whose factor tuple is empty.  Instances are immutable; all
-    algebra lives in the module-level operators.  They have slots, not
-    a ``__dict__``: the session's caches and operation memo keep many
-    of them alive.
+    zero, whose factor tuple is empty.  Instances are immutable and
+    equal only to a factorization with the same coefficient and
+    factors; all algebra lives in the module-level operators.  They
+    have slots, not a ``__dict__``: the session's caches and operation
+    memo keep many of them alive.
     """
 
-    coeff: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("coeff", "factors")
+
+    def __init__(self, coeff: int, factors: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, key, value):
+        raise AttributeError("Factorization is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, Factorization)
+            and self.coeff == other.coeff
+            and self.factors == other.factors
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.factors))
 
     @property
     def is_zero(self) -> bool:
@@ -281,8 +296,7 @@ def fadd(f1: Factorization, f2: Factorization) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GcdTriple:
+class GcdTriple(NamedTuple):
     """Result of :func:`gcd_factored`.
 
     ``common`` represents the gcd of the two input polynomials, with

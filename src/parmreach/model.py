@@ -35,9 +35,8 @@ each component with its inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParmreachError
 from .polycore import MissingAssignment, Variable, variable
@@ -233,8 +232,7 @@ class Pdtmc:
         )
 
 
-@dataclass(frozen=True)
-class Dtmc:
+class Dtmc(NamedTuple):
     """A concrete (parameter-free) DTMC produced by :func:`evaluate`."""
 
     states: tuple[str, ...]

@@ -62,8 +62,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParmreachError
 from .model import Pdtmc, looping, predecessor_map, scc_components, tarjan_sccs
@@ -117,8 +116,7 @@ class SelfLoopProbabilityOne(ParmreachError):
     """
 
 
-@dataclass(frozen=True)
-class AbstractionResult:
+class AbstractionResult(NamedTuple):
     """Abstraction of one component: ``rows`` maps each input to its
     abstracted row, the normalized crossing probability to each output
     it reaches, in output order; ``constraints`` are the divisors used,
@@ -130,16 +128,14 @@ class AbstractionResult:
     sites: int
 
 
-@dataclass(frozen=True)
-class CheckStats:
+class CheckStats(NamedTuple):
     stored_polynomials: int
     gcd_kernel_calls: int
     abstraction_sites: int
     elapsed_seconds: float
 
 
-@dataclass(frozen=True)
-class ReachabilityResult:
+class ReachabilityResult(NamedTuple):
     """Outcome of :func:`model_check`: ``constraints`` are the divisors
     the engine used, in order, each of which must stay nonzero for the
     functions to be valid."""

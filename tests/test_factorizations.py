@@ -206,11 +206,31 @@ def test_gcd_triple_field_names():
     X, _, _ = _xyz()
     t = gcd_factored(F(X), F(X))
     assert isinstance(t, GcdTriple)
-    assert {f.name for f in t.__dataclass_fields__.values()} == {
+    assert set(t._fields) == {
         "cofactor_left",
         "cofactor_right",
         "common",
     }
+
+
+def test_factorization_is_an_immutable_value():
+    X, Y, _ = _xyz()
+    one = Polynomial.one()
+    f = fmul(fpow(F(X + one), 2), F(Polynomial.const(-3) * Y))
+    same = Factorization(f.coeff, f.factors)
+    assert f == same and not f != same
+    assert hash(f) == hash(same) == hash((-3, f.factors))
+    assert f != Factorization(3, f.factors)
+    assert f != (f.coeff, f.factors)  # equal only to a Factorization
+    assert Factorization(1, ()) != 1
+    assert repr(f) == "Factorization[(x + 1)^2*(y)*(-3)]"
+    assert str(f) == "(x + 1)^2*(y)*(-3)"
+    assert str(Factorization(0, ())) == "0"
+    with pytest.raises(AttributeError):
+        f.coeff = 5
+    with pytest.raises(AttributeError):
+        f.extra = 1  # slots, no __dict__
+    assert f.coeff == -3
 
 
 # ---------------------------------------------------------------------------
