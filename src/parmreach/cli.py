@@ -96,7 +96,8 @@ def _parse_eval(text: str, m: Pdtmc) -> dict:
         try:
             point[names[name]] = Fraction(value)
         except ZeroDivisionError as exc:
-            raise _UsageError(f"--eval value for {name!r}: {exc}") from exc
+            reason = f"{value!r} has a zero denominator"
+            raise _UsageError(f"--eval value for {name!r}: {reason}") from exc
     return point
 
 

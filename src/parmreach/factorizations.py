@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .polycore import (
+    CACHE_CAP,
     NotDivisible,
     Polynomial,
     Session,
@@ -63,9 +64,6 @@ __all__ = [
     "fadd",
     "gcd_factored",
 ]
-
-_EXPAND_CACHE_CAP = 65536
-
 
 # ---------------------------------------------------------------------------
 # Factorizations
@@ -176,7 +174,7 @@ class Factorization:
             heapq.heappush(heap, (len(prod.terms), tie, prod))
             tie += 1
         out = heap[0][2]
-        if len(cache) >= _EXPAND_CACHE_CAP:
+        if len(cache) >= CACHE_CAP:
             cache.clear()
         cache[self.factors] = out
         return out.scale(self.coeff)
@@ -211,16 +209,14 @@ _F_ONE = Factorization(1, ())
 
 
 def _resolve_memo(memos: Mapping[int, tuple], handle: int, exp: int) -> list[tuple[int, int]]:
-    """Expand a handle through the pool's refinement memos, transitively."""
+    """Expand a handle through the pool's refinement memos, transitively;
+    each piece is a proper divisor, so no chain returns to its start."""
     memo = memos.get(handle)
     if memo is None:
         return [(handle, exp)]
     out: list[tuple[int, int]] = []
     for h, e in memo:
-        if h == handle:  # self reference, cannot refine further
-            out.append((h, e * exp))
-        else:
-            out.extend(_resolve_memo(memos, h, e * exp))
+        out.extend(_resolve_memo(memos, h, e * exp))
     return out
 
 

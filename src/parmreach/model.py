@@ -247,7 +247,7 @@ class Dtmc(NamedTuple):
 
 # ASCII only: Unicode \w and \d would take names SMT-LIB cannot declare and digits like '١'.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))", re.ASCII
+    r"(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S)", re.ASCII
 )
 _NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)
 
@@ -264,6 +264,11 @@ class _ExprParser:
         term   := factor (('*'|'/') factor)*
         factor := '-'? atom ('^' uint)?
         atom   := uint | decimal | ident | '(' expr ')'
+
+    One scan, before parsing, finds bad characters, matches parentheses
+    and checks the nesting limit, so faults are reported in this order:
+    the first unexpected character, the first '(' nested deeper than
+    :data:`_MAX_NESTING`, the parser's first error.  Columns count from 1.
     """
 
     def __init__(self, text: str, params: Mapping[str, Variable], where: str, groups: dict):
@@ -272,28 +277,23 @@ class _ExprParser:
         self.where = where
         self.groups = groups
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    self._fail(pos, f"unexpected character {text[pos:].strip()[0]!r}")
-                break
-            kind = m.lastgroup
-            assert kind is not None
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.closing: dict[int, tuple[int, int]] = {}  # '(' index -> (')' index, group depth)
-        opened = [[-1, 0]]  # [index of '(', depth of its group so far], under a sentinel
-        for j, (_, tok, _) in enumerate(self.tokens):
+        self.closing: dict[int, int] = {}  # index of '(' -> index of its ')'
+        opened: list[int] = []  # indices of the '(' not closed yet
+        too_deep = None  # column of the first '(' opening level _MAX_NESTING + 1
+        for m in _TOKEN.finditer(text):
+            kind, tok, col = m.lastgroup, m.group(), m.start()
+            if kind == "bad":
+                self._fail(col, f"unexpected character {tok!r}")
             if tok == "(":
-                opened.append([j, 1])
-            elif tok == ")" and len(opened) > 1:
-                i, depth = opened.pop()
-                self.closing[i] = (j, depth)
-                opened[-1][1] = max(opened[-1][1], depth + 1)
+                opened.append(len(self.tokens))
+                if len(opened) > _MAX_NESTING and too_deep is None:
+                    too_deep = col
+            elif tok == ")" and opened:
+                self.closing[opened.pop()] = len(self.tokens)
+            self.tokens.append((kind, tok, col))
+        if too_deep is not None:
+            self._fail(too_deep, f"parentheses nested deeper than {_MAX_NESTING}")
         self.i = 0
-        self.depth = 0
 
     def _fail(self, col: int, msg: str) -> None:
         raise ModelSyntaxError(f"{self.where}, column {col + 1}: {msg}")
@@ -363,20 +363,15 @@ class _ExprParser:
                 self._fail(col, f"unknown parameter {text!r} (declare it with @params)")
             return rf_of_variable(v)
         if text == "(":
-            match = self.closing.get(self.i - 1)
-            key = match and tuple(tok[1] for tok in self.tokens[self.i - 1 : match[0] + 1])
-            # reused only where a fresh parse would stay within the nesting limit
-            if key in self.groups and self.depth + match[1] <= _MAX_NESTING:
-                self.i = match[0] + 1
+            close = self.closing.get(self.i - 1)
+            key = close and tuple(tok[1] for tok in self.tokens[self.i - 1 : close + 1])
+            if key in self.groups:  # the scan has bounded its nesting already
+                self.i = close + 1
                 return self.groups[key]
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                self._fail(col, f"parentheses nested deeper than {_MAX_NESTING}")
             value = self._expr()
             tok = self._next()
             if tok[1] != ")":
                 self._fail(tok[2], "expected ')'")
-            self.depth -= 1
             self.groups[key] = value  # a parse that got here matched its '('
             return value
         self._fail(col, f"unexpected {text!r}")

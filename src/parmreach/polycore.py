@@ -55,7 +55,8 @@ makes no kernel call.
    7).  Without it the remainder sequence answers its cases, and one
    random model of 15-18 states took 23.9 s instead of 0.44 s.
 8. Primitive remainder sequence in v (:func:`_primitive_prs_gcd`), the
-   exact fallback when nothing above is conclusive (answers 0).
+   exact fallback when nothing above is conclusive, a heuristic divisor
+   below the image bound included (answers 0).
 """
 
 from __future__ import annotations
@@ -475,6 +476,9 @@ class _HandleTable(dict):
         raise StaleValue(f"factor handle {handle} belongs to an ended session")
 
 
+CACHE_CAP = 65536  # entries at which the gcd, product and operation caches empty
+
+
 class Session:
     """The state one analysis shares: the variable table, the gcd memo,
     the factor pool, the expanded-product and base-power caches, the
@@ -493,6 +497,9 @@ class Session:
     :func:`~parmreach.ratfun.rf_sums_to_one` has found to sum to exactly
     1, each as the sorted ``(num.coeff, num.factors, den.coeff,
     den.factors)`` of its non-zero terms.
+
+    The gcd memo, the expanded-product cache and the operation memo are
+    each emptied when they reach :data:`CACHE_CAP` entries.
     """
 
     def __init__(self, first_handle: int = 0):
@@ -912,21 +919,15 @@ def _eval_var_big(p: Polynomial, vid: int, xi: int) -> Polynomial:
     return Polynomial.from_dict(acc)
 
 
-def _interpolate_digits(
-    h: Polynomial, vid: int, xi: int, max_degree: int
-) -> Polynomial | None:
+def _interpolate_digits(h: Polynomial, vid: int, xi: int) -> Polynomial:
     """Invert :func:`_eval_var_big`: read the v-coefficients of a candidate
-    polynomial off h as balanced base-xi digits.  None if more than
-    max_degree + 1 digits appear, which no valid candidate can produce.
-    """
+    polynomial off h as balanced base-xi digits."""
     half = xi // 2
     shift = vid << 5
     out: dict[int, int] = {}
     cur = h
     i = 0
     while not cur.is_zero:
-        if i > max_degree:
-            return None
         nxt: dict[int, int] = {}
         vk = i << shift
         for k, c in cur.terms:
@@ -972,7 +973,6 @@ def _heu_gcd(
     gc, gp = g.split_content()
     c = math.gcd(fc, gc)
     vid = max(vids)
-    dmax = min(fp.degree_in(vid), gp.degree_in(vid))
     xi = 2 * min(_max_norm(fp), _max_norm(gp)) + 29
     for _ in range(_HEU_MAX_TRIES):
         ff = _eval_var_big(fp, vid, xi)
@@ -980,8 +980,8 @@ def _heu_gcd(
         if not ff.is_zero and not gg.is_zero:
             sub = _heu_gcd(ff, gg)
             if sub is not None:
-                cand = _interpolate_digits(sub, vid, xi, dmax)
-                if cand is not None and not cand.is_zero:
+                cand = _interpolate_digits(sub, vid, xi)
+                if not cand.is_zero:
                     cand = _make_positive(cand.split_content()[1])
                     if (want_vid is None or cand.degree_in(want_vid) > 0) and (
                         _try_divide(fp, cand) is not None
@@ -1009,24 +1009,11 @@ def _v_part_gcd(fa: Polynomial, fb: Polynomial, vid: int) -> Polynomial:
         small, big = (fa, fb) if da <= db else (fb, fa)
         if _try_divide(big, small) is not None:
             return _make_positive(small)
-    h = _heu_gcd(fa, fb, want_vid=vid if d is not None else None)
-    if h is not None:
-        dh = h.degree_in(vid)
-        if dh == d:
+    if d is not None:
+        h = _heu_gcd(fa, fb, want_vid=vid)
+        if h is not None and h.degree_in(vid) == d:
             return _make_positive(h)
-        # gcd(fa, fb) = h * gcd(fa/h, fb/h); the cofactors inherit
-        # v-primitivity, so an image certificate settles the rest, and
-        # otherwise the strictly smaller cofactor pair is recursed on.
-        cf = poly_divide_exact(fa, h)
-        cg = poly_divide_exact(fb, h)
-        if _image_gcd_degree(cf, cg, vid) == 0:
-            return _make_positive(h)
-        if dh > 0:
-            return _make_positive(poly_mul(h, _v_part_gcd(cf, cg, vid)))
     return _primitive_prs_gcd(fa, fb, vid)
-
-
-_GCD_MEMO_CAP = 65536
 
 
 def _gcd_nonzero(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -1043,7 +1030,7 @@ def _gcd_nonzero(a: Polynomial, b: Polynomial) -> Polynomial:
         g = memo.get((b, a))
     if g is None:
         g = _gcd_nonzero_impl(a, b)
-        if len(memo) >= _GCD_MEMO_CAP:
+        if len(memo) >= CACHE_CAP:
             memo.clear()
         memo[key] = g
     return g

@@ -18,14 +18,15 @@ Products avoid a full re-cancellation: for ``(n1/d1) * (n2/d2)`` it
 suffices to cancel ``n1`` against ``d2`` and ``n2`` against ``d1``,
 since each factor was coprime to its own denominator already.
 
-Sums with different denominators use Henrici's method (P. Henrici,
-JACM 3, 1956; Knuth, TAOCP vol. 2, section 4.5.1): split
-``d1 = g*d1'`` and ``d2 = g*d2'`` with ``d1'``, ``d2'`` coprime, form
-``s = n1*d2' + n2*d1'`` and cancel ``s`` against ``g`` only.  No
-irreducible factor of ``d1'`` can divide ``s``: it would divide
-``n1*d2'``, but ``n1`` is coprime to ``d1`` and ``d2'`` to ``d1'``.
-The same holds for ``d2'``, so ``s/(g*d1'*d2')`` is fully reduced once
-``s`` and ``g`` are.
+Every sum uses Henrici's method (P. Henrici, JACM 3, 1956; Knuth,
+TAOCP vol. 2, section 4.5.1): split ``d1 = g*d1'`` and ``d2 = g*d2'``
+with ``d1'``, ``d2'`` coprime, form ``s = n1*d2' + n2*d1'`` and cancel
+``s`` against ``g`` only.  No irreducible factor of ``d1'`` can divide
+``s``: it would divide ``n1*d2'``, but ``n1`` is coprime to ``d1`` and
+``d2'`` to ``d1'``.  The same holds for ``d2'``, so ``s/(g*d1'*d2')``
+is fully reduced once ``s`` and ``g`` are.  Equal denominators ``d``
+give ``g = d`` and cofactors 1 with no kernel call or new base, so
+the sum is ``n1 + n2`` cancelled against ``d``.
 
 :func:`rf_add` and :func:`rf_mul` (and so :func:`rf_sub` and
 :func:`rf_div`) remember their results in the session (``Session.ops``)
@@ -78,7 +79,7 @@ from .factorizations import (
     fpow,
     gcd_factored,
 )
-from .polycore import Polynomial, Variable, session
+from .polycore import CACHE_CAP, Polynomial, Variable, session
 
 __all__ = [
     "DivisionByZeroFunction",
@@ -119,15 +120,6 @@ def _den_sign_fixed(num: Factorization, den: Factorization) -> tuple[Factorizati
     if den.coeff < 0:
         return _negated(num), _negated(den)
     return num, den
-
-
-def _cancel(num: Factorization, den: Factorization) -> tuple[Factorization, Factorization]:
-    if den.is_zero:
-        raise DivisionByZeroFunction("denominator is identically zero")
-    if num.is_zero:
-        return num, Factorization.one()
-    t = gcd_factored(num, den)
-    return _den_sign_fixed(t.cofactor_left, t.cofactor_right)
 
 
 class RationalFunction:
@@ -225,11 +217,11 @@ def rf_from_polys(num: Polynomial, den: Polynomial) -> RationalFunction:
     """Build ``num/den`` from expanded polynomials and canonicalize."""
     if den.is_zero:
         raise DivisionByZeroFunction("denominator is identically zero")
-    n, d = _cancel(Factorization.of(num), Factorization.of(den))
-    return RationalFunction(n, d)
-
-
-_OPS_CAP = 65536
+    n, d = Factorization.of(num), Factorization.of(den)
+    if n.is_zero:
+        return rf_zero()
+    t = gcd_factored(n, d)
+    return RationalFunction(*_den_sign_fixed(t.cofactor_left, t.cofactor_right))
 
 
 def _memoized(op: str, a: RationalFunction, b: RationalFunction, compute) -> RationalFunction:
@@ -241,7 +233,7 @@ def _memoized(op: str, a: RationalFunction, b: RationalFunction, compute) -> Rat
     out = ops.get(key)
     if out is None:
         out = compute(a, b)
-        if len(ops) >= _OPS_CAP:
+        if len(ops) >= CACHE_CAP:
             ops.clear()
         ops[key] = out
     return out
@@ -256,10 +248,6 @@ def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
 
 
 def _add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    if a.den == b.den:
-        num = fadd(a.num, b.num)
-        n, d = _cancel(num, a.den)
-        return RationalFunction(n, d)
     # Henrici: only the shared part of the denominators can cancel
     t = gcd_factored(a.den, b.den)
     num = fadd(fmul(a.num, t.cofactor_right), fmul(b.num, t.cofactor_left))
@@ -303,8 +291,6 @@ def _mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
 def rf_div(a: RationalFunction, b: RationalFunction) -> RationalFunction:
     if b.is_zero:
         raise DivisionByZeroFunction("division by the zero function")
-    if a.is_zero:
-        return a
     inv = RationalFunction(*_den_sign_fixed(b.den, b.num))
     return rf_mul(a, inv)
 

@@ -556,12 +556,6 @@ def _smt_poly(p: Polynomial, names: Mapping[int, str]) -> str:
     return f"(+ {' '.join(terms)})"
 
 
-def _content_normalized(p: Polynomial) -> Polynomial:
-    """Divide by the (positive) integer content; inequality-safe."""
-    content, prim = p.split_content()
-    return prim
-
-
 def collect_constraints(r: ReachabilityResult, m: Pdtmc) -> str:
     """Render the side conditions as an SMT-LIB 2 script (QF_NRA).
 
@@ -585,10 +579,11 @@ def collect_constraints(r: ReachabilityResult, m: Pdtmc) -> str:
             seen.add(assertion)
             lines.append(assertion)
 
+    # dividing by the positive integer content keeps every (in)equality's sign
     for divisor in r.constraints:
         num = divisor.numerator_poly()
         if not num.is_constant:
-            emit(f"(assert (not (= {_smt_poly(_content_normalized(num), names)} 0)))")
+            emit(f"(assert (not (= {_smt_poly(num.split_content()[1], names)} 0)))")
     rendered = set()  # (num, den) of the edge functions handled so far
     for row in m.trans.values():
         for f in row.values():
@@ -596,9 +591,9 @@ def collect_constraints(r: ReachabilityResult, m: Pdtmc) -> str:
                 continue
             rendered.add((f.num, f.den))
             num, den = f.numerator_poly(), f.denominator_poly()
-            positive = _content_normalized(num * den)
+            positive = (num * den).split_content()[1]
             emit(f"(assert (< 0 {_smt_poly(positive, names)}))")
-            below_one = _content_normalized((den - num) * den)
+            below_one = ((den - num) * den).split_content()[1]
             if not below_one.is_constant:
                 emit(f"(assert (< 0 {_smt_poly(below_one, names)}))")
 

@@ -196,7 +196,7 @@ def test_exit_1_on_a_non_ascii_digit(tmp_path, capsys):
     model = _write(tmp_path, "@params p\n" + _TWO_STATES + "@trans a -> b : \u0661\n")
     code, out, err = _run(["check", model], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: line 7, column 1: unexpected character '\u0661'"), err
+    assert err.startswith("error: line 7, column 2: unexpected character '\u0661'"), err
 
 
 def test_exit_2_on_a_model_file_that_is_not_utf8(tmp_path, capsys):
@@ -229,6 +229,30 @@ def test_eval_values_may_carry_a_sign_and_a_decimal_point(capsys):
     code, out, err = _run(["check", FIG2, "--eval", "p=+0.25, q=-1/2"], capsys)
     assert code == 0, err
     assert "at p=1/4, q=-1/2: " in out
+
+
+_MISSING = str(DATA / "no-such-model.pdtmc")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([FIG2, "--eval", "p=1/0,q=1/3"], "--eval value for 'p': '1/0' has a zero denominator"),
+        ([FIG2, "--eval", "p"], "--eval entry 'p' is not of the form name=value"),
+        ([FIG2, "--eval", "p=1/2"], "--eval leaves parameters unset: q"),
+        ([_MISSING], f"cannot read {_MISSING!r}: No such file or directory"),
+    ],
+    ids=["zero_denominator", "no_equals_sign", "unset_parameter", "missing_model"],
+)
+def test_exit_2_with_the_whole_usage_message(argv, message, capsys):
+    assert _run(["check", *argv], capsys) == (2, "", f"usage error: {message}\n")
+
+
+def test_an_empty_eval_entry_is_skipped(capsys):
+    code, out, err = _run(["check", FIG2, "--eval", "p=1/2,,q=1/3"], capsys)
+    assert (code, err) == (0, "")
+    assert out == _run(["check", FIG2, "--eval", "p=1/2,q=1/3"], capsys)[1]
+    assert "at p=1/2, q=1/3: " in out
 
 
 def test_exit_1_naming_the_line_on_parentheses_nested_too_deep(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Factored-polynomial layer: pool, the operators, refining gcd."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmreach.factorizations as fz
-from parmreach import polycore
+from parmreach import model_check, parse_model, polycore, preprocess, ratfun
 from parmreach.factorizations import (
     Factorization,
     GcdTriple,
@@ -18,6 +19,7 @@ from parmreach.factorizations import (
 from parmreach.polycore import (
     ExponentOverflow,
     Polynomial,
+    Session,
     poly_eval,
     poly_gcd,
     poly_mul,
@@ -405,6 +407,69 @@ def test_gcd_factored_splits_into_common_part_and_coprime_cofactors(ops):
     assert poly_mul(common, t.cofactor_left.expand()) == f1.expand()
     assert poly_mul(common, t.cofactor_right.expand()) == f2.expand()
     assert poly_gcd(t.cofactor_left.expand(), t.cofactor_right.expand()).is_one
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(gcd_operands(), min_size=1, max_size=4))
+def test_no_chain_of_stored_splits_leads_back_to_its_base(pairs):
+    # what lets the pool expand a memo without checking for its own handle
+    for f1, f2 in pairs:
+        gcd_factored(f1, f2)
+    memos = session().memos
+    for start in memos:
+        seen, todo = set(), [start]
+        while todo:
+            for h, _ in memos.get(todo.pop(), ()):
+                assert h != start, (start, memos[start])
+                if h not in seen:
+                    seen.add(h)
+                    todo.append(h)
+
+
+def test_each_cache_is_emptied_at_the_one_cap(monkeypatch, fig2_text):
+    # fig2 makes one gcd memo entry, so "three" is checked too
+    models = [fig2_text, (pathlib.Path(__file__).parent / "data" / "three.pdtmc").read_text()]
+
+    def texts():
+        out = []
+        for text in models:
+            r = model_check(preprocess(parse_model(text)))
+            out += [str(f) for f in r.per_pair.values()] + [str(r.total)]
+        return out
+
+    expected = texts()
+    reset_session()
+    for module in (polycore, fz, ratfun):  # each cache reads the cap by name
+        monkeypatch.setattr(module, "CACHE_CAP", 2)
+    largest: dict[str, int] = {}
+    emptied: set[str] = set()
+
+    class Watched(dict):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            largest[self.name] = max(largest.get(self.name, 0), len(self))
+
+        def clear(self):
+            emptied.add(self.name)
+            super().clear()
+
+    remember = Session.remember
+
+    def watched_remember(self, h, factors):
+        remember(self, h, factors)  # may replace the operation memo
+        if not isinstance(self.ops, Watched):
+            self.ops = Watched("ops")
+
+    monkeypatch.setattr(Session, "remember", watched_remember)
+    s = session()
+    s.gcd_memo, s.expanded, s.ops = Watched("gcd"), Watched("expanded"), Watched("ops")
+    assert texts() == expected
+    assert emptied == {"gcd", "expanded", "ops"}
+    assert largest == {"gcd": 2, "expanded": 2, "ops": 2}
 
 
 # ---------------------------------------------------------------------------

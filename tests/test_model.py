@@ -195,6 +195,15 @@ def test_parentheses_nested_past_the_limit_are_a_syntax_error():
         parse_model(TINY.replace("1 - p", nested))
 
 
+def test_one_scan_reports_a_bad_character_then_deep_nesting_then_parse_errors():
+    nested = "(" * 101 + "p" + ")" * 101
+    # the stray '+' comes first, but the scan finds the too-deep group before any parsing
+    with pytest.raises(ModelSyntaxError, match="line 6, column 104: .* deeper than 100"):
+        parse_model(TINY.replace("1 - p", "+ " + nested))
+    with pytest.raises(ModelSyntaxError, match="line 6, column 208: unexpected character '\\$'"):
+        parse_model(TINY.replace("1 - p", "+ " + nested + " $"))
+
+
 def test_a_group_parsed_shallow_and_repeated_past_the_limit_is_still_an_error():
     deep = "(" * 100 + "(1 - p)" + ")" * 100
     text = TINY.replace("a -> a : 1 - p", "a -> a : (1 - p)").replace("a -> b : p", f"a -> b : {deep}")
@@ -292,10 +301,12 @@ _LINE_ERRORS = [
         ModelSyntaxError,
         "line 6, column 3: exponent must be a non-negative integer",
     ),
-    ("@trans a -> b : p $", ModelSyntaxError, "line 6, column 3: unexpected character '$'"),
+    ("@trans a -> b : p $", ModelSyntaxError, "line 6, column 4: unexpected character '$'"),
+    ("@trans a -> a : 1 -   $p", ModelSyntaxError, "line 6, column 8: unexpected character '$'"),
     ("@trans a -> b : p p", ModelSyntaxError, "line 6, column 4: unexpected 'p'"),
     ("@trans a -> b : )", ModelSyntaxError, "line 6, column 2: unexpected ')'"),
-    ("@init a : 1 :", ModelSyntaxError, "line 6, column 3: unexpected character ':'"),
+    ("@init a : 1 :", ModelSyntaxError, "line 6, column 4: unexpected character ':'"),
+    ("@trans a -> b : (1 - p p)", ModelSyntaxError, "line 6, column 9: expected ')'"),
     # a constant weight outside [0, 1] is a fault even in a row summing to 1
     (
         "@trans a -> b : 2\n@trans a -> a : -1",
