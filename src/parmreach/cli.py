@@ -171,8 +171,8 @@ def _peak_memory_mb() -> str:
     try:
         import resource
 
-        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return f"{kb / 1024:.1f} MB"
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KB
+        return f"{peak / (1 << 20 if sys.platform == 'darwin' else 1 << 10):.1f} MB"
     except Exception:  # pragma: no cover - platform-specific
         return "unavailable"
 

@@ -13,9 +13,21 @@ intermediate work.
 
 No hierarchy is built, so states still on loops are removed and the
 checks that a component's interior is loop-free are skipped.  Instead
-every row a removal changed must still sum to exactly 1, which
-:func:`~parmreach.ratfun.rf_sums_to_one` decides without cancelling.
-Models built from repeated parts, such as brp, change the same rows
+the row of every state must still sum to exactly 1 when that state is
+removed, which :func:`~parmreach.ratfun.rf_sums_to_one` decides
+without cancelling; the inputs' rows are checked by the per-input site
+audits of :func:`~parmreach.scc_mc.reduce_component`.  That covers
+every row a removal changed, though only in the version that is used.
+Removing ``s`` rewrites each predecessor's row as
+``row_u - P(u,s)*[s] + P(u,s)*row_s/(1 - P(s,s))``; when ``row_s``
+sums to 1, checked just before, the added mass is ``P(u,s)``, so the
+removal leaves row u's sum as it was.  A deviation any step puts into
+row u is therefore still in it when u is removed, or when u's input
+row reaches its site audit, and the intermediate versions of the row
+that a later removal overwrites need no check of their own.  Only two
+faults in one row that cancel exactly could hide each other; checking
+every changed row after every step would have caught the first.
+Models built from repeated parts, such as brp, meet the same rows
 again and again; a row the session has already found to sum to 1 is
 answered from the session's memo, so the audit costs arithmetic only
 for rows it has not seen.
@@ -55,7 +67,7 @@ __all__ = [
 
 
 class ConservationBroken(ParmreachError):
-    """A row stopped summing to 1 after an elimination step."""
+    """A row no longer sums to 1 when its state is removed."""
 
 
 def _remove_state(
@@ -64,14 +76,16 @@ def _remove_state(
     s: str,
     constraints: list[RationalFunction],
 ) -> None:
-    """Eliminate ``s`` (:func:`~parmreach.scc_mc.eliminate`), then check
-    that every row that changed still sums to exactly 1."""
-    for u in sorted(eliminate(rows, preds, s, constraints)):
-        if not rf_sums_to_one(rows[u].values()):
-            raise ConservationBroken(
-                f"outgoing probabilities of {u!r} no longer sum to 1 "
-                f"(after removing {s!r})"
-            )
+    """Check that the row of ``s`` still sums to exactly 1, the one
+    version of it whose mass the removal passes on, then eliminate ``s``
+    (:func:`~parmreach.scc_mc.eliminate`).  The rows the removal
+    changes are checked when their own states are removed, or at their
+    input's site audit (module docstring)."""
+    if not rf_sums_to_one(rows[s].values()):
+        raise ConservationBroken(
+            f"outgoing probabilities of {s!r} no longer sum to 1 (before removing it)"
+        )
+    eliminate(rows, preds, s, constraints)
 
 
 def eliminate_all(m: Pdtmc) -> ReachabilityResult:

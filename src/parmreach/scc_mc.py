@@ -341,6 +341,14 @@ def reduce_component(
     ``escape`` cancels to zero (always, with no outputs) the input
     surely returns to itself.  Both identities are audited at every
     input (one site each).
+
+    Which check covers which rows: the site audits check each input's
+    final row, after every removal that changed it.  The elimination
+    engine's ``remove`` also checks the row of each state it removes,
+    just before the removal, the other inputs in the per-target copies
+    included (:mod:`parmreach.elimination`).  :func:`eliminate`, the
+    SCC engine's ``remove``, checks nothing, so there a fault in an
+    interior row shows only where it reaches an input's row.
     """
     local: _Rows = {s: dict(rows[s]) for s in (*inputs, *interior)}
     local.update((t, {}) for t in outputs)

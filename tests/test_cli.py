@@ -12,6 +12,8 @@ them (only after an intended output change) with::
 from __future__ import annotations
 
 import pathlib
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -357,6 +359,15 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="empty state set"):
         cli.main(["check", FIG2])
     assert "usage error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("platform, maxrss", [("linux", 20 << 10), ("darwin", 20 << 20)])
+def test_the_peak_memory_line_reads_megabytes_on_linux_and_macos(monkeypatch, platform, maxrss):
+    # getrusage reports ru_maxrss in kilobytes on Linux and in bytes on macOS
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
+    assert cli._peak_memory_mb() == "20.0 MB"
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import usual_set
 from fuzzgen import graph_preserving_point, random_pdtmc, random_preprocessed
@@ -21,6 +21,7 @@ from parmreach import (
     numeric_reachability,
     parse_model,
     preprocess,
+    ratfun,
     reset_session,
     rf_eval,
     scc_mc,
@@ -98,6 +99,19 @@ def test_sums_do_not_send_whole_denominators_to_the_gcd_kernel(engine, bound):
     # product denominator made 223 (elim) and 294 (scc) kernel calls
     m = preprocess(parse_model(ruin(150)))
     assert ENGINES[engine](m).stats.gcd_kernel_calls <= bound
+
+
+def test_the_elimination_audit_decides_few_rows_on_brp(monkeypatch):
+    # each row is audited when its state is removed, and brp's rows
+    # repeat, so the session's memo answers almost every audit; auditing
+    # every changed row after every removal decided 28 rows here
+    m = preprocess(parse_model(brp(16, 4)))
+    decisions, decide = [], ratfun._sums_to_one
+    monkeypatch.setattr(
+        ratfun, "_sums_to_one", lambda terms: decisions.append(terms) or decide(terms)
+    )
+    eliminate_all(m)
+    assert len(decisions) <= 4
 
 
 def _frame_depth() -> int:
@@ -444,8 +458,9 @@ def test_a_planted_bug_in_the_elimination_step_breaks_each_engines_audit(
         ENGINES[engine](m)
 
 
-# eliminate calls rf_add only where a removal adds to an existing edge,
-# so the planted bug first shows at s1 under both engines
+# eliminate calls rf_add only where a removal adds to an existing edge;
+# scc's audit first sees the planted bug at input s1, elim's when it
+# removes s7, the first removed state whose row a planted addition changed
 PLANTED_ADD = {
     "scc": (
         AbstractionInvariantBroken,
@@ -454,7 +469,7 @@ PLANTED_ADD = {
     ),
     "elim": (
         ConservationBroken,
-        "outgoing probabilities of 's1' no longer sum to 1 (after removing 's2')",
+        "outgoing probabilities of 's7' no longer sum to 1 (before removing it)",
     ),
 }
 
@@ -470,6 +485,83 @@ def test_a_planted_addition_bug_breaks_each_engines_audit_with_its_message(
     with pytest.raises(audit) as exc:
         ENGINES[engine](m)
     assert str(exc.value) == message
+
+
+# u leads to a and b, and removing either adds to u's edge to t; u goes last
+OVERWRITTEN = """@params p
+@state i
+@state a
+@state b
+@state u
+@state t
+@state f
+@init i : 1
+@trans i -> u : 1/2
+@trans i -> f : 1/2
+@trans a -> t : p
+@trans a -> f : 1 - p
+@trans b -> t : 1/2
+@trans b -> u : 1/2
+@trans u -> a : 1/4
+@trans u -> b : 1/4
+@trans u -> t : 1/4
+@trans u -> i : 1/4
+@trans t -> t : 1
+@trans f -> f : 1
+@target t
+"""
+
+
+def test_a_fault_in_a_row_version_that_a_later_removal_overwrites_is_caught(monkeypatch):
+    m = preprocess(parse_model(OVERWRITTEN))
+    removed, planted = [], []
+    remove = elimination.eliminate
+
+    def recorded(rows, preds, s, constraints):
+        removed.append(s)
+        return remove(rows, preds, s, constraints)
+
+    def add_wrong_once(a, b):
+        total = rf_add(a, b)
+        if planted:
+            return total
+        planted.append(removed[-1])
+        return rf_add(total, b)
+
+    monkeypatch.setattr(elimination, "eliminate", recorded)
+    monkeypatch.setattr(scc_mc, "rf_add", add_wrong_once)
+    with pytest.raises(ConservationBroken) as exc:
+        eliminate_all(m)
+    assert str(exc.value) == "outgoing probabilities of 'u' no longer sum to 1 (before removing it)"
+    # the wrong sum went into u's row when a was removed, and removing b
+    # changed u's row again before u was removed
+    assert planted == ["a"]
+    assert removed == ["a", "b"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["rf_add", "rf_mul"]), st.data())
+def test_one_wrong_sum_or_product_in_any_removal_never_lets_elimination_return(
+    seed, name, data
+):
+    m = random_preprocessed(random.Random(seed), max_states=12)
+    op = getattr(scc_mc, name)
+    calls, wrong = [], 0
+
+    def planted(a, b):
+        if sys._getframe(1).f_code is not scc_mc.eliminate.__code__:
+            return op(a, b)
+        calls.append(None)
+        return op(a, rf_add(b, b)) if len(calls) == wrong else op(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scc_mc, name, planted)
+        eliminate_all(m)
+        assume(calls)
+        wrong = data.draw(st.integers(1, len(calls)), label="wrong call")
+        calls.clear()
+        with pytest.raises((ConservationBroken, AbstractionInvariantBroken)):
+            eliminate_all(m)
 
 
 @pytest.mark.parametrize(
