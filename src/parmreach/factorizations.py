@@ -272,19 +272,29 @@ def _split_shared(
 def fadd(f1: Factorization, f2: Factorization) -> Factorization:
     """Sum that keeps the common factors of both operands factored out.
 
-    The shared bases D (:func:`_split_shared`) are pulled out, the cofactors are
-    expanded with their coefficients and added, and the (possibly reducible)
-    sum becomes a new base: ``D * {expand(f1/D) + expand(f2/D)}``.
+    The shared bases D (:func:`_split_shared`) are pulled out, and so is the
+    signed gcd g of the coefficients, with the sign of ``f1.coeff``: the sum is
+    ``g * D * (c1/g * R1 + c2/g * R2)`` for the cofactor products R1 and R2,
+    and the (possibly reducible) sum in brackets becomes a new base.  R1 and
+    R2 come from the expansion cache uncopied, and only a ``c/g`` other than 1
+    copies one to scale it.  Every pooled base has a positive leading
+    coefficient, so in the common case ``c1 = c2 = -1`` the two products
+    merge as they are and the bracket needs no sign flip.
+    ``Factorization.of`` interns the one positive-leading primitive part of
+    the bracket, so the result is the one ``D * of(c1*R1 + c2*R2)`` gives.
     """
     if f1.is_zero:
         return f2
     if f2.is_zero:
         return f1
     d, rest1, rest2 = _split_shared(f1, f2)
-    s = Factorization(f1.coeff, rest1).expand() + Factorization(f2.coeff, rest2).expand()
+    c1, c2 = f1.coeff, f2.coeff
+    g = math.gcd(c1, c2) if c1 > 0 else -math.gcd(c1, c2)
+    r1, r2 = Factorization(1, rest1).expand(), Factorization(1, rest2).expand()
+    s = r1.scale(c1 // g) + r2.scale(c2 // g)
     if s.is_zero:
         return _F_ZERO
-    return fmul(Factorization(1, d), Factorization.of(s))
+    return fmul(Factorization(g, d), Factorization.of(s))
 
 
 # ---------------------------------------------------------------------------

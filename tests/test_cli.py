@@ -1,4 +1,5 @@
-"""Command-line front end: golden outputs and exit codes.
+"""Command-line front end: golden outputs, exit codes and the cycle
+collector, which a check runs without and leaves as it found it.
 
 The golden files under ``tests/data/golden`` pin the exact text of
 ``parmreach check`` on a few small models, under both engines: the
@@ -11,13 +12,16 @@ them (only after an intended output change) with::
 
 from __future__ import annotations
 
+import gc
 import pathlib
+import random
 import sys
 from types import SimpleNamespace
 
 import pytest
 
-from parmreach import cli
+from fuzzgen import BENCH_GEN
+from parmreach import benchgen, cli
 from parmreach.ratfun import RationalFunction
 from smtlib_checker import check_smtlib
 
@@ -359,6 +363,84 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="empty state set"):
         cli.main(["check", FIG2])
     assert "usage error" not in capsys.readouterr().err
+
+
+ROW_SUM_NOT_ONE = (
+    "@params p\n@state a\n@state b\n@init a : 1\n"
+    "@trans a -> b : p\n@trans a -> a : 1/2\n@trans b -> b : 1\n@target b\n"
+)
+
+
+def test_a_check_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # main pauses the cycle collector because a check builds no reference
+    # cycles: reference counting frees everything it drops, so a collection
+    # right after each run finds nothing to free
+    rng = random.Random(13123979)  # the benchmark's fuzz family
+    texts = {
+        "brp": benchgen.brp(16, 4),
+        "crowds": benchgen.crowds(10, 12),
+        "ruin": BENCH_GEN.ruin(60),
+        "faulty": ROW_SUM_NOT_ONE,
+        **{f"fuzz{i}": BENCH_GEN.fuzz_model(rng, i) for i in range(8)},
+    }
+    paths = [str(DATA / f"{name}.pdtmc") for name in ("fig2", "three", "two_inputs")]
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.pdtmc"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    paths.append(str(tmp_path / "no-such-model.pdtmc"))
+    smt = str(tmp_path / "c.smt2")
+    gc.collect()
+    for path in paths:
+        for mode in MODES:
+            argv = ["check", path, "--mode", mode, "--factored", "--constraints-out", smt, "--stats"]
+            code = cli.main(argv)
+            assert code == {"faulty": 1, "no-such-model": 2}.get(pathlib.Path(path).stem, 0)
+            assert gc.collect() == 0, f"{pathlib.Path(path).stem} under {mode} left cyclic garbage"
+
+
+@pytest.fixture(params=[True, False], ids=["enabled_before", "disabled_before"])
+def collector(request):
+    """The collector's state before a run, restored after the test."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "model, code",
+    [(FIG2, 0), ("faulty", 1), (str(DATA / "no-such-model.pdtmc"), 2)],
+    ids=["exit_0", "exit_1", "exit_2"],
+)
+def test_main_pauses_the_collector_and_leaves_it_as_it_found_it(
+    model, code, collector, monkeypatch, tmp_path, capsys
+):
+    if model == "faulty":
+        model = _write(tmp_path, ROW_SUM_NOT_ONE)
+    seen, engine = [], cli.model_check
+    monkeypatch.setattr(cli, "model_check", lambda m: seen.append(gc.isenabled()) or engine(m))
+    assert _run(["check", model], capsys)[0] == code
+    assert seen == ([False] if code == 0 else [])
+    assert gc.isenabled() is collector
+
+
+def test_an_internal_error_propagates_with_the_collector_restored(collector, monkeypatch, capsys):
+    def broken(m):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "model_check", broken)
+    with pytest.raises(RuntimeError, match="planted"):
+        cli.main(["check", FIG2])
+    assert gc.isenabled() is collector
+    assert capsys.readouterr().err == ""
+
+
+def test_a_malformed_flag_leaves_the_collector_as_it_found_it(collector, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", FIG2, "--mode", "nope"])
+    assert exc.value.code == 2
+    assert gc.isenabled() is collector
 
 
 @pytest.mark.parametrize("platform, maxrss", [("linux", 20 << 10), ("darwin", 20 << 20)])

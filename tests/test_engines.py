@@ -30,7 +30,7 @@ from parmreach.benchgen import brp, zeroconf
 from parmreach.elimination import ConservationBroken, SelfLoopProbabilityOne
 from parmreach.errors import ParmreachError
 from parmreach.model import Pdtmc, parse_expression, predecessor_map, scc_components
-from parmreach.polycore import session, variable
+from parmreach.polycore import Polynomial, session, variable
 from parmreach.ratfun import rf_add, rf_const, rf_div, rf_mul, rf_one, rf_sub, rf_zero
 from parmreach.scc_mc import AbstractionInvariantBroken
 
@@ -112,6 +112,31 @@ def test_the_elimination_audit_decides_few_rows_on_brp(monkeypatch):
     )
     eliminate_all(m)
     assert len(decisions) <= 4
+
+
+def test_sums_on_brp_copy_few_terms(monkeypatch):
+    # fadd pulls the signed gcd of its coefficients out first, so the
+    # cached cofactor products of brp's sums, most of them with both
+    # coefficients -1, merge as they are; scaling each product by its own
+    # coefficient (and flipping the sign of the sum) copied 3,504 terms
+    # here, where pulling the gcd out copies 125
+    m = preprocess(parse_model(brp(16, 4)))
+    copied = []
+    scale, negate = Polynomial.scale, Polynomial.__neg__
+
+    def counting_scale(p, c):
+        if c not in (0, 1):
+            copied.append(len(p.terms))
+        return scale(p, c)
+
+    def counting_negate(p):
+        copied.append(len(p.terms))
+        return negate(p)
+
+    monkeypatch.setattr(Polynomial, "scale", counting_scale)
+    monkeypatch.setattr(Polynomial, "__neg__", counting_negate)
+    eliminate_all(m)
+    assert sum(copied) <= 300
 
 
 def _frame_depth() -> int:

@@ -347,6 +347,36 @@ def test_product_invariant_under_all_operators(f1, f2):
     assert fadd(f1, f2).expand() == p1 + p2
 
 
+def fadd_reference(f1, f2):
+    """The sum with each cofactor product scaled by its own coefficient,
+    as ``fadd`` formed it before it pulled the coefficients' gcd out."""
+    d, rest1, rest2 = fz._split_shared(f1, f2)
+    s = Factorization(f1.coeff, rest1).expand() + Factorization(f2.coeff, rest2).expand()
+    return fmul(Factorization(1, d), Factorization.of(s))
+
+
+@st.composite
+def signed_sum_operands(draw):
+    """Two factorizations with shared bases and signed, often non-unit
+    coefficients; now and then the second is a multiple of the first, so
+    the sum may cancel to zero or to a constant times the shared part."""
+    f1, f2 = draw(gcd_operands())
+    coefficient = st.sampled_from([-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 9])
+    c1, c2 = draw(coefficient), draw(coefficient)
+    if draw(st.integers(0, 4)) == 0:
+        f2 = f1
+    return fmul(Factorization(c1, ()), f1), fmul(Factorization(c2, ()), f2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_sum_operands())
+def test_fadd_pulls_the_signed_coefficient_gcd_out_without_changing_the_sum(ops):
+    f1, f2 = ops
+    got, want = fadd(f1, f2), fadd_reference(f1, f2)
+    assert (got.coeff, got.factors) == (want.coeff, want.factors)
+    assert got.expand() == f1.expand() + f2.expand()
+
+
 @settings(max_examples=50, deadline=None)
 @given(factored(), factored())
 def test_gcd_triple_postconditions(f1, f2):
