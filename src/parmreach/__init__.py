@@ -4,11 +4,11 @@ The package computes, for every (initial state, target state) pair of a
 model whose transition probabilities are rational functions over a set
 of parameters, the exact probability of eventually reaching the target
 — itself a rational function of the parameters.  Two engines are
-provided: a hierarchical strongly-connected-component abstraction
+provided: a strongly-connected-component abstraction
 (:func:`model_check`) and a classic state-elimination baseline
 (:func:`eliminate_all`), which is the abstraction's final pass over the
 whole model.  They share the elimination step and order, so their
-agreement checks the hierarchy; the exact numeric oracle
+agreement checks the abstraction; the exact numeric oracle
 (:func:`numeric_reachability`) checks the arithmetic.  Both build on
 an exact rational-function layer that keeps polynomials factored and
 caches every factorization discovered along the way, so expensive GCD

@@ -231,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["scc", "elim"],
         default="scc",
-        help="engine: hierarchical component abstraction or state elimination",
+        help="engine: component abstraction or state elimination",
     )
     check.add_argument(
         "--eval",

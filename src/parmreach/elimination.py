@@ -11,12 +11,11 @@ in the shared greedy order, fewest new transitions first.  The order
 does not change the final (canceled) functions, only the amount of
 intermediate work.
 
-No hierarchy is built, so states still on loops are removed and the
-checks that a component's interior is loop-free are skipped.  Instead
-the row of every state must still sum to exactly 1 when that state is
-removed, which :func:`~parmreach.ratfun.rf_sums_to_one` decides
-without cancelling; the inputs' rows are checked by the per-input site
-audits of :func:`~parmreach.scc_mc.reduce_component`.  That covers
+No components are abstracted.  Instead the row of every state must
+still sum to exactly 1 when that state is removed, which
+:func:`~parmreach.ratfun.rf_sums_to_one` decides without cancelling;
+the inputs' rows are checked by the per-input site audits of
+:func:`~parmreach.scc_mc.reduce_component`.  That covers
 every row a removal changed, though only in the version that is used.
 Removing ``s`` rewrites each predecessor's row as
 ``row_u - P(u,s)*[s] + P(u,s)*row_s/(1 - P(s,s))``; when ``row_s``
@@ -35,7 +34,7 @@ for rows it has not seen.
 The result contract matches :func:`parmreach.scc_mc.model_check`
 exactly.  The engines share the component boundaries, the solve, the
 removal step and the order, so their agreement checks the SCC
-hierarchy; the exact numeric oracle (:mod:`parmreach.oracle`) remains
+abstraction; the exact numeric oracle (:mod:`parmreach.oracle`) remains
 the independent check of the arithmetic.  Only divisions are recorded
 as constraints: where the shortcut answers, nothing is divided and no
 divisor enters the SMT export.

@@ -28,8 +28,8 @@ constructor.  :func:`preprocess` shares the rows it leaves unchanged.
 The graph routines (:func:`predecessor_map`, :func:`tarjan_sccs`,
 :func:`looping`) work on plain row tables, mappings from a state to its
 successors: ``m.trans`` or an engine's working rows alike.
-:func:`scc_components` builds the SCC hierarchy of a model from them,
-each component with its inputs.
+:func:`scc_components` uses them to list a model's looping components,
+each with its inputs.
 """
 
 from __future__ import annotations
@@ -690,51 +690,27 @@ def looping(rows: Mapping[str, Iterable[str]], comp: Sequence[str]) -> bool:
 def scc_components(
     m: Pdtmc, region: Sequence[str]
 ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Hierarchical decomposition of the subgraph induced by *region*
-    (in declaration order): ``(states, inputs)`` of every looping
-    component, each after the components nested in it.
+    """``(states, inputs)`` of every looping component of the subgraph
+    induced by *region*, in the order of :func:`tarjan_sccs`.
 
-    The top-level components are the looping components of the region
-    in the order of :func:`tarjan_sccs`; the components nested in one
-    are the looping components of its states minus its input states.
-    The inputs of a component are its states with initial mass or a
-    predecessor outside it, read off one :func:`predecessor_map` of the
-    model, in the component's order.  Acyclic pieces and absorbing
-    states have nothing to abstract and are left out.  A component that
-    nothing enters, or whose rows lead nowhere outside it (a closed
-    class), is yielded with no inputs and not decomposed.  Walked with
-    an explicit stack, so nesting depth is bounded by memory rather than
-    by the recursion limit.
+    Only the region's own components are yielded; nothing inside one is
+    decomposed further.  The inputs of a component are its states with
+    initial mass or a predecessor outside it, read off one
+    :func:`predecessor_map` of the model, in the component's order.
+    Acyclic pieces and absorbing states have nothing to abstract and are
+    left out.  A component that nothing enters, or whose rows lead
+    nowhere outside it (a closed class), is yielded with no inputs.
     """
-
-    def nested(states: Sequence[str]) -> list[tuple[str, ...]]:
-        found = [
-            scc
-            for scc in tarjan_sccs(m.trans, states)
-            if looping(m.trans, scc) and not m.is_absorbing(scc[0])
-        ]
-        return found[::-1]  # popped from the end, so the first comes first
-
-    top = nested(region)
-    preds = predecessor_map(m.trans) if top else {}  # an acyclic model needs none
-    # one frame per open component: (components still to decompose,
-    # the open component and its inputs)
-    stack = [(top, None)]
-    while stack:
-        pending, owner = stack[-1]
-        if pending:
-            scc = pending.pop()
-            ks = set(scc)
-            inputs = tuple(s for s in scc if s in m.init or not preds[s] <= ks)
-            if inputs and any(t not in ks for s in scc for t in m.trans[s]):
-                entries = set(inputs)
-                stack.append((nested([s for s in scc if s not in entries]), (scc, inputs)))
-            else:
-                yield scc, ()
-            continue
-        stack.pop()
-        if owner is not None:
-            yield owner
+    found = [
+        scc
+        for scc in tarjan_sccs(m.trans, region)
+        if looping(m.trans, scc) and not m.is_absorbing(scc[0])
+    ]
+    preds = predecessor_map(m.trans) if found else {}  # an acyclic model needs none
+    for scc in found:
+        ks = set(scc)
+        inputs = tuple(s for s in scc if s in m.init or not preds[s] <= ks)
+        yield scc, inputs if any(t not in ks for s in scc for t in m.trans[s]) else ()
 
 
 # ---------------------------------------------------------------------------

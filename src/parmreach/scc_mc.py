@@ -1,47 +1,58 @@
-"""Hierarchical SCC-based computation of reachability functions.
+"""SCC-based computation of reachability functions.
 
-The engine repeatedly replaces a strongly connected part ``K`` of the
-model by its *abstraction*: direct edges from the input states of ``K``
-to its output states, labeled with the exact probabilities of
-eventually crossing from input to output.  Loops are handled innermost
-first, so by the time a component is solved, everything strictly inside
-it is loop-free, except for the components the hierarchy left (below).
+The engine replaces strongly connected parts ``K`` of the model by
+their *abstraction*: direct edges from the input states of ``K`` to its
+output states, labeled with the exact probabilities of eventually
+crossing from input to output.  Then a final pass over the live states,
+whose inputs are the live initial states, solves what is left.
 
-The components come from :func:`~parmreach.model.scc_components`,
-innermost first, and are handled in place on one working copy of the
-transition rows: a component's inputs come with it, its outputs are
-read off the working rows, and :func:`substitute` deletes the
-non-input states and rewrites each input's row.
+The components come from :func:`~parmreach.model.scc_components`: the
+looping components of the model without its initial states, one level
+deep.  They are handled in place on one working copy of the transition
+rows: a component's inputs come with it, its outputs are read off the
+working rows, and :func:`substitute` deletes the non-input states and
+rewrites each input's row.
+
+This keeps the paper's SCC abstraction and drops only its recursion
+into the components nested inside one.  Solving those innermost first
+fixes a chain's removal order, and each level divides out a self-loop:
+on gambler's ruin on 0..n, whose loops nest n - 2 deep, that recorded
+n - 2 divisors (148 for ruin(150)), where removing the component's
+interior in the greedy order of :func:`removal_order` records 75, as
+elimination does.  It also took most of the engine's time: ruin(300)
+ran in 0.34 s of engine CPU time with the recursion and 0.12 s without
+it (in-process, best of 3, 2-core x86-64 VM).  So an interior may still
+loop, and :func:`reduce_component` removes its states whatever loops
+they are on.
 
 Only components with exactly one input are abstracted.  Abstracting a
 component with several inputs means eliminating its inputs again, per
 target input, on a copy of its rows.  On the benchmark's fuzz models
-that re-elimination made the hierarchy slower than plain elimination:
+that re-elimination made the engine slower than plain elimination:
 it took about 0.33 s of the engine's 0.46 s (in-process, 2-core x86-64
 VM), and leaving these components removes two thirds of the gcd
-kernel calls.  Such a component is *left*: its remaining states stay in
-the working rows, and the enclosing component, or the final pass over
-the live states, removes them with the same elimination step.  So is a
-component with no inputs, which nothing enters or whose rows lead
-nowhere outside it (a closed class, only in an unpreprocessed model).
-The rule is fixed; nothing configures it.
+kernel calls.  Such a component is *left*: its states stay in the
+working rows, and the final pass removes them with the same
+elimination step.  So is a component with no inputs, which nothing
+enters or whose rows lead nowhere outside it (a closed class, only in
+an unpreprocessed model).  The rule is fixed; nothing configures it.
 
 :func:`solve_multi_input` solves every abstracted component and the
-final pass.  It checks that no row escapes the component and that each
-loop left in the interior is exactly the remaining states of a left
-component; then :func:`reduce_component` solves it.  A component with
-one output that each of its states reaches is left through that output
-with probability 1, and nothing is eliminated.  Otherwise the classic
+final pass.  It checks that no row escapes the component; then
+:func:`reduce_component` solves it.  A component with one output that
+each of its states reaches is left through that output with
+probability 1, and nothing is eliminated.  Otherwise the classic
 state-elimination step, :func:`eliminate`, runs on the interior, then,
 per target input, on the other inputs; with a single input this
 reduces to dividing out the first-return probability.  The interior
 goes in the greedy order of :func:`removal_order`, after any interior
 states that reach no output: those lead into a closed class, whose
 removal fails at its first state in both engines.  The elimination
-engine is that solve applied to the whole live model without a
-hierarchy, so the two engines agreeing checks the hierarchy on every
-model with a single-input component, and the exact oracle
-(:mod:`parmreach.oracle`) checks the arithmetic.
+engine is that solve applied to the whole live model, without
+components.  What guards a solve is the escaping-edge check, the site
+audits at every input (below), and the two engines agreeing with each
+other and with the exact oracle (:mod:`parmreach.oracle`) on every
+model of the usual set (``tests/test_engines.py``, one test per model).
 
 Every divisor used along the way is recorded, so the final result can
 be exported as an SMT query characterizing the parameter region where
@@ -62,10 +73,10 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParmreachError
-from .model import Pdtmc, looping, predecessor_map, scc_components, tarjan_sccs
+from .model import Pdtmc, predecessor_map, scc_components
 from .polycore import Polynomial, monomial_exponents, session
 from .ratfun import (
     RationalFunction,
@@ -276,27 +287,14 @@ def solve_single_input(
 
 
 def solve_multi_input(
-    rows: _Rows,
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-    interior: Sequence[str],
-    left: Collection[frozenset[str]] = frozenset(),
+    rows: _Rows, inputs: Sequence[str], outputs: Sequence[str], interior: Sequence[str]
 ) -> AbstractionResult:
-    """Abstraction of a component whose interior loops only through
-    components the hierarchy left.
+    """Abstraction of a component, after every interior and input row
+    is checked for edges that escape the component, reached or not.
 
-    ``left`` holds the remaining states of every component left
-    unabstracted so far (module docstring).  Every interior and input
-    row is first checked for edges that escape the component, reached
-    or not.  :func:`~parmreach.model.tarjan_sccs` on the working rows,
-    limited to the interior, then gives the interior's components; a
-    looping one is accepted only if its states are exactly one of the
-    ``left`` sets, and any other loop means the innermost-first order
-    was violated.  The check is exact because substituting a solved
-    component keeps reachability among the remaining states, so a left
-    component is still one strongly connected component of the working
-    rows.  Then :func:`reduce_component` solves the component, left
-    ones included.
+    The interior may still loop: :func:`reduce_component` removes its
+    states whatever their loops, in the greedy order of
+    :func:`removal_order`.
     """
     allowed = {*interior, *inputs, *outputs}
     for s in (*interior, *inputs):
@@ -305,11 +303,6 @@ def solve_multi_input(
                 raise AbstractionInvariantBroken(
                     f"edge {s!r} -> {t!r} escapes the component being solved"
                 )
-    for comp in tarjan_sccs(rows, interior):
-        if looping(rows, comp) and frozenset(comp) not in left:
-            raise AbstractionInvariantBroken(
-                f"interior {list(interior)} still contains a loop through {comp[0]!r}"
-            )
     return reduce_component(rows, inputs, outputs, interior, eliminate)
 
 
@@ -406,7 +399,7 @@ def substitute(rows: _Rows, K: Sequence[str], result: AbstractionResult) -> None
 
 
 # ---------------------------------------------------------------------------
-# The engine: innermost components first, then the rest of the model
+# The engine: top-level components first, then the rest of the model
 # ---------------------------------------------------------------------------
 
 
@@ -416,13 +409,11 @@ def _solve(
     K: Sequence[str],
     inputs: Sequence[str],
     constraints: list[RationalFunction],
-    left: Collection[frozenset[str]],
 ) -> int:
-    """Replace component K, whose interior loops only through ``left``
-    components by now, by direct edges from its inputs to its outputs;
-    return the number of abstraction sites audited."""
+    """Replace component K by direct edges from its inputs to its
+    outputs; return the number of abstraction sites audited."""
     outputs, interior = induced(m, rows, K, inputs)
-    result = solve_multi_input(rows, inputs, outputs, interior, left)
+    result = solve_multi_input(rows, inputs, outputs, interior)
     constraints.extend(result.constraints)
     substitute(rows, K, result)
     return result.sites
@@ -430,35 +421,29 @@ def _solve(
 
 def _abstract(m: Pdtmc) -> tuple[_Rows, list[RationalFunction], int]:
     """Abstract every single-input looping component of ``m`` (initial
-    states excluded), each after the components nested in it, then the
-    rest.
+    states excluded), then the rest.
 
     All components are handled on one working copy of the rows, in the
-    order :func:`~parmreach.model.scc_components` yields them.  A
-    component with one input is replaced by direct edges; one with
-    several inputs or none (nothing enters it, or it has no outputs) is
-    left in the rows (module docstring), and its remaining states are
-    recorded for the loop check of the component that removes them.
-    The rest is the live (non-absorbing) states; its inputs are the live
-    initial states.  Returns the rows, the constraints and the number of
+    order :func:`~parmreach.model.scc_components` yields them.  They are
+    disjoint, so solving one leaves every other one's states in the
+    rows.  A component with one input is replaced by direct edges; one
+    with several inputs or none (nothing enters it, or it has no
+    outputs) is left in the rows (module docstring).  The rest is the
+    live (non-absorbing) states; its inputs are the live initial
+    states.  Returns the rows, the constraints and the number of
     abstraction sites audited.
     """
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
     constraints: list[RationalFunction] = []
-    left: set[frozenset[str]] = set()
     sites = 0
-    for states, inputs in scc_components(m, [s for s in m.states if s not in m.init]):
-        # abstracted nested components left only their input states behind
-        K = [s for s in states if s in rows]
+    for K, inputs in scc_components(m, [s for s in m.states if s not in m.init]):
         if len(inputs) == 1:
-            sites += _solve(m, rows, K, inputs, constraints, left)
-        else:
-            left.add(frozenset(K))
+            sites += _solve(m, rows, K, inputs, constraints)
 
     # solving never makes a state absorbing or changes an absorbing row
     live = [s for s in m.states if s in rows and not m.is_absorbing(s)]
     entries = [s for s in m.initial_states if not m.is_absorbing(s)]
-    sites += _solve(m, rows, live, entries, constraints, left)
+    sites += _solve(m, rows, live, entries, constraints)
     return rows, constraints, sites
 
 

@@ -22,6 +22,7 @@ import pytest
 
 from fuzzgen import BENCH_GEN
 from parmreach import benchgen, cli
+from parmreach.model import tarjan_sccs
 from parmreach.ratfun import RationalFunction
 from smtlib_checker import check_smtlib
 
@@ -441,6 +442,25 @@ def test_a_malformed_flag_leaves_the_collector_as_it_found_it(collector, capsys)
         cli.main(["check", FIG2, "--mode", "nope"])
     assert exc.value.code == 2
     assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("mode, walks", [("scc", 2), ("elim", 1)])
+def test_a_check_walks_the_whole_graph_at_most_twice(mode, walks, monkeypatch, tmp_path, capsys):
+    # preprocess walks the model once, and scc_components walks the
+    # engine's region once more; solving a component walks nothing
+    regions = []
+
+    def counting(rows, region):
+        regions.append(len(region))
+        return tarjan_sccs(rows, region)
+
+    # in every module that holds a reference to it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parmreach") and hasattr(module, "tarjan_sccs"):
+            monkeypatch.setattr(module, "tarjan_sccs", counting)
+    path = _write(tmp_path, benchgen.brp(16, 4))
+    assert _run(["check", path, "--mode", mode], capsys)[0] == 0
+    assert len(regions) <= walks, regions
 
 
 @pytest.mark.parametrize("platform, maxrss", [("linux", 20 << 10), ("darwin", 20 << 20)])

@@ -39,8 +39,8 @@ ENGINES = {"scc": model_check, "elim": eliminate_all}
 
 def ruin(n: int, up: str = "p") -> str:
     """Gambler's ruin on 0..n from state 1: up with probability *up*,
-    down otherwise; 0 and n absorb and the target is n.  The scc engine
-    nests one component per level, n - 2 deep."""
+    down otherwise; 0 and n absorb and the target is n.  Its loops nest
+    n - 2 deep, inside one component, s1..s(n-1)."""
     lines = ["@params p", *(f"@state s{i}" for i in range(n + 1))]
     lines += ["@init s1 : 1", "@trans s0 -> s0 : 1"]
     for i in range(1, n):
@@ -146,7 +146,7 @@ def _frame_depth() -> int:
     return depth
 
 
-def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
+def test_a_long_component_is_not_bounded_by_the_recursion_limit():
     m = preprocess(parse_model(ruin(300, "1/2")))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
@@ -156,8 +156,20 @@ def test_nesting_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert result.total == rf_const(Fraction(1, 300))
-    # s298, s299 first, then s297..s299, ..., up to s1..s299
-    assert [states[0] for states, _ in components] == [f"s{i}" for i in range(298, 0, -1)]
+    # one component, whatever loops it holds
+    assert components == [(tuple(f"s{i}" for i in range(1, 300)), ("s1",))]
+
+
+def test_ruin_is_solved_with_no_more_divisions_than_elimination():
+    # s2..s149 is one component, entered at s2, whose solve removes
+    # s3..s149 in the greedy order; solving its nested loops innermost
+    # first divided out a self-loop per level, 148 divisors and 148
+    # audited sites where elimination needs 75
+    m = preprocess(parse_model(ruin(150)))
+    scc, elim = model_check(m), eliminate_all(m)
+    assert len(scc.constraints) <= len(elim.constraints) == 75
+    # s2's input and the final pass's
+    assert scc.stats.abstraction_sites == 2
 
 
 def test_a_planted_arithmetic_bug_breaks_the_abstraction_audit(monkeypatch, fig2_text):
@@ -167,42 +179,9 @@ def test_a_planted_arithmetic_bug_breaks_the_abstraction_audit(monkeypatch, fig2
         model_check(m)
 
 
-def test_a_loop_left_in_the_interior_is_caught(monkeypatch, fig2_text):
-    m = preprocess(parse_model(fig2_text))
-    # without the hierarchy, the loops of fig2 stay in the final pass
-    monkeypatch.setattr(scc_mc, "scc_components", lambda m, region: iter(()))
-    with pytest.raises(AbstractionInvariantBroken, match="still contains a loop"):
-        model_check(m)
-
-
-def test_a_self_loop_left_in_the_interior_is_caught():
-    half = rf_const(Fraction(1, 2))
-    rows = {"i": {"a": half, "o1": half}, "a": {"a": half, "o2": half}}
-    with pytest.raises(AbstractionInvariantBroken, match="still contains a loop"):
-        scc_mc.solve_multi_input(rows, ["i"], ["o1", "o2"], ["a"])
-
-
-def test_a_loop_no_left_component_accounts_for_is_caught():
-    half = rf_const(Fraction(1, 2))
-    rows = {
-        "i": {"a": half, "b": half},
-        "a": {"a": half, "o1": half},
-        "b": {"c": half, "o2": half},
-        "c": {"b": half, "o1": half},
-    }
-    args = (["i"], ["o1", "o2"], ["a", "b", "c"])
-    # {b, c} was left by the hierarchy; the self-loop on a was not
-    with pytest.raises(AbstractionInvariantBroken, match="still contains a loop through 'a'"):
-        scc_mc.solve_multi_input(rows, *args, {frozenset({"b", "c"})})
-    # a left set must match the loop exactly, not contain it
-    with pytest.raises(AbstractionInvariantBroken, match="still contains a loop through 'b'"):
-        scc_mc.solve_multi_input(rows, *args, {frozenset("a"), frozenset("abc")})
-    result = scc_mc.solve_multi_input(rows, *args, {frozenset("a"), frozenset({"b", "c"})})
-    assert rf_add(result.rows["i"]["o1"], result.rows["i"]["o2"]) == rf_one()
-
-
 NESTED = {
-    # {a, b} has inputs a and b, inside {i, a, b}, whose one input is i
+    # the loop {a, b}, entered at a and at b, inside {i, a, b}, whose one
+    # input is i
     "left_in_solved": """@params p q
 @state s
 @state i
@@ -223,7 +202,8 @@ NESTED = {
 @trans fail -> fail : 1
 @target goal
 """,
-    # {a, b} has inputs a and b, inside {u, v, a, b}, whose inputs are u and v
+    # the loop {a, b}, entered at a and at b, inside {u, v, a, b}, whose
+    # inputs are u and v
     "left_in_left": """@params p q
 @state s
 @state u
@@ -250,11 +230,12 @@ NESTED = {
 """,
 }
 
-# per model: (states, inputs) of each component, innermost first, and
-# the sites audited (one per abstracted input, one for the final pass)
+# per model: (states, inputs) of its one component, and the sites
+# audited (one per abstracted input, one for the final pass); a
+# component with two inputs is left to the final pass
 NESTING = {
-    "left_in_solved": ([(("a", "b"), ("a", "b")), (("i", "a", "b"), ("i",))], 2),
-    "left_in_left": ([(("a", "b"), ("a", "b")), (("u", "v", "a", "b"), ("u", "v"))], 1),
+    "left_in_solved": ([(("i", "a", "b"), ("i",))], 2),
+    "left_in_left": ([(("u", "v", "a", "b"), ("u", "v"))], 1),
 }
 
 
@@ -458,10 +439,10 @@ def test_every_input_of_every_solved_component_is_audited(fig2_text):
     m = preprocess(parse_model(fig2_text))
     region = [s for s in m.states if s not in m.initial_states]
     final_pass = [s for s in m.initial_states if not m.is_absorbing(s)]
-    # a component with several inputs is left to the component enclosing it
+    # a component with several inputs is left to the final pass
     solved = [inputs for _, inputs in scc_components(m, region) if len(inputs) == 1]
     expected = sum(len(inputs) for inputs in solved) + len(final_pass)
-    assert expected == 3  # s7, s6, then s1; {s2, s3, s4} is left
+    assert expected == 2  # s6, then s1; {s2, s3, s4} is left
     assert model_check(m).stats.abstraction_sites == expected
 
 
