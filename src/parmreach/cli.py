@@ -12,12 +12,39 @@ Two subcommands:
 * ``gen`` — emit a benchmark model file.  The generators are imported
   when ``gen`` runs, so a ``check`` never loads them.
 
+The argv grammar::
+
+    parmreach (-h | --help)
+    parmreach check [options] MODEL
+        --mode {scc,elim}  --eval ASSIGN  --target STATE (repeatable)
+        --factored  --constraints-out PATH  --stats  -h, --help
+    parmreach gen --family {brp,crowds,zeroconf} --n N [options]
+        --max N  --rounds N  -o, --output PATH  -h, --help
+
+Flags and the model file may come in any order after the subcommand.  A
+flag is spelled whole or by a unique prefix of its long name
+(``--const`` for ``--constraints-out``), and its value follows as the
+next word or after ``=`` in the same one (``--mode elim``,
+``--mode=elim``).  The next word is a value unless it starts with ``-``
+and is neither ``-`` nor a negative number, so ``gen --max -1`` reads
+-1.  A repeated flag keeps its last value, except ``--target``, which
+collects them.  ``-h``/``--help`` prints the usage and the help text of
+every flag to stdout and exits 0, at the top level for both subcommands.
+The table :data:`_COMMANDS` lists the flags; :func:`_parse` reads argv
+by it, accepting the forms Python's ``argparse`` read for these flags
+except the ``--`` separator, at a small fraction of its import and
+parse time.
+
 Exit codes: 0 on success, 1 when the model itself is at fault (syntax,
 probability sums, absorbing-target violations, …), 2 on usage errors
 (unreadable input, a model file that is not UTF-8 text included, or
-unwritable output, malformed flags, unknown parameter or target names,
-``gen`` sizes out of range or above the state cap).  Any other
-exception is a bug and is not reported as either.
+unwritable output, malformed argv: an unknown subcommand or option, a
+missing value, a value that is not one of the choices or not an integer,
+a missing or extra argument, a missing required ``gen`` flag; unknown
+parameter or target names, ``gen`` sizes out of range or above the
+state cap), and 141 when stdout is closed before the output is written,
+as by ``| head``: the output is dropped and nothing is printed.  Any
+other exception is a bug and is not reported as any of these.
 
 Result output is byte-deterministic for a fixed input and mode;
 the optional ``--stats`` block (wall time, peak memory) is diagnostic
@@ -38,13 +65,14 @@ collector's state on every exit.  The library API (``model_check``,
 
 from __future__ import annotations
 
-import argparse
 import gc
+import os
 import re
 import sys
 from contextlib import nullcontext
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence, TextIO
 
 from .elimination import eliminate_all
@@ -120,14 +148,14 @@ def _approx(x: Fraction) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     reset_session()
     m = preprocess(parse_model(_read_file(args.model)))
     wanted = args.target or list(m.targets)
     for t in wanted:
         if t not in m.targets:
             raise _UsageError(f"--target {t!r} is not a target state of the model")
-    point = _parse_eval(args.eval, m) if args.eval else None
+    point = _parse_eval(args.eval, m) if args.eval is not None else None
     if point is not None:
         missing = [str(v) for v in m.params if v not in point]
         if missing:
@@ -190,7 +218,7 @@ def _peak_memory_mb() -> str:
         return "unavailable"
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     from .benchgen import SizeCapExceeded, brp, crowds, zeroconf
 
     family = args.family
@@ -218,74 +246,113 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="parmreach",
-        description="Exact parametric reachability for discrete-time Markov chains.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command: (name, function, help, positionals, flags), and each flag
+# (names, kind, default, help), where a kind is str, int, list (a repeatable
+# str), bool (a switch), a tuple of choices or None (help) and a default of
+# ... marks a required flag.  Tuples: module state holds no mutable container.
+_HELP = (("-h", "--help"), None, None, "show this help and exit")
+_COMMANDS = (
+    ("check", _cmd_check, "compute the reachability functions of a model file", ("model",), (
+        (("--mode",), ("scc", "elim"), "scc", "scc abstracts components, elim eliminates states"),
+        (("--eval",), str, None, "evaluate at a point, e.g. p=1/2,q=3/10"),
+        (("--target",), list, None, "restrict output to this target state (repeatable)"),
+        (("--factored",), bool, False, "print functions in factored form"),
+        (("--constraints-out",), str, None, "also write the SMT-LIB validity constraints there"),
+        (("--stats",), bool, False, "print a statistics block"), _HELP)),
+    ("gen", _cmd_gen, "generate a benchmark model file", (), (
+        (("--family",), ("brp", "crowds", "zeroconf"), ..., "brp, crowds or zeroconf"),
+        (("--n",), int, ..., "primary size"),
+        (("--max",), int, 1, "retransmissions per chunk (brp)"),
+        (("--rounds",), int, 1, "routing rounds (crowds)"),
+        (("-o", "--output"), str, None, "write the model there (default stdout)"), _HELP)),
+)
+# the top level, read like a command whose one positional, the first word,
+# names the command
+_TOP = ("", None, "", ("a command, check or gen",), (_HELP,))
 
-    check = sub.add_parser("check", help="compute reachability functions")
-    check.add_argument("model", help="model file to analyze")
-    check.add_argument(
-        "--mode",
-        choices=["scc", "elim"],
-        default="scc",
-        help="engine: component abstraction or state elimination",
-    )
-    check.add_argument(
-        "--eval",
-        metavar="ASSIGN",
-        help="evaluate at a point, e.g. p=1/2,q=3/10",
-    )
-    check.add_argument(
-        "--target",
-        action="append",
-        metavar="STATE",
-        help="restrict output to this target (repeatable)",
-    )
-    check.add_argument(
-        "--factored",
-        action="store_true",
-        help="print functions in factored form",
-    )
-    check.add_argument(
-        "--constraints-out",
-        metavar="PATH",
-        help="also write the SMT-LIB validity constraints to PATH",
-    )
-    check.add_argument("--stats", action="store_true", help="print a statistics block")
-    check.set_defaults(func=_cmd_check)
-
-    gen = sub.add_parser("gen", help="generate a benchmark model file")
-    gen.add_argument(
-        "--family",
-        choices=["brp", "crowds", "zeroconf"],
-        required=True,
-    )
-    gen.add_argument("--n", type=int, required=True, help="primary size")
-    gen.add_argument(
-        "--max",
-        type=int,
-        default=1,
-        help="retransmissions per chunk (brp)",
-    )
-    gen.add_argument("--rounds", type=int, default=1, help="routing rounds (crowds)")
-    gen.add_argument("-o", "--output", metavar="PATH", help="write to PATH (default stdout)")
-    gen.set_defaults(func=_cmd_gen)
-    return parser
+# what argparse reads as a value, given no flag that looks like a number:
+# a word not starting with "-", a lone "-" or a negative number
+_VALUE = re.compile(r"(?!-).*|-|-\d+|-\d*\.\d+", re.DOTALL)
 
 
-# built once per process: the first build costs about four times a later one
-_PARSER = _build_parser()
+def _dest(names: tuple) -> str:
+    return names[-1][2:].replace("-", "_")
+
+
+def _print_help(args: SimpleNamespace) -> int:
+    print("parmreach: exact parametric reachability for discrete-time Markov chains")
+    for name, _, about, positionals, flags in args.commands:
+        print(f"\nusage: parmreach {name} [options] {' '.join(positionals)}".rstrip())
+        print(about)
+        for names, kind, default, text in flags:
+            row = ", ".join(names) + ("" if kind in (bool, None) else " " + _dest(names).upper())
+            print(f"  {row:<34}{text}" + (" (required)" if default is ... else ""))
+    return 0
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` by :data:`_COMMANDS`; raise :class:`_UsageError` if it
+    is malformed."""
+    command = next((c for c in _COMMANDS if argv and c[0] == argv[0]), _TOP)
+    name, func, _, positionals, flags = command
+    args = SimpleNamespace(func=func, **{_dest(f[0]): f[2] for f in flags})
+    given, words = [], iter(argv[1:] if name else argv[:1])
+    for word in words:
+        if _VALUE.fullmatch(word):
+            given.append(word)
+            continue
+        option, eq, value = word.partition("=")
+        # a flag's names, or a unique prefix of its long name; no long name
+        # is a prefix of another, so an exact one matches that flag alone
+        found = [f for f in flags if option in f[0] or f[0][-1].startswith(option)]
+        if len(found) != 1:
+            raise _UsageError(f"unknown option {option!r}")
+        names, kind, _, _ = found[0]
+        option, dest = names[-1], _dest(names)
+        if kind is None:
+            return SimpleNamespace(func=_print_help, commands=(command,) if name else _COMMANDS)
+        if kind is bool:
+            if eq:
+                raise _UsageError(f"{option} takes no value")
+            value = True
+        elif not eq:
+            value = next(words, "--")
+            if not _VALUE.fullmatch(value):
+                raise _UsageError(f"{option} needs a value")
+        if type(kind) is tuple and value not in kind:
+            raise _UsageError(f"{option} {value!r} is not one of: {', '.join(kind)}")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"{option} {value!r} is not an integer") from None
+        setattr(args, dest, [*(getattr(args, dest) or ()), value] if kind is list else value)
+    if command is _TOP or len(given) != len(positionals):
+        got = ", ".join(map(repr, given)) or "nothing"
+        raise _UsageError(f"expected {' '.join(positionals) or 'no argument'}, got {got}")
+    args.__dict__.update(zip(positionals, given))
+    for names in (f[0] for f in flags if getattr(args, _dest(f[0])) is ...):
+        raise _UsageError(f"{name} needs {names[-1]}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.  A usage fault, malformed argv included, prints one
+    ``usage error:`` line on stderr and returns 2: it never raises, not
+    even ``SystemExit``.  A closed stdout returns 141 and prints nothing."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: aim fd 1 at devnull, so that the flush at
+        # interpreter exit, which would fail the same way, stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

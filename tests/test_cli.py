@@ -1,5 +1,6 @@
-"""Command-line front end: golden outputs, exit codes and the cycle
-collector, which a check runs without and leaves as it found it.
+"""Command-line front end: golden outputs, exit codes, the argv grammar
+and the cycle collector, which a check runs without and leaves as it
+found it.
 
 The golden files under ``tests/data/golden`` pin the exact text of
 ``parmreach check`` on a few small models, under both engines: the
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import gc
 import pathlib
+import os
 import random
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -248,8 +251,13 @@ _MISSING = str(DATA / "no-such-model.pdtmc")
         ([FIG2, "--eval", "p"], "--eval entry 'p' is not of the form name=value"),
         ([FIG2, "--eval", "p=1/2"], "--eval leaves parameters unset: q"),
         ([_MISSING], f"cannot read {_MISSING!r}: No such file or directory"),
+        ([FIG2, "--eval", ""], "--eval leaves parameters unset: p, q"),
+        ([FIG2, "--eval", ","], "--eval leaves parameters unset: p, q"),
     ],
-    ids=["zero_denominator", "no_equals_sign", "unset_parameter", "missing_model"],
+    ids=[
+        "zero_denominator", "no_equals_sign", "unset_parameter", "missing_model",
+        "empty_eval", "comma_eval",
+    ],
 )
 def test_exit_2_with_the_whole_usage_message(argv, message, capsys):
     assert _run(["check", *argv], capsys) == (2, "", f"usage error: {message}\n")
@@ -260,6 +268,122 @@ def test_an_empty_eval_entry_is_skipped(capsys):
     assert (code, err) == (0, "")
     assert out == _run(["check", FIG2, "--eval", "p=1/2,q=1/3"], capsys)[1]
     assert "at p=1/2, q=1/3: " in out
+
+
+CHECK_DEFAULTS = dict(
+    model=FIG2, mode="scc", eval=None, target=None, factored=False, constraints_out=None,
+    stats=False, help=None,
+)
+GEN_DEFAULTS = dict(family="brp", n=2, max=1, rounds=1, output=None, help=None)
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["check", FIG2], {}),
+        (["check", FIG2, "--mode", "elim"], {"mode": "elim"}),
+        (["check", FIG2, "--mode=elim"], {"mode": "elim"}),
+        (["check", "--mode", "elim", FIG2], {"mode": "elim"}),
+        (["check", FIG2, "--mo", "elim", "--ev=p=1/2,q=1/3"],
+         {"mode": "elim", "eval": "p=1/2,q=1/3"}),
+        (["check", FIG2, "--const", "c.smt2", "--fact", "--st"],
+         {"constraints_out": "c.smt2", "factored": True, "stats": True}),
+        (["check", FIG2, "--eval", ""], {"eval": ""}),
+        (["check", FIG2, "--eval="], {"eval": ""}),
+        (["check", FIG2, "--target", "s5", "--target=s3", "--tar", "s5"],
+         {"target": ["s5", "s3", "s5"]}),
+        (["check", FIG2, "--mode", "scc", "--mode", "elim"], {"mode": "elim"}),
+        (["check", "-"], {"model": "-"}),
+        (["check", "-1.5"], {"model": "-1.5"}),
+        (["gen", "--family", "brp", "--n", "2"], {}),
+        (["gen", "--fam=brp", "--n=2", "--max", "-1", "--rounds", "-3"], {"max": -1, "rounds": -3}),
+        (["gen", "--family", "brp", "--n", "2", "-o", "out.pdtmc"], {"output": "out.pdtmc"}),
+        (["gen", "--family", "brp", "--n", "2", "-o=out.pdtmc"], {"output": "out.pdtmc"}),
+        (["gen", "--family", "brp", "--n", "2", "--out", "-"], {"output": "-"}),
+        (["gen", "--family", "crowds", "--n", " +2 "], {"family": "crowds"}),
+    ],
+)
+def test_the_parser_reads_every_accepted_form(argv, parsed):
+    defaults = CHECK_DEFAULTS if argv[0] == "check" else GEN_DEFAULTS
+    args = vars(cli._parse(argv))
+    assert args.pop("func") is (cli._cmd_check if argv[0] == "check" else cli._cmd_gen)
+    assert args == {**defaults, **parsed}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "expected a command, check or gen, got nothing"),
+        (["chk", FIG2, "--mode", "scc"], "expected a command, check or gen, got 'chk'"),
+        (["--mode", "scc"], "unknown option '--mode'"),
+        (["check", FIG2, "--bogus"], "unknown option '--bogus'"),
+        (["check", FIG2, "-x"], "unknown option '-x'"),
+        (["check", FIG2, "--"], "unknown option '--'"),
+        (["check", FIG2, "--eval"], "--eval needs a value"),
+        (["check", FIG2, "--eval", "--stats"], "--eval needs a value"),
+        (["check", FIG2, "--tar", "-x"], "--target needs a value"),
+        (["check", FIG2, "--mode", "nope"], "--mode 'nope' is not one of: scc, elim"),
+        (["check", FIG2, "--m=SCC"], "--mode 'SCC' is not one of: scc, elim"),
+        (["check", FIG2, "--stats=yes"], "--stats takes no value"),
+        (["gen", "--family", "brp", "--n", "two"], "--n 'two' is not an integer"),
+        (["gen", "--family", "brp", "--n", "2", "--max=1.5"], "--max '1.5' is not an integer"),
+        (["gen", "--family", "dice", "--n", "2"],
+         "--family 'dice' is not one of: brp, crowds, zeroconf"),
+        (["check"], "expected model, got nothing"),
+        (["check", "--mode", "elim"], "expected model, got nothing"),
+        (["check", FIG2, "extra"], f"expected model, got {FIG2!r}, 'extra'"),
+        (["gen", "brp", "--family", "brp", "--n", "2"], "expected no argument, got 'brp'"),
+        (["gen", "--n", "2"], "gen needs --family"),
+        (["gen", "--family", "brp"], "gen needs --n"),
+    ],
+)
+def test_malformed_argv_exits_2_with_one_usage_line(argv, message, monkeypatch, capsys):
+    def engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(cli, "model_check", engine)
+    monkeypatch.setattr(cli, "eliminate_all", engine)
+    assert _run(argv, capsys) == (2, "", f"usage error: {message}\n")
+
+
+def test_no_long_flag_name_is_a_prefix_of_another():
+    # the parser then reads a prefix that spells a whole name as that flag
+    for _, _, _, _, flags in (*cli._COMMANDS, cli._TOP):
+        longs = [names[-1] for names, *_ in flags]
+        assert [(a, b) for a in longs for b in longs if a != b and b.startswith(a)] == []
+
+
+@pytest.mark.parametrize(
+    "argv, commands",
+    [
+        (["-h"], ("check", "gen")),
+        (["--help"], ("check", "gen")),
+        (["--he"], ("check", "gen")),
+        (["check", "-h"], ("check",)),
+        (["check", FIG2, "--mode", "elim", "--help"], ("check",)),
+        (["gen", "--h", "--family", "nope"], ("gen",)),
+    ],
+)
+def test_help_prints_the_usage_and_every_flag(argv, commands, capsys):
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    for name, _, about, _, flags in cli._COMMANDS:
+        assert (f"usage: parmreach {name} " in out) is (name in commands)
+        if name in commands:
+            assert about in out
+            assert all(", ".join(names) in out and text in out for names, _, _, text in flags)
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    # the read end is closed before the child writes, as `parmreach check ... | head -c 0` does
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parmreach.cli", "check", FIG2],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_exit_1_naming_the_line_on_parentheses_nested_too_deep(tmp_path, capsys):
@@ -438,9 +562,8 @@ def test_an_internal_error_propagates_with_the_collector_restored(collector, mon
 
 
 def test_a_malformed_flag_leaves_the_collector_as_it_found_it(collector, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", FIG2, "--mode", "nope"])
-    assert exc.value.code == 2
+    code, out, err = _run(["check", FIG2, "--mode", "nope"], capsys)
+    assert (code, out, err) == (2, "", "usage error: --mode 'nope' is not one of: scc, elim\n")
     assert gc.isenabled() is collector
 
 

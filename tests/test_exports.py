@@ -73,9 +73,12 @@ def test_docstring_examples_pass(name):
 
 
 def test_importing_the_cli_leaves_unused_modules_unloaded():
-    # dataclasses pulls in inspect, ast, dis and tokenize; a query runs
-    # neither the generators nor the oracle.
-    unwanted = ["dataclasses", "inspect", "ast", "parmreach.benchgen", "parmreach.oracle"]
+    # dataclasses pulls in inspect, ast, dis and tokenize; argparse pulls in
+    # gettext and locale; a query runs neither the generators nor the oracle.
+    unwanted = [
+        "dataclasses", "inspect", "ast", "argparse", "gettext", "locale",
+        "parmreach.benchgen", "parmreach.oracle",
+    ]
     probe = f"import sys, parmreach.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
