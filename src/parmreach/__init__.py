@@ -6,15 +6,17 @@ of parameters, the exact probability of eventually reaching the target
 — itself a rational function of the parameters.  Two engines are
 provided: a strongly-connected-component abstraction
 (:func:`model_check`) and a classic state-elimination baseline
-(:func:`eliminate_all`), which is the abstraction's final pass over the
-whole model.  They share the elimination step and order, so their
-agreement checks the abstraction; the exact numeric oracle
-(:func:`numeric_reachability`) checks the arithmetic.  Both build on
-an exact rational-function layer that keeps polynomials factored and
-caches every factorization discovered along the way, so expensive GCD
-kernel work is shared across the whole analysis.  All such state lives
-in one :class:`~parmreach.polycore.Session`; :func:`reset_session` starts
-a new one, and values from an ended session raise :class:`StaleValue`.
+(:func:`eliminate_all`), which is the abstraction with no components:
+its final pass over the whole model.  Both run one driver and differ
+only in the removal step they pass it (elimination's also audits each
+row it removes), so their agreement checks the abstraction; the exact
+numeric oracle (:func:`numeric_reachability`) checks the arithmetic.
+Both build on an exact rational-function layer that keeps polynomials
+factored and caches every factorization discovered along the way, so
+expensive GCD kernel work is shared across the whole analysis.  All
+such state lives in one :class:`~parmreach.polycore.Session`;
+:func:`reset_session` starts a new one, and values from an ended
+session raise :class:`StaleValue`.
 
 Three exported names load on first use: :func:`numeric_reachability`
 and :class:`SingularSystem` (from :mod:`parmreach.oracle`) and

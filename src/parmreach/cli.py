@@ -38,13 +38,26 @@ parse time.
 Exit codes: 0 on success, 1 when the model itself is at fault (syntax,
 probability sums, absorbing-target violations, …), 2 on usage errors
 (unreadable input, a model file that is not UTF-8 text included, or
-unwritable output, malformed argv: an unknown subcommand or option, a
-missing value, a value that is not one of the choices or not an integer,
-a missing or extra argument, a missing required ``gen`` flag; unknown
-parameter or target names, ``gen`` sizes out of range or above the
-state cap), and 141 when stdout is closed before the output is written,
-as by ``| head``: the output is dropped and nothing is printed.  Any
-other exception is a bug and is not reported as any of these.
+unwritable output, a file or standard output, open, written or closed;
+malformed argv: an unknown subcommand or option, a missing value, a
+value that is not one of the choices or not an integer, a missing or
+extra argument, a missing required ``gen`` flag; unknown parameter or
+target names, an ``--eval`` point outside the region where the
+functions hold, ``gen`` sizes out of range or above the state cap), and
+141 when stdout is closed before the output is written, as by
+``| head``: the output is dropped and nothing is printed.  Any other
+exception is a bug and is not reported as any of these, an
+``OSError`` included.  So :func:`main` collects a command's standard
+output and writes it once, at the end, where a failed write can only
+be the output's.
+
+The region is the one :func:`~parmreach.scc_mc.collect_constraints`
+describes by its edge conditions: every parametric weight of the model,
+initial ones included, strictly between 0 and 1.  Outside it the point
+is no DTMC or the graph changes, and the functions' values there need
+not be the chain's reachability probabilities, so ``check --eval``
+refuses such a point, naming the first weight outside, before the
+engine runs.
 
 Result output is byte-deterministic for a fixed input and mode;
 the optional ``--stats`` block (wall time, peak memory) is diagnostic
@@ -66,10 +79,11 @@ collector's state on every exit.  The library API (``model_check``,
 from __future__ import annotations
 
 import gc
+import io
 import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stdout
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
@@ -109,6 +123,18 @@ def _open_output(path: str) -> TextIO:
         raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
+def _finish(fh: TextIO, text: str) -> None:
+    """Write ``text`` to a file from :func:`_open_output` and close it; a
+    failure of either is a usage error, and the file is closed anyway."""
+    try:
+        try:
+            fh.write(text)
+        finally:
+            fh.close()
+    except OSError as exc:
+        raise _UsageError(f"cannot write {fh.name!r}: {exc.strerror}") from exc
+
+
 # the model parser's number syntax with a sign, or a ratio of integers;
 # ASCII only, since Fraction would also read digits like '١'
 _EVAL_VALUE = re.compile(r"[-+]?\d+(?:\.\d+|/\d+)?", re.ASCII)
@@ -142,6 +168,32 @@ def _parse_eval(text: str, m: Pdtmc) -> dict:
     return point
 
 
+def _check_point(m: Pdtmc, point: dict, at: str) -> None:
+    """Refuse a point outside the region where the functions hold: each
+    non-constant weight of ``m`` must lie strictly between 0 and 1 there,
+    the edge conditions :func:`collect_constraints` exports.  The parser
+    shares one object per distinct weight text, so each object is
+    evaluated once, and each base polynomial of their factorizations
+    once; the test ``0 < f < 1`` runs in integers."""
+    seen: set[int] = set()
+    bases: dict[int, Fraction] = {}
+    for s, row in (("", m.init), *m.trans.items()):
+        for t, f in row.items():
+            if f.is_constant or id(f) in seen:
+                continue
+            seen.add(id(f))
+            num, den = f.num.eval(point, bases), f.den.eval(point, bases)
+            a, b = num.numerator * den.denominator, den.numerator * num.denominator  # f = a/b
+            if not (0 < a < b or b < a < 0):
+                edge = f"transition {s!r} -> {t!r}" if s else f"initial probability of {t!r}"
+                fault = (
+                    f"is {Fraction(a, b)}, not strictly between 0 and 1"
+                    if b
+                    else "has a vanishing denominator"
+                )
+                raise _UsageError(f"--eval {at} is outside the functions' region: {edge} {fault}")
+
+
 def _approx(x: Fraction) -> str:
     with localcontext() as ctx:
         ctx.prec = 12
@@ -156,20 +208,18 @@ def _cmd_check(args: SimpleNamespace) -> int:
         if t not in m.targets:
             raise _UsageError(f"--target {t!r} is not a target state of the model")
     point = _parse_eval(args.eval, m) if args.eval is not None else None
+    at = ""
     if point is not None:
         missing = [str(v) for v in m.params if v not in point]
         if missing:
             raise _UsageError(f"--eval leaves parameters unset: {', '.join(missing)}")
-    at = (
-        ", ".join(f"{v}={point[v]}" for v in m.params)
-        if point is not None
-        else ""
-    )
+        at = ", ".join(f"{v}={point[v]}" for v in m.params)
+        _check_point(m, point, at)
     # opened before the engine runs, so an unwritable path fails first
     with _open_output(args.constraints_out) if args.constraints_out else nullcontext() as smt:
         result = model_check(m) if args.mode == "scc" else eliminate_all(m)
         if smt is not None:
-            smt.write(collect_constraints(result, m) + "\n")
+            _finish(smt, collect_constraints(result, m) + "\n")
 
     # text and value line of each distinct function, by its factorizations:
     # within a session they fix both, and ``total`` is often a pair's function
@@ -239,8 +289,7 @@ def _cmd_gen(args: SimpleNamespace) -> int:
     except SizeCapExceeded as exc:
         raise _UsageError(str(exc)) from exc
     if args.output:
-        with _open_output(args.output) as fh:
-            fh.write(text)
+        _finish(_open_output(args.output), text)
     else:
         sys.stdout.write(text)
     return 0
@@ -340,19 +389,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
     its exit code.  A usage fault, malformed argv included, prints one
     ``usage error:`` line on stderr and returns 2: it never raises, not
-    even ``SystemExit``.  A closed stdout returns 141 and prints nothing."""
+    even ``SystemExit``; so does a failed write to an output file or to
+    stdout.  A closed stdout returns 141 and prints nothing."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        code = args.func(args)
-        sys.stdout.flush()
+        with redirect_stdout(io.StringIO()) as out:
+            code = args.func(args)
+        try:
+            sys.stdout.write(out.getvalue())
+            sys.stdout.flush()
+        except OSError as exc:
+            # aim fd 1 at devnull, so that the flush at interpreter exit,
+            # which would fail the same way, stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):  # the reader is gone
+                return 141
+            raise _UsageError(f"cannot write standard output: {exc.strerror}") from exc
         return code
-    except BrokenPipeError:
-        # the reader is gone: aim fd 1 at devnull, so that the flush at
-        # interpreter exit, which would fail the same way, stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,21 +1,23 @@
-"""Baseline state-elimination engine: the SCC engine's final pass alone.
+"""Baseline state-elimination engine: the SCC engine with no components.
 
-:func:`eliminate_all` solves the whole live model as the SCC engine's
-final pass does: the live initial states are the inputs,
-:func:`parmreach.scc_mc.induced` gives the outputs and the interior, and
-:func:`parmreach.scc_mc.reduce_component`, which solves every SCC
-component, answers.  With one output that every live state reaches,
-each input reaches it with probability 1 and nothing is removed;
-otherwise the interior is removed (:func:`~parmreach.scc_mc.eliminate`)
-in the shared greedy order, fewest new transitions first.  The order
-does not change the final (canceled) functions, only the amount of
-intermediate work.
+:func:`eliminate_all` runs the driver of
+:func:`parmreach.scc_mc.model_check`, ``scc_mc._reach``, with no
+components to abstract, so only its final pass runs: the live initial
+states are the inputs, :func:`~parmreach.scc_mc.induced` gives the
+outputs and the interior, and :func:`~parmreach.scc_mc.solve_multi_input`
+solves them.  The one thing the two engines do differently is the
+removal step they pass in: here :func:`_remove_state`, which audits the
+row it removes.  The boundaries, the solve, the shortcut, the greedy
+order and the result are the SCC engine's, so the engines' agreement
+checks the SCC abstraction; the exact numeric oracle
+(:mod:`parmreach.oracle`) remains the independent check of the
+arithmetic.
 
 No components are abstracted.  Instead the row of every state must
 still sum to exactly 1 when that state is removed, which
 :func:`~parmreach.ratfun.rf_sums_to_one` decides without cancelling;
 the inputs' rows are checked by the per-input site audits of
-:func:`~parmreach.scc_mc.reduce_component`.  That covers
+:func:`~parmreach.scc_mc.solve_multi_input`.  That covers
 every row a removal changed, though only in the version that is used.
 Removing ``s`` rewrites each predecessor's row as
 ``row_u - P(u,s)*[s] + P(u,s)*row_s/(1 - P(s,s))``; when ``row_s``
@@ -30,33 +32,14 @@ Models built from repeated parts, such as brp, meet the same rows
 again and again; a row the session has already found to sum to 1 is
 answered from the session's memo, so the audit costs arithmetic only
 for rows it has not seen.
-
-The result contract matches :func:`parmreach.scc_mc.model_check`
-exactly.  The engines share the component boundaries, the solve, the
-removal step and the order, so their agreement checks the SCC
-abstraction; the exact numeric oracle (:mod:`parmreach.oracle`) remains
-the independent check of the arithmetic.  Only divisions are recorded
-as constraints: where the shortcut answers, nothing is divided and no
-divisor enters the SMT export.
 """
 
 from __future__ import annotations
 
-import time
-
 from .errors import ParmreachError
 from .model import Pdtmc
 from .ratfun import RationalFunction, rf_sums_to_one
-from .scc_mc import (
-    NoTargets,
-    ReachabilityResult,
-    SelfLoopProbabilityOne,
-    assemble_result,
-    eliminate,
-    induced,
-    reduce_component,
-    substitute,
-)
+from .scc_mc import ReachabilityResult, SelfLoopProbabilityOne, _reach, eliminate
 
 __all__ = [
     "SelfLoopProbabilityOne",
@@ -88,25 +71,15 @@ def _remove_state(
 
 
 def eliminate_all(m: Pdtmc) -> ReachabilityResult:
-    """Exact reachability functions for every (initial, target) pair.
+    """Exact reachability functions for every (initial, target) pair:
+    :func:`~parmreach.scc_mc.model_check` with no components, removing
+    states with :func:`_remove_state`.
 
     The model must be preprocessed (absorbing targets, no multi-state
-    bottom components).  The final pass is the SCC engine's: the same
-    component boundaries and the same solve, guarded single-output
-    shortcut included (module docstring).  On a model that is not, a
-    closed class (a bottom component other than an absorbing state)
-    raises :class:`SelfLoopProbabilityOne`: at its first state if no
-    live initial state is in it, else at one of those.  So if the live
-    rows feed no absorbing state: a live input surely returns to itself.
+    bottom components).  On a model that is not, a closed class (a
+    bottom component other than an absorbing state) raises
+    :class:`SelfLoopProbabilityOne`: at its first state if no live
+    initial state is in it, else at one of those.  So if the live rows
+    feed no absorbing state: a live input surely returns to itself.
     """
-    if not m.targets:
-        raise NoTargets("model has no target states")
-    started = time.perf_counter()
-
-    rows = {s: dict(m.row(s)) for s in m.states}
-    live = [s for s in m.states if not m.is_absorbing(s)]
-    inputs = [s for s in m.initial_states if not m.is_absorbing(s)]
-    outputs, interior = induced(m, rows, live, inputs)
-    result = reduce_component(rows, inputs, outputs, interior, _remove_state)
-    substitute(rows, live, result)
-    return assemble_result(m, rows, result.constraints, started, result.sites)
+    return _reach(m, (), _remove_state)

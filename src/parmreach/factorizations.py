@@ -179,13 +179,23 @@ class Factorization:
         cache[self.factors] = out
         return out.scale(self.coeff)
 
-    def eval(self, assignment: Mapping[Variable, Fraction]) -> Fraction:
-        """Evaluate the represented polynomial without expanding it."""
+    def eval(
+        self, assignment: Mapping[Variable, Fraction], bases: dict[int, Fraction] | None = None
+    ) -> Fraction:
+        """Evaluate the represented polynomial without expanding it, in
+        integers until the end.  ``bases`` holds each base's value at
+        ``assignment``, for calls at the same point to share."""
         polys = session().polys
-        out = Fraction(self.coeff)
+        if bases is None:
+            bases = {}
+        num, den = self.coeff, 1
         for h, e in self.factors:
-            out *= poly_eval(polys[h], assignment) ** e
-        return out
+            v = bases.get(h)
+            if v is None:
+                v = bases[h] = poly_eval(polys[h], assignment)
+            num *= v.numerator**e
+            den *= v.denominator**e
+        return Fraction(num, den)
 
     def __str__(self) -> str:
         """Bases sorted by their printed text, so the text does not depend

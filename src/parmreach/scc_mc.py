@@ -6,6 +6,13 @@ output states, labeled with the exact probabilities of eventually
 crossing from input to output.  Then a final pass over the live states,
 whose inputs are the live initial states, solves what is left.
 
+One driver, ``_reach(m, components, remove)``, runs both engines.
+:func:`model_check` passes the components below and :func:`eliminate`;
+:func:`~parmreach.elimination.eliminate_all`, classic state
+elimination, passes no components and an audited wrapper of
+:func:`eliminate`, so only the final pass runs, over the whole live
+model.  The removal step is the one difference between the engines.
+
 The components come from :func:`~parmreach.model.scc_components`: the
 looping components of the model without its initial states, one level
 deep.  They are handled in place on one working copy of the transition
@@ -22,7 +29,7 @@ interior in the greedy order of :func:`removal_order` records 75, as
 elimination does.  It also took most of the engine's time: ruin(300)
 ran in 0.34 s of engine CPU time with the recursion and 0.12 s without
 it (in-process, best of 3, 2-core x86-64 VM).  So an interior may still
-loop, and :func:`reduce_component` removes its states whatever loops
+loop, and :func:`solve_multi_input` removes its states whatever loops
 they are on.
 
 Only components with exactly one input are abstracted.  Abstracting a
@@ -38,20 +45,18 @@ enters or whose rows lead nowhere outside it (a closed class, only in
 an unpreprocessed model).  The rule is fixed; nothing configures it.
 
 :func:`solve_multi_input` solves every abstracted component and the
-final pass.  It checks that no row escapes the component; then
-:func:`reduce_component` solves it.  A component with one output that
-each of its states reaches is left through that output with
-probability 1, and nothing is eliminated.  Otherwise the classic
-state-elimination step, :func:`eliminate`, runs on the interior, then,
-per target input, on the other inputs; with a single input this
-reduces to dividing out the first-return probability.  The interior
-goes in the greedy order of :func:`removal_order`, after any interior
-states that reach no output: those lead into a closed class, whose
-removal fails at its first state in both engines.  The elimination
-engine is that solve applied to the whole live model, without
-components.  What guards a solve is the escaping-edge check, the site
-audits at every input (below), and the two engines agreeing with each
-other and with the exact oracle (:mod:`parmreach.oracle`) on every
+final pass, under both engines.  It checks that no row escapes the
+component.  A component with one output that each of its states
+reaches is then left through that output with probability 1, and
+nothing is eliminated.  Otherwise the removal step passed in runs on
+the interior, then, per target input, on the other inputs; with a
+single input this reduces to dividing out the first-return
+probability.  The interior goes in the greedy order of
+:func:`removal_order`, after any interior states that reach no output:
+those lead into a closed class, whose removal fails at its first state
+in both engines.  What guards a solve is the escaping-edge check, the
+site audits at every input (below), and the two engines agreeing with
+each other and with the exact oracle (:mod:`parmreach.oracle`) on every
 model of the usual set (``tests/test_engines.py``, one test per model).
 
 Every divisor used along the way is recorded, so the final result can
@@ -73,7 +78,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParmreachError
 from .model import Pdtmc, predecessor_map, scc_components
@@ -102,10 +107,8 @@ __all__ = [
     "induced",
     "solve_single_input",
     "solve_multi_input",
-    "reduce_component",
     "substitute",
     "model_check",
-    "assemble_result",
     "collect_constraints",
 ]
 
@@ -165,6 +168,8 @@ class ReachabilityResult(NamedTuple):
 # whose rows keep declaration order and in which every solved component
 # has been replaced by direct edges from its inputs to its outputs.
 _Rows = dict[str, dict[str, RationalFunction]]
+# A removal step: :func:`eliminate`, or an audited wrapper of it.
+_Remove = Callable[[_Rows, dict[str, set[str]], str, list[RationalFunction]], object]
 
 
 def eliminate(
@@ -253,7 +258,7 @@ def induced(
 ) -> tuple[tuple[str, ...], list[str]]:
     """The outputs of component ``K`` (states outside K fed by its rows,
     in declaration order) and its interior (K minus ``inputs``).  Either
-    may be empty: :func:`reduce_component` decides what that means."""
+    may be empty: :func:`solve_multi_input` decides what that means."""
     ks = set(K)
     outputs = m.sort_states({t for s in K for t in rows[s] if t not in ks})
     entries = set(inputs)
@@ -287,33 +292,16 @@ def solve_single_input(
 
 
 def solve_multi_input(
-    rows: _Rows, inputs: Sequence[str], outputs: Sequence[str], interior: Sequence[str]
-) -> AbstractionResult:
-    """Abstraction of a component, after every interior and input row
-    is checked for edges that escape the component, reached or not.
-
-    The interior may still loop: :func:`reduce_component` removes its
-    states whatever their loops, in the greedy order of
-    :func:`removal_order`.
-    """
-    allowed = {*interior, *inputs, *outputs}
-    for s in (*interior, *inputs):
-        for t in rows[s]:
-            if t not in allowed:
-                raise AbstractionInvariantBroken(
-                    f"edge {s!r} -> {t!r} escapes the component being solved"
-                )
-    return reduce_component(rows, inputs, outputs, interior, eliminate)
-
-
-def reduce_component(
     rows: _Rows,
     inputs: Sequence[str],
     outputs: Sequence[str],
     interior: Sequence[str],
-    remove: Callable[[_Rows, dict[str, set[str]], str, list[RationalFunction]], object],
+    remove: _Remove = eliminate,
 ) -> AbstractionResult:
-    """Abstraction of a component, unchecked: no row may lead elsewhere.
+    """Abstraction of a component, after every interior and input row
+    is checked for edges that escape the component, reached or not.
+    Both engines solve every component and their final pass here,
+    through the one driver; they differ only in ``remove``.
 
     With one output that every input and interior state reaches, a
     finite chain leaves through it with probability 1: each input gets
@@ -321,7 +309,8 @@ def reduce_component(
     divisor.  Otherwise ``remove`` (:func:`eliminate` or an audited
     wrapper of it) removes the interior from a copy of the input and
     interior rows, which leaves each input with direct edges to the
-    outputs and to the inputs.  The interior states that reach no
+    outputs and to the inputs.  The interior may still loop: its states
+    are removed whatever their loops.  The interior states that reach no
     output go first, last first in the interior's order, and the rest
     in :func:`removal_order`.  Such states lead into a closed class
     (only in an unpreprocessed model), and removing a class fails at
@@ -335,14 +324,22 @@ def reduce_component(
     surely returns to itself.  Both identities are audited at every
     input (one site each).
 
-    Which check covers which rows: the site audits check each input's
-    final row, after every removal that changed it.  The elimination
-    engine's ``remove`` also checks the row of each state it removes,
-    just before the removal, the other inputs in the per-target copies
+    Which check covers which rows: the escaping-edge check covers the
+    rows as given, and the site audits check each input's final row,
+    after every removal that changed it.  The elimination engine's
+    ``remove`` also checks the row of each state it removes, just
+    before the removal, the other inputs in the per-target copies
     included (:mod:`parmreach.elimination`).  :func:`eliminate`, the
     SCC engine's ``remove``, checks nothing, so there a fault in an
     interior row shows only where it reaches an input's row.
     """
+    allowed = {*interior, *inputs, *outputs}
+    for s in (*interior, *inputs):
+        for t in rows[s]:
+            if t not in allowed:
+                raise AbstractionInvariantBroken(
+                    f"edge {s!r} -> {t!r} escapes the component being solved"
+                )
     local: _Rows = {s: dict(rows[s]) for s in (*inputs, *interior)}
     local.update((t, {}) for t in outputs)
     preds = predecessor_map(local)
@@ -399,7 +396,7 @@ def substitute(rows: _Rows, K: Sequence[str], result: AbstractionResult) -> None
 
 
 # ---------------------------------------------------------------------------
-# The engine: top-level components first, then the rest of the model
+# The driver of both engines: components first, then the rest of the model
 # ---------------------------------------------------------------------------
 
 
@@ -409,59 +406,50 @@ def _solve(
     K: Sequence[str],
     inputs: Sequence[str],
     constraints: list[RationalFunction],
+    remove: _Remove,
 ) -> int:
     """Replace component K by direct edges from its inputs to its
-    outputs; return the number of abstraction sites audited."""
+    outputs (:func:`solve_multi_input`, removing states with
+    ``remove``, the engine's one own step); return the number of
+    abstraction sites audited."""
     outputs, interior = induced(m, rows, K, inputs)
-    result = solve_multi_input(rows, inputs, outputs, interior)
+    result = solve_multi_input(rows, inputs, outputs, interior, remove)
     constraints.extend(result.constraints)
     substitute(rows, K, result)
     return result.sites
 
 
-def _abstract(m: Pdtmc) -> tuple[_Rows, list[RationalFunction], int]:
-    """Abstract every single-input looping component of ``m`` (initial
-    states excluded), then the rest.
+def _reach(
+    m: Pdtmc, components: Iterable[tuple[Sequence[str], Sequence[str]]], remove: _Remove
+) -> ReachabilityResult:
+    """The driver of both engines, which differ only in ``components``
+    and ``remove``.
 
-    All components are handled on one working copy of the rows, in the
-    order :func:`~parmreach.model.scc_components` yields them.  They are
+    Each ``(states, inputs)`` pair of ``components`` with one input is
+    replaced by direct edges, in the order given; the pairs are
     disjoint, so solving one leaves every other one's states in the
-    rows.  A component with one input is replaced by direct edges; one
-    with several inputs or none (nothing enters it, or it has no
-    outputs) is left in the rows (module docstring).  The rest is the
-    live (non-absorbing) states; its inputs are the live initial
-    states.  Returns the rows, the constraints and the number of
-    abstraction sites audited.
+    rows.  One with several inputs or none is left in the rows (module
+    docstring).  Then the final pass solves the rest: the live
+    (non-absorbing) states, whose inputs are the live initial states.
+    Afterwards each live initial state's row holds its reachability
+    functions, an absorbing one only its self-loop; ``total`` weights
+    each initial state's target mass by its initial probability.
     """
+    if not m.targets:
+        raise NoTargets("model has no target states")
+    started = time.perf_counter()
     rows: _Rows = {s: dict(m.row(s)) for s in m.states}
     constraints: list[RationalFunction] = []
     sites = 0
-    for K, inputs in scc_components(m, [s for s in m.states if s not in m.init]):
+    for K, inputs in components:
         if len(inputs) == 1:
-            sites += _solve(m, rows, K, inputs, constraints)
+            sites += _solve(m, rows, K, inputs, constraints, remove)
 
     # solving never makes a state absorbing or changes an absorbing row
     live = [s for s in m.states if s in rows and not m.is_absorbing(s)]
     entries = [s for s in m.initial_states if not m.is_absorbing(s)]
-    sites += _solve(m, rows, live, entries, constraints)
-    return rows, constraints, sites
+    sites += _solve(m, rows, live, entries, constraints, remove)
 
-
-def assemble_result(
-    m: Pdtmc,
-    rows: _Rows,
-    constraints: Sequence[RationalFunction],
-    started: float,
-    abstraction_sites: int,
-) -> ReachabilityResult:
-    """The result both engines return, once the model is reduced.
-
-    ``rows`` are the reduced rows: each live initial state's row holds
-    its reachability functions, an absorbing one only its self-loop.
-    ``total`` weights each initial state's target mass by its initial
-    probability.  ``started`` is the :func:`time.perf_counter` reading
-    the elapsed time counts from.
-    """
     per_pair: dict[tuple[str, str], RationalFunction] = {}
     total = rf_zero()
     for s in m.initial_states:
@@ -476,7 +464,7 @@ def assemble_result(
     stats = CheckStats(
         stored_polynomials=current.stored_polynomials,
         gcd_kernel_calls=current.gcd_kernel_calls,
-        abstraction_sites=abstraction_sites,
+        abstraction_sites=sites,
         elapsed_seconds=time.perf_counter() - started,
     )
     return ReachabilityResult(per_pair, total, tuple(constraints), stats)
@@ -489,14 +477,9 @@ def model_check(m: Pdtmc) -> ReachabilityResult:
     bottom components).  On a model that is not, the final pass meets
     a closed class and raises :class:`SelfLoopProbabilityOne`, with
     the message :func:`~parmreach.elimination.eliminate_all` gives.
-    ``total`` weights each initial state's target mass by its initial
-    probability.
     """
-    if not m.targets:
-        raise NoTargets("model has no target states")
-    started = time.perf_counter()
-    rows, constraints, sites = _abstract(m)
-    return assemble_result(m, rows, constraints, started, sites)
+    region = [s for s in m.states if s not in m.init]
+    return _reach(m, scc_components(m, region), eliminate)
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,22 @@ them (only after an intended output change) with::
 
 from __future__ import annotations
 
+import errno
 import gc
 import pathlib
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from fuzzgen import BENCH_GEN
 from parmreach import benchgen, cli
-from parmreach.model import tarjan_sccs
+from parmreach.factorizations import Factorization
+from parmreach.model import parse_model, preprocess, tarjan_sccs
 from parmreach.ratfun import RationalFunction
 from smtlib_checker import check_smtlib
 
@@ -236,9 +239,73 @@ def test_exit_2_on_an_eval_value_outside_the_ascii_number_syntax(value, capsys):
 
 
 def test_eval_values_may_carry_a_sign_and_a_decimal_point(capsys):
-    code, out, err = _run(["check", FIG2, "--eval", "p=+0.25, q=-1/2"], capsys)
+    code, out, err = _run(["check", FIG2, "--eval", "p=+0.25, q=+1/2"], capsys)
     assert code == 0, err
-    assert "at p=1/4, q=-1/2: " in out
+    assert "at p=1/4, q=1/2: " in out
+    # -1/2 parses too, and is then refused: it lies outside the region
+    code, out, err = _run(["check", FIG2, "--eval", "p=+0.25, q=-1/2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage error: --eval p=1/4, q=-1/2 is outside the functions' region: "
+        "transition 's4' -> 's2' is -1/2, not strictly between 0 and 1\n"
+    )
+
+
+_LOOP_BACK = (
+    "@params p\n@state a\n@state b\n@state t\n@init a : 1\n@trans a -> b : 1\n"
+    "@trans b -> a : p\n@trans b -> t : 1 - p\n@trans t -> t : 1\n@target t\n"
+)
+_PARAMETRIC_START = (
+    "@params p\n@state a\n@state b\n@init a : p/(2 - p)\n@init b : (2 - 2*p)/(2 - p)\n"
+    "@trans a -> b : 1\n@trans b -> b : 1\n@target b\n"
+)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "model, point, fault",
+    [
+        # not a DTMC: fig2 printed f(s1, s5) = -2 and f(s1, s9) = 3 here
+        (None, "p=2,q=1/2", "transition 's8' -> 's7' is 2, not strictly between 0 and 1"),
+        # b -> t vanishes, so t is never reached, but the function reads 1
+        (_LOOP_BACK, "p=1", "transition 'b' -> 'a' is 1, not strictly between 0 and 1"),
+        (_LOOP_BACK, "p=0", "transition 'b' -> 'a' is 0, not strictly between 0 and 1"),
+        (_PARAMETRIC_START, "p=2", "initial probability of 'a' has a vanishing denominator"),
+        (_PARAMETRIC_START, "p=3/2", "initial probability of 'a' is 3, not strictly between 0 and 1"),
+    ],
+    ids=["fig2_p2", "edge_one", "edge_zero", "init_pole", "init_above_one"],
+)
+def test_eval_refuses_a_point_outside_the_region(
+    model, point, fault, mode, monkeypatch, tmp_path, capsys
+):
+    def engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(cli, "model_check", engine)
+    monkeypatch.setattr(cli, "eliminate_all", engine)
+    path = FIG2 if model is None else _write(tmp_path, model)
+    at = point.replace(",", ", ")
+    code, out, err = _run(["check", path, "--mode", mode, "--eval", point], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --eval {at} is outside the functions' region: {fault}\n"
+
+
+def test_the_region_check_evaluates_each_distinct_weight_once(monkeypatch, tmp_path):
+    m = preprocess(parse_model(_model_path("brp", tmp_path).read_text(encoding="utf-8")))
+    weights = [f for row in (m.init, *m.trans.values()) for f in row.values()]
+    distinct = {id(f) for f in weights if not f.is_constant}
+    assert 2 * len(distinct) < len(weights)  # the parser shares weight objects
+    calls = []
+    evaluate = Factorization.eval
+
+    def counting_eval(self, *args):
+        calls.append(self)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(Factorization, "eval", counting_eval)
+    point = {v: Fraction(1, 2) for v in m.params}
+    cli._check_point(m, point, "pK=1/2, pL=1/2")
+    assert len(calls) == 2 * len(distinct)  # numerator and denominator
 
 
 _MISSING = str(DATA / "no-such-model.pdtmc")
@@ -382,8 +449,59 @@ def test_a_closed_stdout_exits_141_quietly():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+_FULL = os.strerror(errno.ENOSPC)
+
+
+@_NEEDS_DEV_FULL
+@pytest.mark.parametrize(
+    "argv",
+    [["check", FIG2, "--constraints-out", "/dev/full"], ["gen", "--family", "brp", "--n", "2", "-o", "/dev/full"]],
+    ids=["constraints_out", "gen_output"],
+)
+def test_a_failed_file_write_exits_2(argv, capsys):
+    assert _run(argv, capsys) == (2, "", f"usage error: cannot write '/dev/full': {_FULL}\n")
+
+
+@_NEEDS_DEV_FULL
+@pytest.mark.parametrize(
+    "argv",
+    [["check", FIG2], ["gen", "--family", "brp", "--n", "2"], ["--help"]],
+    ids=["check", "gen", "help"],
+)
+def test_a_failed_write_to_stdout_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "parmreach.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    message = f"usage error: cannot write standard output: {_FULL}\n"
+    assert (proc.returncode, proc.stderr.decode()) == (2, message)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "sites",
+    [("model_check", "eliminate_all"), ("collect_constraints",), ("rf_eval",)],
+    ids=["engine", "smt_text", "eval"],
+)
+def test_an_oserror_from_the_program_still_propagates(sites, mode, monkeypatch, tmp_path):
+    # internal bugs are never usage errors, even while an output is open
+    def planted(*args):
+        raise OSError(errno.ENOSPC, "planted")
+
+    for site in sites:
+        monkeypatch.setattr(cli, site, planted)
+    smt = tmp_path / "c.smt2"
+    argv = ["check", FIG2, "--mode", mode, "--eval", "p=1/3,q=2/5", "--constraints-out", str(smt)]
+    with pytest.raises(OSError, match="planted"):
+        cli.main(argv)
 
 
 def test_exit_1_naming_the_line_on_parentheses_nested_too_deep(tmp_path, capsys):
