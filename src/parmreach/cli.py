@@ -385,12 +385,35 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
     return args
 
 
+def _silence_stdout() -> None:
+    """Aim stdout's file descriptor at devnull, so that the flush at
+    interpreter exit, which would fail as the last write did, stays
+    quiet.  A stdout without a descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
     its exit code.  A usage fault, malformed argv included, prints one
     ``usage error:`` line on stderr and returns 2: it never raises, not
     even ``SystemExit``; so does a failed write to an output file or to
-    stdout.  A closed stdout returns 141 and prints nothing."""
+    stdout.  A closed stdout returns 141 and prints nothing.
+
+    A command's stdout is collected in memory and written once, at the
+    end, so it does not stream, and while it is written the text is held
+    twice, the buffer and its copy: about 1 MB for the largest ``gen``
+    model under the state cap, some 500 KB of text.  A failed write aims
+    stdout's file descriptor, if it has one, at devnull for good, so that
+    the flush at interpreter exit stays quiet; an in-process caller's
+    later output through that descriptor is dropped too."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -401,9 +424,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(out.getvalue())
             sys.stdout.flush()
         except OSError as exc:
-            # aim fd 1 at devnull, so that the flush at interpreter exit,
-            # which would fail the same way, stays quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _silence_stdout()
             if isinstance(exc, BrokenPipeError):  # the reader is gone
                 return 141
             raise _UsageError(f"cannot write standard output: {exc.strerror}") from exc

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import errno
 import gc
+import io
 import pathlib
 import os
 import random
@@ -483,6 +484,30 @@ def test_a_failed_write_to_stdout_exits_2(argv):
         )
     message = f"usage error: cannot write standard output: {_FULL}\n"
     assert (proc.returncode, proc.stderr.decode()) == (2, message)
+
+
+class _FullStream:
+    """A stdout with no file descriptor whose every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, _FULL)
+
+    def flush(self):
+        pass
+
+
+class _FullStringIO(io.StringIO):
+    """A stdout whose ``fileno`` raises and whose every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, _FULL)
+
+
+@pytest.mark.parametrize("stream", [_FullStream, _FullStringIO], ids=["no_fileno", "fileno_raises"])
+def test_a_failed_write_to_a_stdout_without_a_descriptor_exits_2(stream, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", stream())
+    assert cli.main(["check", FIG2]) == 2
+    assert capsys.readouterr().err == f"usage error: cannot write standard output: {_FULL}\n"
 
 
 @pytest.mark.parametrize("mode", MODES)
