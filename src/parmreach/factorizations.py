@@ -16,9 +16,9 @@ The operators:
 * :func:`fadd`                -- addition with common factors pulled out,
 * :func:`gcd_factored`        -- gcd of two factorizations: the
   coefficients take the integer gcd, the bases go pair by pair, only
-  pairs the irreducibility screen does not settle reach the polynomial
-  gcd kernel, and every split found refines the pool's stored
-  factorizations.
+  pairs the irreducibility screen and the coprime-pair memo do not
+  settle reach the polynomial gcd kernel, and every split found refines
+  the pool's stored factorizations.
 
 A factorization is an integer coefficient times a product of pooled
 bases.  The public constructor is ``Factorization(coeff, factors)``,
@@ -328,18 +328,28 @@ class GcdTriple(NamedTuple):
 
 def _settle_pair(p: Session, r1: Polynomial, irr1: bool, h2: int) -> tuple | None:
     """``(g, r1/g, r2/g)`` for the gcd g of *r1* (screened *irr1*) and base
-    ``r2`` of handle *h2*, or None if they are coprime; see :func:`gcd_factored`."""
+    ``r2`` of handle *h2*, or None if they are coprime; see :func:`gcd_factored`.
+
+    A pair a trial division proved coprime is kept in the session's
+    coprime-pair memo (``Session.coprime``), which answers it from then
+    on: two fixed polynomials stay coprime however the pool is refined.
+    """
     r2 = p.polys[h2]
     if r1 == r2:
         return r1, Polynomial.one(), Polynomial.one()
     irr2 = p.is_irreducible(h2)
     if irr1 and irr2:
         return None  # distinct irreducibles
+    if (r1, h2) in p.coprime:
+        return None
     if irr1 or irr2:
         # a primitive irreducible base divides the other or is coprime to it
         try:
             q = poly_divide_exact(r2, r1) if irr1 else poly_divide_exact(r1, r2)
         except NotDivisible:
+            if len(p.coprime) >= CACHE_CAP:
+                p.coprime.clear()
+            p.coprime.add((r1, h2))
             return None
         return (r1, Polynomial.one(), q) if irr1 else (r2, q, Polynomial.one())
     p.gcd_kernel_calls += 1
@@ -359,10 +369,12 @@ def gcd_factored(f1: Factorization, f2: Factorization) -> GcdTriple:
 
     The coefficients take the integer gcd; bases are primitive, so no
     constant other than 1 divides them.  The bases go pair by pair:
-    shared bases are taken directly, and a base the screen certifies
-    irreducible (primitive, total degree one) divides the other or is
-    coprime to it, so one trial division settles the pair.  Only other
-    pairs reach the kernel.  Every split found is recorded in the pool.
+    shared bases are taken directly, two distinct bases the screen
+    (:func:`~parmreach.polycore.is_irreducible_heuristic`) certifies
+    irreducible are coprime, and a certified base divides the other or
+    is coprime to it, so one trial division settles the pair.  Only
+    other pairs reach the kernel.  Every split found is recorded in the
+    pool.
 
     Examples
     --------

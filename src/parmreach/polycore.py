@@ -11,8 +11,9 @@ polynomial terms are stored leading-first under that order.  No other
 module reads key fields.
 
 All mutable state of the package lives in one :class:`Session`: the
-variable table, the gcd memo, the factor pool and product and power
-caches of :mod:`parmreach.factorizations`, and the operation memo of
+variable table, the gcd memo and the line certificate's images, the
+factor pool, its coprime-pair memo and the product and power caches of
+:mod:`parmreach.factorizations`, and the operation memo of
 :mod:`parmreach.ratfun`.  :func:`reset_session` replaces it.
 
 Coefficients are plain Python ints; scalar results are
@@ -26,10 +27,13 @@ fuzz models of ``perfbench/gen.py`` (family seed 13123979) under both
 engines, when the kernel body ran 2,427 times there (before components
 with several inputs were left to their enclosing elimination).  Each
 "answers" count is from one cold scc query per fuzz model now, when
-the body runs 506 times (492 under elim).  On crowds(10, 12) plus
-zeroconf(40) its 225 runs are 144 constants after a monomial content,
-57 line certificates, 13 equal operands and 11 trial divisions; ruin
-makes no kernel call.
+the body runs 409 times (405 under elim).  It ran 500 times (492)
+before :func:`is_irreducible_heuristic` certified bases of degree one
+in some variable, when the factor pool, which calls the kernel only on
+pairs the screen leaves open, sent it pairs it now settles with one
+trial division or none.  On crowds(10, 12) plus zeroconf(40) every pair
+is settled so, and the body, which ran 224 times there, no longer runs;
+ruin makes no kernel call.
 
 1. Memo: the session's gcd memo by operand pair, because the factor
    refinement asks for the same pairs again.  Without it the kernel
@@ -37,19 +41,25 @@ makes no kernel call.
 2. Monomial content: a monomial divides a polynomial exactly when it
    divides every term, so that share of the gcd splits off by key
    minima.  Without it the kernel body ran 2,671 times instead of 2,427.
-   Then equal operands (up to sign) answer 143 times and a constant one
-   58 times, 30 of them after a monomial content split off.
+   Then equal operands (up to sign) answer 136 times and a constant one
+   40 times, 13 of them after a monomial content split off.
 3. Line certificate: :func:`_image_gcd_degree` by total degree under
-   x_i -> a_i * t modulo a 61-bit prime; 0 proves a constant gcd
-   (answers 237).  Without it the heuristic gcd was called 110 times
+   x_i -> a_i * t modulo the prime 2**30 - 35; 0 proves a constant gcd
+   (answers 174).  Without it the heuristic gcd was called 110 times
    instead of 84, and on family seed 20240601 scc's kernel time rose by
-   about 50 %.
+   about 50 %.  The certificate is sound for any prime, and a point
+   where an image loses degree, which is only inconclusive, is about
+   deg/p likely; below 2**30 a product of two residues takes two of
+   CPython's 30-bit digits, against five with the 61-bit prime used
+   before.  One base meets many others, so the session keeps each
+   operand's image per attempt (``Session.images``) and each
+   variable's point powers (``Session.point_powers``).
 4. v-content: the gcd of the coefficients in the main variable v; the
    paths below need v-primitive operands (one free of v answers 5).
 5. v-degree bound: :func:`_image_gcd_degree` in v; 0 proves coprime
    v-parts (answers 3), and a division-verified common divisor of that
    degree is the gcd.
-6. Trial division, when the bound is the smaller v-degree (answers 53).
+6. Trial division, when the bound is the smaller v-degree (answers 44).
    Without it the heuristic gcd was called 319 times instead of 84.
 7. Heuristic gcd by big-integer evaluation (:func:`_heu_gcd`, answers
    7).  Without it the remainder sequence answers its cases, and one
@@ -64,6 +74,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping
 
 from .errors import ParmreachError
@@ -476,7 +487,7 @@ class _HandleTable(dict):
         raise StaleValue(f"factor handle {handle} belongs to an ended session")
 
 
-CACHE_CAP = 65536  # entries at which the gcd, product and operation caches empty
+CACHE_CAP = 65536  # entries at which each cache of the session empties
 
 
 class Session:
@@ -498,8 +509,17 @@ class Session:
     1, each as the sorted ``(num.coeff, num.factors, den.coeff,
     den.factors)`` of its non-zero terms.
 
-    The gcd memo, the expanded-product cache and the operation memo are
-    each emptied when they reach :data:`CACHE_CAP` entries.
+    ``coprime`` holds the pairs ``(r, h)`` of a polynomial and a base
+    handle that a trial division in the factor pool proved coprime.  Two
+    fixed polynomials stay coprime however the pool is refined, so
+    :meth:`remember` leaves it alone.  ``images[p, attempt]`` is the line
+    certificate's image of *p* at the points of *attempt*
+    (:func:`_image`), and ``point_powers[vid, attempt]`` the powers of
+    the point of variable *vid* at *attempt*, by exponent.
+
+    The gcd memo, the expanded-product cache, the operation memo, the
+    coprime-pair memo, the images and the point powers are each emptied
+    when they reach :data:`CACHE_CAP` entries.
     """
 
     def __init__(self, first_handle: int = 0):
@@ -516,6 +536,9 @@ class Session:
         self.powers: dict[int, tuple[int, Polynomial]] = {}
         self.ops: dict[tuple, object] = {}  # values are RationalFunctions
         self.sums_to_one: set[tuple[tuple, ...]] = set()
+        self.coprime: set[tuple[Polynomial, int]] = set()
+        self.images: dict[tuple[Polynomial, int], list[int]] = {}
+        self.point_powers: dict[tuple[int, int], list[int]] = {}
 
     @property
     def stored_polynomials(self) -> int:
@@ -786,7 +809,7 @@ def _prem(f: Polynomial, g: Polynomial, vid: int) -> Polynomial:
     return r
 
 
-_FILTER_PRIME = (1 << 61) - 1
+_FILTER_PRIME = (1 << 30) - 35  # the largest prime below 2**30
 
 
 def _filter_point(vid: int, attempt: int) -> int:
@@ -807,28 +830,60 @@ def _filter_point(vid: int, attempt: int) -> int:
     return 2 + x % (_FILTER_PRIME - 3)
 
 
-def _image(
-    p: Polynomial, tables: list[tuple[int, list[int]]], vid: int | None = None
-) -> dict[int, int]:
-    """Image of p mod the filter prime with the tabled variables evaluated.
+def _point_powers(vid: int, attempt: int, top: int) -> list[int]:
+    """``[1, a, a**2, ..., a**top]`` modulo the filter prime, for the point
+    a of variable *vid* at *attempt*; the session keeps the longest list
+    made so far per variable and attempt."""
+    cache = _session.point_powers
+    t = cache.get((vid, attempt))
+    if t is None:
+        if len(cache) >= CACHE_CAP:
+            cache.clear()
+        t = cache[vid, attempt] = [1, _filter_point(vid, attempt)]
+    a = t[1]
+    while len(t) <= top:
+        t.append(t[-1] * a % _FILTER_PRIME)
+    return t
 
-    A sparse map, zero coefficients dropped, from the exponent of v to
-    its coefficient; with no *vid* every variable is tabled and the map
-    is keyed by total degree, the image under x_i -> a_i * t.
+
+def _image(p: Polynomial, attempt: int, vid: int | None = None) -> list[int]:
+    """Image of p mod the filter prime with every variable but v evaluated
+    at its point of *attempt*.
+
+    Dense coefficients by exponent of v up to p's degree in v, zeros
+    included; with no *vid* by total degree up to p's, the image under
+    x_i -> a_i * t.  The session keeps the images of that line
+    certificate, where one base meets many others.
     """
-    img: dict[int, int] = {}
+    line = vid is None
+    if line:
+        img = _session.images.get((p, attempt))
+        if img is not None:
+            return img
+    tables = [
+        (u << 5, _point_powers(u, attempt, p.degree_in(u)))
+        for u in p.variable_ids()
+        if u != vid
+    ]
+    img = [0] * ((p.total_degree() if line else p.degree_in(vid)) + 1)
     for k, c in p.terms:
         td = 0
-        val = c % _FILTER_PRIME
+        val = c
         for shift, t in tables:
             e = (k >> shift) & _FIELD_MASK
             if e:
                 td += e
                 val = val * t[e] % _FILTER_PRIME
-        if vid is not None:
+        if not line:
             td = (k >> (vid << 5)) & _FIELD_MASK
-        img[td] = (img.get(td, 0) + val) % _FILTER_PRIME
-    return {e: c for e, c in img.items() if c}
+        img[td] += val
+    img = [c % _FILTER_PRIME for c in img]
+    if line:
+        cache = _session.images
+        if len(cache) >= CACHE_CAP:
+            cache.clear()
+        cache[p, attempt] = img
+    return img
 
 
 def _gf_poly_mod(a: list[int], b: list[int]) -> list[int]:
@@ -849,9 +904,13 @@ def _gf_poly_mod(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _gf_gcd_degree(fd: dict[int, int], gd: dict[int, int]) -> int:
-    """Degree of the gcd of two nonzero sparse univariate images."""
-    a, b = ([d.get(e, 0) for e in range(max(d) + 1)] for d in (fd, gd))
+def _gf_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of the gcd of two nonzero dense univariate images, either
+    of which may end in zeros."""
+    a, b = a[:], b[:]
+    for img in (a, b):
+        while not img[-1]:
+            img.pop()
     while b:
         a, b = b, _gf_poly_mod(a, b)
     return len(a) - 1
@@ -870,25 +929,11 @@ def _image_gcd_degree(
     JACM 18(4), 1971).  Points where both images lose degree, or one
     vanishes, are inconclusive; None means every tried point was.
     """
-    if vid is None:
-        da, db = pa.total_degree(), pb.total_degree()
-    else:
-        da, db = pa.degree_in(vid), pb.degree_in(vid)
-    tops = [
-        (u, max(pa.degree_in(u), pb.degree_in(u)))
-        for u in (set(pa.variable_ids()) | set(pb.variable_ids())) - {vid}
-    ]
     for attempt in range(3):
-        tables = []
-        for u, top in tops:
-            a = _filter_point(u, attempt)
-            t = [1] * (top + 1)
-            for k in range(1, top + 1):
-                t[k] = t[k - 1] * a % _FILTER_PRIME
-            tables.append((u << 5, t))
-        fimg = _image(pa, tables, vid)
-        gimg = _image(pb, tables, vid)
-        if fimg and gimg and (da in fimg or db in gimg):
+        fimg = _image(pa, attempt, vid)
+        gimg = _image(pb, attempt, vid)
+        # an image keeps its operand's degree when its last entry is not 0
+        if (fimg[-1] and any(gimg)) or (gimg[-1] and any(fimg)):
             return _gf_gcd_degree(fimg, gimg)
     return None
 
@@ -1144,12 +1189,37 @@ def is_irreducible_heuristic(g: Polynomial) -> bool:
     """Cheap, sound-when-true irreducibility screen.
 
     True certifies irreducibility without a factoring attempt: constants,
-    bare variables, and content-free polynomials of total degree one.
-    False means unknown, which callers must treat as potentially
-    reducible.
+    and primitive polynomials of degree one in some variable v,
+    ``g = a*v + b``, whose parts a and b plainly have gcd 1.  Such a g
+    is irreducible: if ``g = f*h``, one factor, say f, has degree 0 in
+    v, so f divides both a and b and is a unit.  The gcd is plainly 1
+    when b is 0 and a a constant (g is v or -v), or when one part is a
+    single term whose monomial shares no variable with the other part's
+    monomial content: a divisor of a single term is an integer times a
+    monomial, the integer divides g, whose content is 1, and the
+    monomial divides both the term's monomial and that content.  Every
+    primitive polynomial of total degree one qualifies (a is a nonzero
+    constant).  False means unknown, which callers must treat as
+    potentially reducible.
     """
     if g.is_zero:
         raise ValueError("irreducibility of the zero polynomial is undefined")
     if g.is_constant:
         return True
-    return g.total_degree() == 1 and g.integer_content() == 1
+    if g.integer_content() != 1:
+        return False
+    bits = 0
+    for k, _ in g.terms:
+        bits |= k
+    for vid, e in monomial_exponents(bits):
+        if e != 1:  # an exponent above 1 sets another bit of the field
+            continue
+        v = 1 << (vid << 5)
+        a = [k - v for k, _ in g.terms if k & v]
+        b = [k for k, _ in g.terms if not k & v]
+        if not b:
+            return a == [0]
+        for one, other in ((a, b), (b, a)):
+            if len(one) == 1 and not _key_gcd(one[0], reduce(_key_gcd, other)):
+                return True
+    return False

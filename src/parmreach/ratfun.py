@@ -35,11 +35,11 @@ den.factors)`` of both operands, so a repeated operand pair costs no
 arithmetic.  That is exact.  Within a session a handle never changes
 meaning, and both operations are deterministic functions of their
 operands and of the pool's refinement memos: interning a new base
-changes no existing handle, and the screens and the gcd memo only
-cache values.  Recording a split (``Session.remember``) is the one
-change that can make a recomputed result finer, so it empties the
-memo, and a result whose own computation recorded a split is not
-kept.  A hit skips the kernel calls a computation would repeat, so
+changes no existing handle, and the screens, the gcd and coprime-pair
+memos and the certificate's images only cache values.  Recording a
+split (``Session.remember``) is the one change that can make a
+recomputed result finer, so it empties the memo, and a result whose
+own computation recorded a split is not kept.  A hit skips the kernel calls a computation would repeat, so
 ``gcd kernel calls`` can only fall; nothing else a run reports moves.
 
 Whether functions sum to exactly 1 needs no cancellation.  With ``D``

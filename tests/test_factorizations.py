@@ -290,6 +290,29 @@ def test_pairs_the_pool_settles_make_no_kernel_call():
     assert F(lin * (Y * Y + X)) == fmul(F(lin), F(Y * Y + X))
 
 
+def test_a_pair_proven_coprime_is_not_divided_again(monkeypatch):
+    X, Y, _ = _xyz()
+    one = Polynomial.one()
+    lin = Polynomial.const(2) * X + Polynomial.const(3) * Y + one
+    divisions = []
+    divide = fz.poly_divide_exact
+
+    def counting_divide(a, b):
+        divisions.append((a, b))
+        return divide(a, b)
+
+    monkeypatch.setattr(fz, "poly_divide_exact", counting_divide)
+    other = X * X + Y * Y + one  # of degree two in x and y, so not screened irreducible
+    assert gcd_factored(F(lin), F(other)).common.is_one
+    assert len(divisions) == 1
+    # a split elsewhere in the pool leaves the coprime pair proven
+    gcd_factored(F((X * X - one) * (Y + one)), F(X + one))
+    assert session().memos
+    before = len(divisions)
+    assert gcd_factored(F(lin), F(other)).common.is_one
+    assert len(divisions) == before
+
+
 @pytest.mark.parametrize(
     "c1, c2",
     [(-1, -1), (-6, -4), (-6, -6), (-1, 1), (6, -4), (-3, 5), (3, 5)],
@@ -456,6 +479,37 @@ def test_no_chain_of_stored_splits_leads_back_to_its_base(pairs):
                     todo.append(h)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(gcd_operands(), min_size=1, max_size=4))
+def test_a_warm_coprime_memo_changes_no_triple_and_no_pool(pairs):
+    """The pairs run in a fresh session and again in one whose coprime
+    memo starts with every pair the first run proved coprime; handles
+    differ between the two by the same offset."""
+    polys = session().polys
+    recipes = [[(f.coeff, [(polys[h], e) for h, e in f.factors]) for f in pair] for pair in pairs]
+
+    def run(coprime, first):
+        reset_session()
+        _xyz()  # the variable ids of the recipes
+        s = session()
+        s.coprime.update((r, h - first + s.next_handle) for r, h in coprime)
+        start = s.next_handle
+        triples = []
+        for pair in recipes:
+            f1, f2 = (
+                fmul(Factorization(c, ()), Factorization(1, fz._normalize((s.intern(b), e) for b, e in bases)))
+                for c, bases in pair
+            )
+            triples.append(tuple(map(str, gcd_factored(f1, f2))))
+        pool = [str(s.polys[h]) for h in sorted(s.polys)]
+        memos = sorted((str(s.polys[h]), str(Factorization(1, m))) for h, m in s.memos.items())
+        return (triples, pool, memos), set(s.coprime), start
+
+    fresh, proven, first = run(set(), 0)
+    warm, _, _ = run(proven, first)
+    assert warm == fresh
+
+
 def test_each_cache_is_emptied_at_the_one_cap(monkeypatch, fig2_text):
     # fig2 makes one gcd memo entry, so "three" is checked too
     models = [fig2_text, (pathlib.Path(__file__).parent / "data" / "three.pdtmc").read_text()]
@@ -487,6 +541,19 @@ def test_each_cache_is_emptied_at_the_one_cap(monkeypatch, fig2_text):
             emptied.add(self.name)
             super().clear()
 
+    class WatchedSet(set):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def add(self, item):
+            super().add(item)
+            largest[self.name] = max(largest.get(self.name, 0), len(self))
+
+        def clear(self):
+            emptied.add(self.name)
+            super().clear()
+
     remember = Session.remember
 
     def watched_remember(self, h, factors):
@@ -497,9 +564,12 @@ def test_each_cache_is_emptied_at_the_one_cap(monkeypatch, fig2_text):
     monkeypatch.setattr(Session, "remember", watched_remember)
     s = session()
     s.gcd_memo, s.expanded, s.ops = Watched("gcd"), Watched("expanded"), Watched("ops")
+    s.images, s.point_powers = Watched("images"), Watched("point_powers")
+    s.coprime = WatchedSet("coprime")
     assert texts() == expected
-    assert emptied == {"gcd", "expanded", "ops"}
-    assert largest == {"gcd": 2, "expanded": 2, "ops": 2}
+    caches = {"gcd", "expanded", "ops", "images", "point_powers", "coprime"}
+    assert emptied == caches
+    assert largest == dict.fromkeys(caches, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,30 @@ def test_irreducible_certificates():
     assert is_irreducible_heuristic(P * P) is False
 
 
+def test_the_screen_certifies_degree_one_where_the_gcd_is_plainly_one():
+    X, Y, Z = _xyz()
+    one, two, three = (Polynomial.const(c) for c in (1, 2, 3))
+    certified = [
+        X * Y + one,  # b is a constant
+        two * X * Y + three * Z,  # a = 2x, whose x the term 3z lacks
+        X * X * Y + X + one,  # b = x + 1 has monomial content 1
+        Y * (X + Z) + X * Z,  # in y, b = xz is one term and a = x + z has content 1
+        X + two * Y + three,  # total degree one
+    ]
+    for g in certified:
+        assert is_irreducible_heuristic(g) is True, g
+    unknown = [
+        X * Y + X,  # x * (y + 1)
+        X * Y * Z + X * Z,  # xz * (y + 1)
+        X * Y,  # b = 0 and a = x
+        X * Y + X * Z + Y * Z + Z * Z,  # (x + z) * (y + z): neither part one term
+        two * X + Polynomial.const(4),  # not primitive
+        X * X * Y + X * X + Y * Y,  # irreducible, but of degree two in both
+    ]
+    for g in unknown:
+        assert is_irreducible_heuristic(g) is False, g
+
+
 def test_reducible_is_unknown():
     (X, _, _) = _xyz()
     assert is_irreducible_heuristic(X * X - Polynomial.one()) is False
@@ -305,8 +329,9 @@ def test_irreducibility_of_zero_rejected():
 
 
 @st.composite
-def polys(draw, max_terms=5, max_exp=3, coeff=8):
-    xs = variables("x", "y", "z")
+def polys(draw, max_terms=5, max_exp=3, coeff=8, names=("x", "y", "z")):
+    variables("x", "y", "z")  # the same ids whatever *names* are
+    xs = variables(*names)
     n = draw(st.integers(0, max_terms))
     acc = {}
     for _ in range(n):
@@ -422,16 +447,36 @@ def test_image_gcd_degree_bounds_the_gcd(a, b, g):
     if d is not None:
         assert d >= h.total_degree()
         assert d > 0 or h.is_constant
+        assert d >= g.total_degree()  # a planted non-constant g is never certified away
     for v in variables("x", "y", "z"):
         d = polycore._image_gcd_degree(pa, pb, v.id)
         if d is not None:
             assert d >= h.degree_in(v.id)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    polys(max_terms=3),
+    polys(max_terms=3, max_exp=2, names=("x", "z")),
+    polys(max_terms=3, max_exp=2, names=("x", "z")),
+    polys(max_terms=3, max_exp=2, names=("x", "z")),
+)
+def test_the_screen_certifies_no_product(a, c, p, q):
+    """A product of two non-constant polynomials is never certified
+    irreducible, in particular not one of degree one in y: ``c`` is
+    free of y, so ``c * (y*p + q)`` has degree at most one in y, with
+    the common factor c of its two parts."""
+    Y = Polynomial.of_variable(variable("y"))
+    for f, g in ((a, c), (c, poly_add(poly_mul(Y, p), q))):
+        if not (f.is_constant or g.is_constant):
+            assert not is_irreducible_heuristic(poly_mul(f, g)), (f, g)
+
+
 def test_image_gcd_degree_is_inconclusive_when_both_degrees_drop(monkeypatch):
     # at x = y = 1 the common factor maps to a constant, so the images of
     # the operands are coprime although the operands are not
     monkeypatch.setattr(polycore, "_filter_point", lambda vid, attempt: 1)
+    reset_session()  # the session caches images and point powers made before the patch
     x, y = variables("x", "y")
     X, Y = Polynomial.of_variable(x), Polynomial.of_variable(y)
     one = Polynomial.one()

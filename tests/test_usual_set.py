@@ -43,3 +43,18 @@ def test_the_usual_set_matches_its_manifest(tmp_path):
     assert not differ, "outputs differ from the manifest:\n" + "\n".join(
         f"{group}: {', '.join(names)}" for group, names in differ.items()
     )
+
+
+def test_compare_totals_each_moved_counter_and_fails_on_an_smt_difference(tmp_path, capsys):
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d, calls, smt in zip(dirs, (5, 3), ("(check-sat)\n", "(check-sat)\n")):
+        d.mkdir()
+        (d / "m.scc.out").write_text(f"f(s0, s1) = p\nstats:\n  gcd kernel calls: {calls}\n")
+        (d / "n.scc.out").write_text("f(s0, s1) = q\nstats:\n  gcd kernel calls: 2\n")
+        (d / "m.scc.smt2").write_text(smt)
+    assert usual_set.compare(*dirs) == 0
+    out = capsys.readouterr().out
+    assert "counter 'gcd kernel calls': down in 1 files, up in 0; total 7 -> 5\n" in out
+    (dirs[1] / "m.scc.smt2").write_text("(assert true)\n(check-sat)\n")
+    assert usual_set.compare(*dirs) == 1
+    assert "SMT: 1 files differ\n  m.scc.smt2\n" in capsys.readouterr().out

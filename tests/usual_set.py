@@ -31,8 +31,9 @@ above its ``stats:`` line), ``--stats`` counters (from that line on),
 ``--factored`` and SMT; a file only one directory has differs in each
 of its groups.  Then, for each ``--stats`` counter that changed, it
 prints in how many files it went down and in how many up from DIR_A to
-DIR_B.  It exits 1 when a result line or a ``--factored`` text
-differs, else 0.
+DIR_B, and its total over all files of each directory.  It exits 1
+when a result line, a ``--factored`` text or an SMT file differs, else
+0: only the counters may move.
 """
 
 from __future__ import annotations
@@ -137,19 +138,25 @@ def _counters(text: str) -> dict[str, int]:
 
 def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> int:
     """Print the output files that differ between two directories, by
-    group, and per ``--stats`` counter label the number of files in
-    which it went down and up from A to B; 1 if a result line or a
-    ``--factored`` text differs, else 0."""
+    group, and per changed ``--stats`` counter label the number of files
+    in which it went down and up from A to B and its total in each; 1 if
+    a result line, a ``--factored`` text or an SMT file differs, else 0."""
     differ: dict[str, list[str]] = {g: [] for g in (RESULTS, COUNTERS, FACTORED, SMT)}
     moved: dict[str, list[int]] = {}  # label -> [files down, files up]
+    totals: dict[str, list[int]] = {}  # label -> [total in A, total in B]
     names = {p.name for d in (dir_a, dir_b) for p in d.iterdir()}
     for name in sorted(n for n in names if n.endswith((".out", ".smt2"))):
         a, b = (d / name for d in (dir_a, dir_b))
-        if not (a.exists() and b.exists()):
+        texts = [d.read_text(encoding="utf-8") if d.exists() else None for d in (a, b)]
+        for side, text in enumerate(texts):
+            if text is not None:
+                for label, value in _counters(parts(name, text).get(COUNTERS, "")).items():
+                    totals.setdefault(label, [0, 0])[side] += value
+        if None in texts:
             for group in parts(name, ""):
                 differ[group].append(name)
             continue
-        parts_a, parts_b = (parts(name, d.read_text(encoding="utf-8")) for d in (a, b))
+        parts_a, parts_b = (parts(name, text) for text in texts)
         for group, text in parts_a.items():
             if text != parts_b[group]:
                 differ[group].append(name)
@@ -163,8 +170,9 @@ def compare(dir_a: pathlib.Path, dir_b: pathlib.Path) -> int:
         for name in files:
             print(f"  {name}")
     for label, (down, up) in sorted(moved.items()):
-        print(f"counter {label!r}: down in {down} files, up in {up}")
-    return 1 if differ[RESULTS] or differ[FACTORED] else 0
+        total_a, total_b = totals[label]
+        print(f"counter {label!r}: down in {down} files, up in {up}; total {total_a} -> {total_b}")
+    return 1 if differ[RESULTS] or differ[FACTORED] or differ[SMT] else 0
 
 
 if __name__ == "__main__":
@@ -174,7 +182,9 @@ if __name__ == "__main__":
         except BrokenPipeError:
             # the reader (say, ``head``) stopped early; leave quietly, and
             # keep the interpreter's final flush from raising again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             sys.exit(1)
     if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
         raise SystemExit(
